@@ -36,20 +36,34 @@ let experiments =
     ("micro", "bechamel kernel microbenchmarks", Micro.run);
   ]
 
+(* Every FILE mode writes its record after the whole run: fail before the
+   run, not after it, when the file cannot be created. *)
+let writable file =
+  try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file)
+  with Sys_error e ->
+    Printf.eprintf "cannot write %s: %s\n" file e;
+    exit 1
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
   | [ "--list" ] ->
     List.iter (fun (id, desc, _) -> Printf.printf "%-6s %s\n" id desc) experiments
-  | [ "--json"; file ] -> Bench_json.run ~file
+  | [ "--json"; file ] ->
+    writable file;
+    Bench_json.run ~file
   | [ "--json" ] ->
     Printf.eprintf "--json requires an output file argument\n";
     exit 1
-  | [ "--smoke"; file ] -> Bench_json.smoke ~file
+  | [ "--smoke"; file ] ->
+    writable file;
+    Bench_json.smoke ~file
   | [ "--smoke" ] ->
     Printf.eprintf "--smoke requires an output file argument\n";
     exit 1
-  | [ "--trace"; file ] -> Trace_run.run ~file
+  | [ "--trace"; file ] ->
+    writable file;
+    Trace_run.run ~file
   | [ "--trace" ] ->
     Printf.eprintf "--trace requires an output file argument\n";
     exit 1
@@ -67,24 +81,36 @@ let () =
     | None ->
       Printf.eprintf "--serve-overhead: %S is not a number\n" pct;
       exit 1)
-  | [ "--serve"; file ] -> Serve_run.run ~file
+  | [ "--serve"; file ] ->
+    writable file;
+    Serve_run.run ~file
   | [ "--serve" ] ->
     Printf.eprintf "--serve requires an output file argument\n";
     exit 1
-  | [ "--serve-isolation"; file ] -> Isolation_run.run ~file
+  | [ "--serve-isolation"; file ] ->
+    writable file;
+    Isolation_run.run ~file
   | [ "--serve-isolation" ] ->
     Printf.eprintf "--serve-isolation requires an output file argument\n";
     exit 1
-  | [ "--serve-mixed"; "--smoke"; file ] -> Mixed_run.smoke ~file
+  | [ "--serve-mixed"; "--smoke"; file ] ->
+    writable file;
+    Mixed_run.smoke ~file
   | [ "--serve-mixed"; "--smoke" ] | [ "--serve-mixed" ] ->
     Printf.eprintf "--serve-mixed requires an output file argument\n";
     exit 1
-  | [ "--serve-mixed"; file ] -> Mixed_run.run ~file
-  | [ "--fleet"; "--smoke"; file ] -> Fleet_run.smoke ~file
+  | [ "--serve-mixed"; file ] ->
+    writable file;
+    Mixed_run.run ~file
+  | [ "--fleet"; "--smoke"; file ] ->
+    writable file;
+    Fleet_run.smoke ~file
   | [ "--fleet"; "--smoke" ] | [ "--fleet" ] ->
     Printf.eprintf "--fleet requires an output file argument\n";
     exit 1
-  | [ "--fleet"; file ] -> Fleet_run.run ~file
+  | [ "--fleet"; file ] ->
+    writable file;
+    Fleet_run.run ~file
   | [ "--faults" ] -> Faults_run.run ~seed:1
   | [ "--faults"; seed ] -> (
     match int_of_string_opt seed with

@@ -14,7 +14,10 @@ let op_dims trans (m : Mat.t) =
    call itself. Counter names: blas.<kernel>.{calls,flops,bytes}.
 
    Tallies are created on first use, not at module init: a kernel that is
-   never called leaves no zero-valued counters in the registry export. *)
+   never called leaves no zero-valued counters in the registry export. The
+   cell is an atomic, not a lazy: kernels run on several domains, and a
+   lazy forced by two at once raises in one of them. Two domains that both
+   miss create the same counters, which the registry deduplicates by name. *)
 module Metrics = Xsc_obs.Metrics
 
 type tally = { calls : Metrics.counter; flops : Metrics.counter; bytes : Metrics.counter }
@@ -26,13 +29,21 @@ let make_tally kernel =
     bytes = Metrics.counter (Printf.sprintf "blas.%s.bytes" kernel);
   }
 
-let t_gemm = lazy (make_tally "gemm")
-let t_syrk = lazy (make_tally "syrk")
-let t_trsm = lazy (make_tally "trsm")
-let t_gemv = lazy (make_tally "gemv")
+let tally_cell kernel = (kernel, Atomic.make None)
+let t_gemm = tally_cell "gemm"
+let t_syrk = tally_cell "syrk"
+let t_trsm = tally_cell "trsm"
+let t_gemv = tally_cell "gemv"
 
-let[@inline] tally lt ~flops ~bytes =
-  let t = Lazy.force lt in
+let[@inline] tally (kernel, cell) ~flops ~bytes =
+  let t =
+    match Atomic.get cell with
+    | Some t -> t
+    | None ->
+      let t = make_tally kernel in
+      Atomic.set cell (Some t);
+      t
+  in
   Metrics.incr t.calls;
   Metrics.add t.flops (int_of_float flops);
   Metrics.add t.bytes (int_of_float bytes)

@@ -48,7 +48,9 @@ type collector = {
   tee : (record -> unit) option;
 }
 
-let m_dropped = lazy (Metrics.counter "obs.span.dropped")
+(* Registered at module init, not lazily: two domains forcing one lazy
+   value at once make one of them raise [CamlinternalLazy.Undefined]. *)
+let m_dropped = Metrics.counter "obs.span.dropped"
 
 let collector ?(capacity = 1 lsl 16) ?tee () =
   if capacity <= 0 then invalid_arg "Span.collector: capacity must be positive";
@@ -60,7 +62,7 @@ let record col (r : record) =
   if col.count >= col.capacity then begin
     col.lost <- col.lost + 1;
     Mutex.unlock col.mu;
-    Metrics.incr (Lazy.force m_dropped)
+    Metrics.incr m_dropped
   end
   else begin
     col.items <- r :: col.items;

@@ -48,11 +48,11 @@ let enabled_by_env () =
 (* Drops surface on a metric immediately, not just in the post-hoc ring
    count: heavy tracing that overflows a ring shows up in the bench
    metrics object instead of silently truncating the trace. *)
-let m_dropped = lazy (Metrics.counter "obs.trace.dropped")
+let m_dropped = Metrics.counter "obs.trace.dropped"
 
 let record t ~domain k ~arg =
   if not (Ring.record t.rings.(domain) ~kind:(kind_to_int k) ~t_ns:(Clock.now_ns ()) ~arg) then
-    Metrics.incr (Lazy.force m_dropped)
+    Metrics.incr m_dropped
 
 let origin_ns t = t.t0_ns
 

@@ -121,8 +121,8 @@ let chol_ir32 ?(max_iter = 50) ?(tol = default_tol) ?nb a b =
     else begin
       let rp = Array.make np 0.0 in
       Array.iteri (fun i x -> rp.(i) <- x /. scale) r;
-      let d = Packed.S.potrs f rp in
-      Array.init n (fun i -> d.(i) *. scale)
+      Packed.S.potrs f rp;
+      Array.init n (fun i -> rp.(i) *. scale)
     end
   in
   let x0 = solve b in

@@ -48,6 +48,7 @@ let m_failures = Metrics.counter "runtime.task_failures"
 let m_jobs = Metrics.counter "pool.jobs_submitted"
 let m_jobs_done = Metrics.counter "pool.jobs_completed"
 let m_jobs_failed = Metrics.counter "pool.jobs_failed"
+let m_callback_failures = Metrics.counter "pool.callback_failures"
 let m_injected = Metrics.counter "pool.tasks_injected"
 let m_yields = Metrics.counter "pool.deadline_yields"
 
@@ -124,7 +125,11 @@ let finish_job t (job : job) ~worker =
   t.free_slots <- job.slot :: t.free_slots;
   t.live <- t.live - 1;
   Mutex.unlock t.mu;
-  job.on_done failure ~worker
+  (* the job is settled in the pool's books already: a raising callback is
+     counted and contained, so it cannot take this worker lane down *)
+  match job.on_done failure ~worker with
+  | () -> ()
+  | exception _ -> Metrics.incr m_callback_failures
 
 (* ---- task execution on a worker ---- *)
 

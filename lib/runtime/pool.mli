@@ -51,8 +51,10 @@ val submit :
     job's task spans parent onto. [on_done] runs on the pool worker that
     completed (or drained) the last task, with [None] on success or the
     first captured failure; it must be fast and must not block — it may
-    {!submit} follow-up jobs (dynamic insertion). An empty DAG completes
-    inline on the calling thread ([worker = -1]).
+    {!submit} follow-up jobs (dynamic insertion). An exception it raises
+    is contained and counted on [pool.callback_failures]; the worker lane
+    survives. An empty DAG completes inline on the calling thread
+    ([worker = -1]).
 
     Raises [Invalid_argument] if a task lacks a body, the pool is shut
     down, or all [max_jobs] slots are in flight. *)

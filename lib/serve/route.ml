@@ -2,11 +2,10 @@
    shared task pool.
 
    A plan is the request's whole execution as data: a DAG whose first task
-   packs the operand into a pooled tile-major buffer (acquired on the
-   executing worker's domain, so scratch recycles inside the pool), the
-   factorization as closure-free op tasks over that buffer, an interpreter
-   binding the ops to the buffer, and a [finish]/[cleanup] pair run after
-   the DAG drains. SPD solves route to the packed tiled Cholesky,
+   packs the operand into a tile-major buffer from the process-wide
+   scratch pool, the factorization as closure-free op tasks over that
+   buffer, an interpreter binding the ops to the buffer, and a
+   [finish]/[cleanup] pair run after the DAG drains. SPD solves route to the packed tiled Cholesky,
    diagonally dominant LU solves to the packed unpivoted LU; pivoting LU
    and GEMM (no op encoding) run as single-task closure DAGs — still
    pool-scheduled, deadline-tagged units, just without intra-request
@@ -52,75 +51,22 @@ type t = {
 
 let default_nb () = Xsc_tile.Packed.tuned_nb ~fallback:64
 
-(* Pack [a] (n x n) into the padded packed buffer, identity on the pad
-   diagonal (harmless for SPD and for diagonally dominant LU), writing
-   every element — pooled buffers come back dirty. *)
-let pack_padded (p : PD.t) (a : Mat.t) =
-  let n = a.Mat.rows in
-  let nb = p.PD.nb in
-  let ad = a.Mat.data in
-  for bi = 0 to p.PD.nt - 1 do
-    for bj = 0 to p.PD.nt - 1 do
-      let base = PD.off p bi bj in
-      for r = 0 to nb - 1 do
-        let gi = (bi * nb) + r in
-        let row = base + (r * nb) in
-        for c = 0 to nb - 1 do
-          let gj = (bj * nb) + c in
-          p.PD.buf.{row + c} <-
-            (if gi < n && gj < n then ad.((gi * n) + gj)
-             else if gi = gj then 1.0
-             else 0.0)
-        done
-      done
-    done
-  done
-
-(* Padded forward/back substitution against a packed Cholesky factor:
-   identity pad rows solve to b's pad (zero), so the head is unaffected. *)
-let spd_finish cell n padded b () =
+(* Solve against the packed factor in place on a pooled padded vector
+   (identity pad rows solve to b's zero pad, so the head is unaffected),
+   release the plan's scratch, and return the head: the solve allocates
+   only the n-vector it returns. [solve] is [PD.potrs] for a Cholesky
+   factor, [PD.getrs_nopiv] for an unpivoted LU. *)
+let packed_finish solve cell n padded b () =
   let p = match !cell with Some p -> p | None -> assert false in
-  let bp = Scratch.acquire_vec padded in
-  Array.blit b 0 bp 0 n;
-  Array.fill bp n (padded - n) 0.0;
-  let y = PD.potrs p bp in
-  Scratch.release_vec bp;
+  let y = Scratch.acquire_vec padded in
+  Array.blit b 0 y 0 n;
+  Array.fill y n (padded - n) 0.0;
+  solve p y;
+  let x = Array.sub y 0 n in
+  Scratch.release_vec y;
   Scratch.release_packed p;
   cell := None;
-  Request.Vector (Array.sub y 0 n)
-
-(* L U x = b against the packed unpivoted factor: unit-lower forward then
-   upper backward substitution, element order matching Blas.trsv
-   ([~diag:Unit] then [NonUnit]) on the unpacked factor. *)
-let lu_solve_packed (p : PD.t) b =
-  let n = p.PD.n in
-  let y = Array.copy b in
-  for i = 0 to n - 1 do
-    let acc = ref y.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (PD.get p i j *. y.(j))
-    done;
-    y.(i) <- !acc
-  done;
-  for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (PD.get p i j *. y.(j))
-    done;
-    y.(i) <- !acc /. PD.get p i i
-  done;
-  y
-
-let lu_finish cell n padded b () =
-  let p = match !cell with Some p -> p | None -> assert false in
-  let bp = Scratch.acquire_vec padded in
-  Array.blit b 0 bp 0 n;
-  Array.fill bp n (padded - n) 0.0;
-  let y = lu_solve_packed p bp in
-  Scratch.release_vec bp;
-  Scratch.release_packed p;
-  cell := None;
-  Request.Vector (Array.sub y 0 n)
+  Request.Vector x
 
 let release_cell cell () =
   match !cell with
@@ -157,14 +103,14 @@ let wrap_interp harness ~key interp =
   | None -> interp
   | Some h -> Harness.wrap_interp_key h ~key interp
 
-let tiled_plan ~harness ~key ~nb a ops_of interp_of finish_of =
+let tiled_plan ~harness ~key ~nb a b ops_of interp_of solve =
   let n = a.Mat.rows in
   let padded = (n + nb - 1) / nb * nb in
   let nt = padded / nb in
   let cell : PD.t option ref = ref None in
   let pack () =
     let p = Scratch.acquire_packed ~n:padded ~nb in
-    pack_padded p a;
+    PD.pack_padded p a;
     cell := Some p
   in
   let dag = with_pack_task ~nt ~nb ~padded pack (ops_of ~nt ~nb) in
@@ -176,7 +122,7 @@ let tiled_plan ~harness ~key ~nb a ops_of interp_of finish_of =
   {
     dag;
     interp = Some (wrap_interp harness ~key interp0);
-    finish = finish_of cell ~padded;
+    finish = packed_finish solve cell n padded b;
     cleanup = release_cell cell;
     tiled = true;
   }
@@ -304,12 +250,11 @@ let plan ?harness ?nb ~key (payload : Request.payload) =
   let nb = match nb with Some nb -> nb | None -> default_nb () in
   match payload with
   | Request.Spd_solve (a, b) ->
-    tiled_plan ~harness ~key ~nb a Xsc_core.Cholesky.tasks_ops
-      Xsc_core.Cholesky.packed_interp
-      (fun cell ~padded -> spd_finish cell a.Mat.rows padded b)
+    tiled_plan ~harness ~key ~nb a b Xsc_core.Cholesky.tasks_ops
+      Xsc_core.Cholesky.packed_interp PD.potrs
   | Request.Lu_solve (a, b) when strictly_diag_dominant a ->
-    tiled_plan ~harness ~key ~nb a Xsc_core.Lu.tasks_ops Xsc_core.Lu.packed_interp
-      (fun cell ~padded -> lu_finish cell a.Mat.rows padded b)
+    tiled_plan ~harness ~key ~nb a b Xsc_core.Lu.tasks_ops Xsc_core.Lu.packed_interp
+      PD.getrs_nopiv
   | Request.Lu_solve (a, b) ->
     thunk_plan ~harness ~key (fun () -> Request.Vector (Lapack.lu_solve a b))
   | Request.Gemm (a, b) ->

@@ -4,9 +4,10 @@
     SPD solves become [pack -> tiled packed Cholesky] op DAGs, diagonally
     dominant LU solves [pack -> tiled packed unpivoted LU]; pivoting LU
     and GEMM run as single-closure-task DAGs (no op encoding). The pack
-    task acquires its tile-major buffer from {!Scratch} on the executing
-    worker's domain and [finish]/[cleanup] release it, so buffers recycle
-    inside the pool across same-class requests.
+    task acquires its tile-major buffer from {!Scratch} and
+    [finish]/[cleanup] release it, so buffers recycle across same-class
+    requests whichever pool lane runs them. [finish] solves with
+    {!Xsc_tile.Packed.D.potrs} or {!Xsc_tile.Packed.D.getrs_nopiv}.
 
     Sparse iterative solves ([Cg_solve]/[Mg_solve]) become sequential
     CHAINS of chunk tasks over a resumable stepper (task 0 initialises,

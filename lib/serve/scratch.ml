@@ -1,12 +1,16 @@
-(* Domain-local scratch pools for the serving layer: packed-matrix
+(* Process-wide scratch pools for the serving layer: packed-matrix
    Bigarrays and float-array vectors recycled across same-class requests.
 
-   Freelists live in Domain.DLS, so acquire/release are lock-free and a
-   buffer never crosses domains *while in use* — it may be acquired by a
-   pack task on one pool worker and released by a completion callback on
-   another, in which case it simply joins the releasing domain's freelist
-   (Chase-Lev-style migration: ownership follows release). Lists are
-   bounded per (n, nb) class so a burst cannot pin unbounded memory.
+   One bounded freelist per size class, shared by every domain behind one
+   mutex. A request's buffer is acquired by its pack task on one pool lane
+   and released by its completion on whichever lane drained the job, so a
+   per-domain freelist loses a buffer whenever the releasing lane's list
+   is full, and strands a whole list when its domain exits (each
+   [Server.start] spawns fresh pool domains; a dead domain's buffers live
+   on until a major GC finalizes them). A shared list has neither leak.
+   The lock is held for a hashtable lookup and a cons, four times per
+   dense request (a buffer and a vector, each acquired and released) —
+   far off any per-element loop.
 
    [set_enabled false] turns both pools into plain allocators — the A/B
    switch the isolation bench uses to demonstrate the steady-state
@@ -22,55 +26,60 @@ let enabled = Atomic.make true
 let set_enabled b = Atomic.set enabled b
 let is_enabled () = Atomic.get enabled
 
-(* per-(class) freelist bound: enough to cover a worker's plausible
-   concurrent in-flight set, small enough to cap idle memory *)
-let max_per_class = 8
+(* Per-class freelist bound. A list only grows to the largest number of
+   same-class requests ever in flight at once; the bound caps what an idle
+   server keeps after a burst beyond that. 32 covers a closed loop of 32
+   outstanding small solves without a miss. *)
+let max_per_class = 32
 
-type pools = {
-  packed : (int * int, PD.t list) Hashtbl.t;  (* (n, nb) -> freelist *)
-  vecs : (int, float array list) Hashtbl.t;  (* length -> freelist *)
-}
+let mu = Mutex.create ()
+let packed : (int * int, PD.t list) Hashtbl.t = Hashtbl.create 8 (* (n, nb) *)
+let vecs : (int, float array list) Hashtbl.t = Hashtbl.create 8 (* length *)
 
-let dls : pools Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { packed = Hashtbl.create 8; vecs = Hashtbl.create 8 })
+let take tbl key =
+  if not (is_enabled ()) then None
+  else begin
+    Mutex.lock mu;
+    let r =
+      match Hashtbl.find_opt tbl key with
+      | Some (x :: rest) ->
+        Hashtbl.replace tbl key rest;
+        Some x
+      | Some [] | None -> None
+    in
+    Mutex.unlock mu;
+    r
+  end
+
+let give tbl key x =
+  if is_enabled () then begin
+    Mutex.lock mu;
+    let fl = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
+    if List.length fl < max_per_class then Hashtbl.replace tbl key (x :: fl);
+    Mutex.unlock mu
+  end
 
 let acquire_packed ~n ~nb =
-  let p = Domain.DLS.get dls in
-  match if is_enabled () then Hashtbl.find_opt p.packed (n, nb) else None with
-  | Some (buf :: rest) ->
-    Hashtbl.replace p.packed (n, nb) rest;
+  match take packed (n, nb) with
+  | Some buf ->
     Metrics.incr m_hits;
     buf
-  | Some [] | None ->
+  | None ->
     Metrics.incr m_misses;
     PD.create ~n ~nb
 
-let release_packed (buf : PD.t) =
-  if is_enabled () then begin
-    let p = Domain.DLS.get dls in
-    let key = (buf.PD.n, buf.PD.nb) in
-    let fl = Option.value (Hashtbl.find_opt p.packed key) ~default:[] in
-    if List.length fl < max_per_class then Hashtbl.replace p.packed key (buf :: fl)
-  end
+let release_packed (buf : PD.t) = give packed (buf.PD.n, buf.PD.nb) buf
 
 let acquire_vec len =
-  let p = Domain.DLS.get dls in
-  match if is_enabled () then Hashtbl.find_opt p.vecs len else None with
-  | Some (v :: rest) ->
-    Hashtbl.replace p.vecs len rest;
+  match take vecs len with
+  | Some v ->
     Metrics.incr m_hits;
     v
-  | Some [] | None ->
+  | None ->
     Metrics.incr m_misses;
     Array.make len 0.0
 
-let release_vec (v : float array) =
-  if is_enabled () then begin
-    let p = Domain.DLS.get dls in
-    let len = Array.length v in
-    let fl = Option.value (Hashtbl.find_opt p.vecs len) ~default:[] in
-    if List.length fl < max_per_class then Hashtbl.replace p.vecs len (v :: fl)
-  end
+let release_vec (v : float array) = give vecs (Array.length v) v
 
 let hits () = Metrics.counter_value m_hits
 let misses () = Metrics.counter_value m_misses

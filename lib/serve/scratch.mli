@@ -1,10 +1,10 @@
-(** Domain-local scratch pools: packed-matrix Bigarrays and float-array
+(** Process-wide scratch pools: packed-matrix Bigarrays and float-array
     vectors recycled across same-class requests.
 
-    Freelists live in [Domain.DLS] — acquire/release are lock-free and
-    per-domain. A buffer acquired on one domain may be released on
-    another; it then joins the releasing domain's freelist (ownership
-    follows release). Freelists are bounded per size class.
+    One bounded freelist per size class, shared by all domains under one
+    mutex: a buffer acquired on one domain and released on another goes
+    back to the same list, and no freelist dies with the domain that
+    filled it.
 
     Buffers are returned {e dirty}: callers must overwrite every element
     they read (the packing routines do — a pack writes the whole
@@ -15,8 +15,8 @@ val acquire_packed : n:int -> nb:int -> Xsc_tile.Packed.D.t
     undefined. *)
 
 val release_packed : Xsc_tile.Packed.D.t -> unit
-(** Return a buffer to this domain's pool (dropped when the class list is
-    full or pooling is disabled). The caller must not touch it again. *)
+(** Return a buffer to the pool (dropped when the class list is full or
+    pooling is disabled). The caller must not touch it again. *)
 
 val acquire_vec : int -> float array
 (** Pooled or fresh [float array] of exactly the given length; contents

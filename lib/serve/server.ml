@@ -160,6 +160,7 @@ type t = {
   sched : Request.t Scheduler.t;
   tickets : (int, ticket) Hashtbl.t;
   mutable spans : span list;
+  deferred : (int, unit) Hashtbl.t;  (* seqs of batches held back by a cap *)
   (* ---- retry queue (Shared mode), under [retry_mu] ---- *)
   retry_mu : Mutex.t;
   mutable retry_q : retry_entry list;
@@ -293,74 +294,78 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
   let ticket = Hashtbl.find_opt t.tickets r.Request.id in
   Hashtbl.remove t.tickets r.Request.id;
   Mutex.unlock t.mu;
-  (* causal span records: the wait segment and the root request segment
-     (attempt segments were recorded as they ran). The root closes last,
-     so by the time a flight dump triggers below, the ring holds the
-     request's whole chain. *)
-  (match t.collector with
-  | None -> ()
-  | Some col ->
-    let wait = Span.child r.Request.span in
-    Span.record col
-      {
-        Span.request = r.Request.id;
-        span = wait.Span.span;
-        parent = wait.Span.parent;
-        phase = "wait";
-        name = Printf.sprintf "wait:%s" key;
-        lane = queue_lane t.cfg;
-        attempt = 0;
-        start_ns = r.Request.submit_ns;
-        finish_ns = dispatch_ns;
-      };
-    Span.record col
-      {
-        Span.request = r.Request.id;
-        span = r.Request.span.Span.span;
-        parent = -1;
-        phase = "request";
-        name = Printf.sprintf "%s(%d)" key r.Request.id;
-        lane = -1;
-        attempt = retries;
-        start_ns = r.Request.submit_ns;
-        finish_ns;
-      });
-  (* SLO burn-rate monitor; entering breach triggers a post-mortem dump *)
-  (match t.slo with
-  | None -> ()
-  | Some slo ->
-    let newly_breached =
-      Slo.observe slo
-        ~kind:(Request.kind_name r.Request.payload)
-        ~id:r.Request.id ~latency_s:total_s
-        ~failed:(Result.is_error outcome)
-    in
-    if newly_breached then
-      match t.cfg.flight_path with
-      | Some path ->
+  (* the request resolves even if the telemetry below raises *)
+  let resolve () =
+    (match ticket with
+    | Some tk ->
+      Mutex.lock tk.t_mu;
+      tk.result <- Some completion;
+      Condition.broadcast tk.t_cv;
+      Mutex.unlock tk.t_mu
+    | None -> ());
+    (* last: only a fully completed request frees an admission slot *)
+    ignore (Atomic.fetch_and_add t.in_system (-1))
+  in
+  Fun.protect ~finally:resolve (fun () ->
+      (* causal span records: the wait segment and the root request segment
+         (attempt segments were recorded as they ran). The root closes last,
+         so by the time a flight dump triggers below, the ring holds the
+         request's whole chain. *)
+      (match t.collector with
+      | None -> ()
+      | Some col ->
+        let wait = Span.child r.Request.span in
+        Span.record col
+          {
+            Span.request = r.Request.id;
+            span = wait.Span.span;
+            parent = wait.Span.parent;
+            phase = "wait";
+            name = Printf.sprintf "wait:%s" key;
+            lane = queue_lane t.cfg;
+            attempt = 0;
+            start_ns = r.Request.submit_ns;
+            finish_ns = dispatch_ns;
+          };
+        Span.record col
+          {
+            Span.request = r.Request.id;
+            span = r.Request.span.Span.span;
+            parent = -1;
+            phase = "request";
+            name = Printf.sprintf "%s(%d)" key r.Request.id;
+            lane = -1;
+            attempt = retries;
+            start_ns = r.Request.submit_ns;
+            finish_ns;
+          });
+      (* SLO burn-rate monitor; entering breach triggers a post-mortem dump *)
+      (match t.slo with
+      | None -> ()
+      | Some slo ->
+        let newly_breached =
+          Slo.observe slo
+            ~kind:(Request.kind_name r.Request.payload)
+            ~id:r.Request.id ~latency_s:total_s
+            ~failed:(Result.is_error outcome)
+        in
+        if newly_breached then
+          match t.cfg.flight_path with
+          | Some path ->
+            ignore
+              (Flight.dump_once ~path
+                 ~reason:
+                   (Printf.sprintf "slo-breach: class %s (request %d)"
+                      (Request.kind_name r.Request.payload)
+                      r.Request.id))
+          | None -> ());
+      (* permanent request failure: first one dumps the flight recorder *)
+      (match (outcome, t.cfg.flight_path) with
+      | Error (Request.Failed _), Some path ->
         ignore
           (Flight.dump_once ~path
-             ~reason:
-               (Printf.sprintf "slo-breach: class %s (request %d)"
-                  (Request.kind_name r.Request.payload)
-                  r.Request.id))
-      | None -> ());
-  (* permanent request failure: first one dumps the flight recorder *)
-  (match (outcome, t.cfg.flight_path) with
-  | Error (Request.Failed _), Some path ->
-    ignore
-      (Flight.dump_once ~path
-         ~reason:(Printf.sprintf "permanent-failure: request %d after %d retries" r.Request.id retries))
-  | _ -> ());
-  (match ticket with
-  | Some tk ->
-    Mutex.lock tk.t_mu;
-    tk.result <- Some completion;
-    Condition.broadcast tk.t_cv;
-    Mutex.unlock tk.t_mu
-  | None -> ());
-  (* last: only a fully completed request frees an admission slot *)
-  ignore (Atomic.fetch_and_add t.in_system (-1))
+             ~reason:(Printf.sprintf "permanent-failure: request %d after %d retries" r.Request.id retries))
+      | _ -> ()))
 
 let execute t worker (batch : Request.t Batcher.batch) =
   let dispatch_ns = Clock.now_ns () in
@@ -569,7 +574,13 @@ let batch_eligible t (b : Request.t Batcher.batch) =
   | None -> true
   | Some cc ->
     let ok = Atomic.get cc.cc_live < cc.cc_cap in
-    if not ok then Atomic.incr t.c_cap_deferred;
+    (* a held-back batch counts once, however many pump passes find it
+       still held: [deferred] remembers it until it is claimed *)
+    if ok then Hashtbl.remove t.deferred b.Batcher.seq
+    else if not (Hashtbl.mem t.deferred b.Batcher.seq) then begin
+      Hashtbl.replace t.deferred b.Batcher.seq ();
+      Atomic.incr t.c_cap_deferred
+    end;
     ok
 
 let rec worker_loop t w =
@@ -657,6 +668,7 @@ let start ?harness cfg =
             linger_ns = int_of_float (cfg.linger_s *. 1e9) };
       sched = Scheduler.create ();
       tickets = Hashtbl.create 64;
+      deferred = Hashtbl.create 8;
       spans = [];
       retry_mu = Mutex.create ();
       retry_q = [];

@@ -108,9 +108,8 @@ type counters = {
   retried : int;  (** re-executions after transient injected faults *)
   batches : int;  (** batches dispatched *)
   cap_deferred : int;
-      (** class-aware dispatch deferral events: claims where a capped
-          class's most-urgent batch was held back (one per pump claim
-          attempt while blocked, so a diagnostic rate, not a batch count) *)
+      (** batches a class cap held back at least once (class-aware
+          dispatch); each counts once however long it waits *)
 }
 
 val start : ?harness:Xsc_resilience.Harness.t -> config -> t

@@ -42,23 +42,46 @@ module D = struct
     let nb = t.nb in
     t.buf.{off t (i / nb) (j / nb) + ((i mod nb) * nb) + (j mod nb)} <- x
 
-  let of_mat ~nb (a : Mat.t) =
-    if a.Mat.rows <> a.Mat.cols then invalid_arg "Packed.of_mat: not square";
-    let n = a.Mat.rows in
-    let t = create ~n ~nb in
-    let ad = a.Mat.data in
+  (* Tile by tile, one contiguous source run per tile row: the columns
+     that fall inside [a] are copied, the rest of the row is pad. A pad row
+     is zero except its diagonal element. Every element is written, so a
+     recycled (dirty) buffer packs exactly like a fresh one. *)
+  let pack_padded t (a : Mat.t) =
+    let m = a.Mat.rows in
+    if a.Mat.cols <> m then invalid_arg "Packed.D.pack_padded: not square";
+    if m > t.n then invalid_arg "Packed.D.pack_padded: matrix larger than buffer";
+    let nb = t.nb and ad = a.Mat.data and buf = t.buf in
     for bi = 0 to t.nt - 1 do
       for bj = 0 to t.nt - 1 do
         let base = off t bi bj in
+        let c0 = bj * nb in
+        let w = max 0 (min nb (m - c0)) in
         for r = 0 to nb - 1 do
-          let src = (((bi * nb) + r) * n) + (bj * nb) in
-          let dst = base + (r * nb) in
-          for c = 0 to nb - 1 do
-            t.buf.{dst + c} <- ad.(src + c)
-          done
+          let gi = (bi * nb) + r in
+          let row = base + (r * nb) in
+          if gi < m then begin
+            let src = (gi * m) + c0 in
+            for c = 0 to w - 1 do
+              Array1.unsafe_set buf (row + c) (Array.unsafe_get ad (src + c))
+            done;
+            for c = w to nb - 1 do
+              Array1.unsafe_set buf (row + c) 0.0
+            done
+          end
+          else begin
+            for c = 0 to nb - 1 do
+              Array1.unsafe_set buf (row + c) 0.0
+            done;
+            if bi = bj then Array1.unsafe_set buf (row + r) 1.0
+          end
         done
       done
-    done;
+    done
+
+  let of_mat ~nb (a : Mat.t) =
+    if a.Mat.rows <> a.Mat.cols then invalid_arg "Packed.of_mat: not square";
+    let t = create ~n:a.Mat.rows ~nb in
+    pack_padded t a;
     t
 
   let to_mat t =
@@ -129,29 +152,75 @@ module D = struct
       done
     done
 
-  (* Solve L Lᵀ x = b against the packed factor in place (no unpack to a
-     dense Mat): forward then transposed-backward substitution, element
-     order identical to Blas.trsv on the unpacked factor, so the result is
-     bitwise equal to unpack-then-trsv. *)
-  let potrs t b =
-    let n = t.n in
-    if Array.length b <> n then invalid_arg "Packed.D.potrs: dimension mismatch";
-    let y = Array.copy b in
-    for i = 0 to n - 1 do
-      let acc = ref y.(i) in
-      for j = 0 to i - 1 do
-        acc := !acc -. (get t i j *. y.(j))
-      done;
-      y.(i) <- !acc /. get t i i
+  (* One row of a triangular solve against the packed factor:
+     [y.(i) <- (y.(i) - sum_j A * y.(j)) / A(i,i)], j ascending — the
+     element order of Blas.trsv, so a solve is bitwise equal to trsv on
+     the unpacked factor. The tile offset is hoisted out of each run of nb
+     elements, and the accumulator goes straight back into [y], so a row
+     costs one division for its tile coordinates and boxes no float. *)
+
+  (* j < i along row i: contiguous inside each tile of tile row i/nb; the
+     diagonal tile comes last and ends just before A(i,i). *)
+  let fwd_row ~unit t y i =
+    let nb = t.nb and buf = t.buf in
+    let bi = i / nb in
+    let r = i - (bi * nb) in
+    let acc = ref (Array.unsafe_get y i) in
+    for bj = 0 to bi do
+      let base = off t bi bj + (r * nb) and y0 = bj * nb in
+      for c = 0 to (if bj = bi then r else nb) - 1 do
+        acc := !acc -. (Array1.unsafe_get buf (base + c) *. Array.unsafe_get y (y0 + c))
+      done
     done;
-    for i = n - 1 downto 0 do
-      let acc = ref y.(i) in
-      for j = i + 1 to n - 1 do
-        acc := !acc -. (get t j i *. y.(j))
-      done;
-      y.(i) <- !acc /. get t i i
+    Array.unsafe_set y i
+      (if unit then !acc else !acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
+
+  (* j > i along row i (the upper factor of an LU). *)
+  let bwd_row t y i =
+    let nb = t.nb and buf = t.buf in
+    let bi = i / nb in
+    let r = i - (bi * nb) in
+    let acc = ref (Array.unsafe_get y i) in
+    for bj = bi to t.nt - 1 do
+      let base = off t bi bj + (r * nb) and y0 = bj * nb in
+      for c = (if bj = bi then r + 1 else 0) to nb - 1 do
+        acc := !acc -. (Array1.unsafe_get buf (base + c) *. Array.unsafe_get y (y0 + c))
+      done
     done;
-    y
+    Array.unsafe_set y i (!acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
+
+  (* j > i down column i (Lᵀ of a Cholesky factor): stride nb inside each
+     tile of tile column i/nb, starting just below A(i,i). *)
+  let bwd_col t y i =
+    let nb = t.nb and buf = t.buf in
+    let bi = i / nb in
+    let r = i - (bi * nb) in
+    let acc = ref (Array.unsafe_get y i) in
+    for bj = bi to t.nt - 1 do
+      let base = off t bj bi + r and y0 = bj * nb in
+      for c = (if bj = bi then r + 1 else 0) to nb - 1 do
+        acc := !acc -. (Array1.unsafe_get buf (base + (c * nb)) *. Array.unsafe_get y (y0 + c))
+      done
+    done;
+    Array.unsafe_set y i (!acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
+
+  let potrs t y =
+    if Array.length y <> t.n then invalid_arg "Packed.D.potrs: dimension mismatch";
+    for i = 0 to t.n - 1 do
+      fwd_row ~unit:false t y i
+    done;
+    for i = t.n - 1 downto 0 do
+      bwd_col t y i
+    done
+
+  let getrs_nopiv t y =
+    if Array.length y <> t.n then invalid_arg "Packed.D.getrs_nopiv: dimension mismatch";
+    for i = 0 to t.n - 1 do
+      fwd_row ~unit:true t y i
+    done;
+    for i = t.n - 1 downto 0 do
+      bwd_row t y i
+    done
 
   (* Sequential packed unpivoted LU, mirroring Lu.tasks program order. *)
   let getrf_nopiv t =
@@ -277,26 +346,42 @@ module S = struct
   (* Solve L Lᵀ x = b reading the float32 factor but accumulating in
      double: the correction solve of mixed-precision refinement (cheap
      O(n²) next to the O(n³) factorization, and the extra accumulator
-     precision costs nothing — each f32 element widens exactly). *)
-  let potrs t b =
-    let n = t.n in
-    if Array.length b <> n then invalid_arg "Packed.S.potrs: dimension mismatch";
-    let y = Array.copy b in
-    for i = 0 to n - 1 do
-      let acc = ref y.(i) in
-      for j = 0 to i - 1 do
-        acc := !acc -. (get t i j *. y.(j))
-      done;
-      y.(i) <- !acc /. get t i i
+     precision costs nothing — each f32 element widens exactly). Same
+     hoisted sweeps as D.potrs, over a float32 buffer. *)
+  let fwd_row t y i =
+    let nb = t.nb and buf = t.buf in
+    let bi = i / nb in
+    let r = i - (bi * nb) in
+    let acc = ref (Array.unsafe_get y i) in
+    for bj = 0 to bi do
+      let base = off t bi bj + (r * nb) and y0 = bj * nb in
+      for c = 0 to (if bj = bi then r else nb) - 1 do
+        acc := !acc -. (Array1.unsafe_get buf (base + c) *. Array.unsafe_get y (y0 + c))
+      done
     done;
-    for i = n - 1 downto 0 do
-      let acc = ref y.(i) in
-      for j = i + 1 to n - 1 do
-        acc := !acc -. (get t j i *. y.(j))
-      done;
-      y.(i) <- !acc /. get t i i
+    Array.unsafe_set y i (!acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
+
+  let bwd_col t y i =
+    let nb = t.nb and buf = t.buf in
+    let bi = i / nb in
+    let r = i - (bi * nb) in
+    let acc = ref (Array.unsafe_get y i) in
+    for bj = bi to t.nt - 1 do
+      let base = off t bj bi + r and y0 = bj * nb in
+      for c = (if bj = bi then r + 1 else 0) to nb - 1 do
+        acc := !acc -. (Array1.unsafe_get buf (base + (c * nb)) *. Array.unsafe_get y (y0 + c))
+      done
     done;
-    y
+    Array.unsafe_set y i (!acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
+
+  let potrs t y =
+    if Array.length y <> t.n then invalid_arg "Packed.S.potrs: dimension mismatch";
+    for i = 0 to t.n - 1 do
+      fwd_row t y i
+    done;
+    for i = t.n - 1 downto 0 do
+      bwd_col t y i
+    done
 end
 
 (* Tile size elected by this host's kernel-tuning cache (loaded at startup

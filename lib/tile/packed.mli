@@ -32,6 +32,14 @@ module D : sig
   val of_mat : nb:int -> Xsc_linalg.Mat.t -> t
   (** Pack a square dense matrix. Exact (a copy, no rounding). *)
 
+  val pack_padded : t -> Xsc_linalg.Mat.t -> unit
+  (** [pack_padded p a] packs a square [a] no larger than [p] into [p],
+      padding with the identity: a pad element is [1.0] on the diagonal and
+      [0.0] elsewhere. Writes every element of [p], so a dirty recycled
+      buffer is fine. The pad is harmless for Cholesky and for diagonally
+      dominant LU, and solves to zero against a zero-padded right-hand
+      side. *)
+
   val to_mat : t -> Xsc_linalg.Mat.t
   (** Unpack; [to_mat (of_mat ~nb a)] round-trips bitwise. *)
 
@@ -45,16 +53,24 @@ module D : sig
       strided [Cholesky.factor] reference. Raises
       {!Xsc_linalg.Pblas.Singular} on a non-positive pivot. *)
 
-  val potrs : t -> Xsc_linalg.Vec.t -> Xsc_linalg.Vec.t
-  (** [potrs l b] solves [L Lᵀ x = b] against the packed factor in place
-      (no unpack); element order matches {!Xsc_linalg.Blas.trsv}, so the
-      result is bitwise equal to unpack-then-trsv. Returns a fresh
-      solution vector. *)
+  val potrs : t -> Xsc_linalg.Vec.t -> unit
+  (** [potrs l y] overwrites [y] with the solution of [L Lᵀ x = y] against
+      the packed Cholesky factor (no unpack), like
+      {!Xsc_linalg.Lapack.potrs}. Every element follows the order of
+      {!Xsc_linalg.Blas.trsv}, so the result is bitwise equal to
+      [Lapack.potrs (to_mat l) y]. Allocates nothing. *)
 
   val getrf_nopiv : t -> unit
   (** Sequential packed tiled unpivoted LU, bitwise identical to the
       strided [Lu.factor] reference. Raises {!Xsc_linalg.Pblas.Singular}
       on a zero pivot. *)
+
+  val getrs_nopiv : t -> Xsc_linalg.Vec.t -> unit
+  (** [getrs_nopiv lu y] overwrites [y] with the solution of [L U x = y]
+      against the packed unpivoted LU factor: unit-lower forward, then
+      upper backward substitution, bitwise equal to
+      [Blas.trsv ~diag:Unit] then [Blas.trsv ~uplo:Upper] on [to_mat lu].
+      Allocates nothing. *)
 
   val gemm : alpha:float -> t -> t -> beta:float -> t -> unit
   (** Whole-matrix [C <- alpha A B + beta C] over packed tiles (all three
@@ -87,9 +103,10 @@ module S : sig
   (** Sequential packed tiled Cholesky in genuine float32 arithmetic.
       Raises {!Xsc_linalg.Pblas.Singular} on a non-positive pivot. *)
 
-  val potrs : t -> Xsc_linalg.Vec.t -> Xsc_linalg.Vec.t
-  (** [potrs l b] solves [L Lᵀ x = b] reading the float32 factor with
-      double-precision accumulation; returns a fresh solution vector. *)
+  val potrs : t -> Xsc_linalg.Vec.t -> unit
+  (** [potrs l y] overwrites [y] with the solution of [L Lᵀ x = y],
+      reading the float32 factor with double-precision accumulation:
+      bitwise equal to [Lapack.potrs] on the exactly widened [to_mat l]. *)
 end
 
 val tuned_nb : fallback:int -> int

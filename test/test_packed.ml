@@ -351,7 +351,8 @@ let test_potrs_f32 () =
   Blas.gemv ~alpha:1.0 a x_true ~beta:0.0 b;
   let p = Packed.S.of_mat ~nb a in
   Packed.S.potrf p;
-  let x = Packed.S.potrs p b in
+  let x = Array.copy b in
+  Packed.S.potrs p x;
   let max_err = ref 0.0 in
   for i = 0 to n - 1 do
     max_err := Float.max !max_err (Float.abs (x.(i) -. x_true.(i)))
@@ -361,6 +362,93 @@ let test_potrs_f32 () =
   Alcotest.(check bool)
     (Printf.sprintf "f32 solve near truth (err %g)" !max_err)
     true (!max_err < 1e-2)
+
+(* ---- the O(n^2) pack and solve loops ----
+   pack_padded and the packed solves walk tiles with hoisted offsets; the
+   references below are the element-wise definitions they replaced. Every
+   n here is padded up to a multiple of nb with the identity, as the
+   serving layer does. *)
+
+let solve_nbs = [ 16; 48; 64 ]
+let solve_sizes nb = [ 1; nb - 1; nb; (2 * nb) + 5; 130 ]
+let padded_to ~nb n = (n + nb - 1) / nb * nb
+
+let bits_equal x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       x y
+
+let for_each_size f =
+  List.iter (fun nb -> List.iter (fun n -> f ~nb ~n) (solve_sizes nb)) solve_nbs
+
+let packed_padded ~nb a =
+  let p = Packed.D.create ~n:(padded_to ~nb a.Mat.rows) ~nb in
+  Packed.D.pack_padded p a;
+  p
+
+let test_pack_padded_dirty () =
+  for_each_size (fun ~nb ~n ->
+      let rng = Rng.create ((n * 7) + nb) in
+      let a = Mat.random rng n n in
+      let p = Packed.D.create ~n:(padded_to ~nb n) ~nb in
+      (* a recycled buffer: every element holds garbage before the pack *)
+      Bigarray.Array1.fill p.Packed.D.buf Float.nan;
+      Packed.D.pack_padded p a;
+      let ok = ref true in
+      for i = 0 to p.Packed.D.n - 1 do
+        for j = 0 to p.Packed.D.n - 1 do
+          let expect =
+            if i < n && j < n then Mat.get a i j else if i = j then 1.0 else 0.0
+          in
+          if Int64.bits_of_float (Packed.D.get p i j) <> Int64.bits_of_float expect then
+            ok := false
+        done
+      done;
+      Alcotest.(check bool) (Printf.sprintf "pack_padded n=%d nb=%d" n nb) true !ok)
+
+let test_potrs_bitwise () =
+  for_each_size (fun ~nb ~n ->
+      let rng = Rng.create ((n * 11) + nb) in
+      let p = packed_padded ~nb (Mat.random_spd rng n) in
+      Packed.D.potrf p;
+      let b = Vec.random rng p.Packed.D.n in
+      let x = Array.copy b in
+      Packed.D.potrs p x;
+      let y = Array.copy b in
+      Lapack.potrs (Packed.D.to_mat p) y;
+      Alcotest.(check bool) (Printf.sprintf "potrs n=%d nb=%d" n nb) true (bits_equal x y))
+
+let test_getrs_nopiv_bitwise () =
+  for_each_size (fun ~nb ~n ->
+      let rng = Rng.create ((n * 13) + nb) in
+      let p = packed_padded ~nb (Mat.random_diag_dominant rng n) in
+      Packed.D.getrf_nopiv p;
+      let b = Vec.random rng p.Packed.D.n in
+      let x = Array.copy b in
+      Packed.D.getrs_nopiv p x;
+      let lu = Packed.D.to_mat p in
+      let y = Array.copy b in
+      Blas.trsv ~uplo:Blas.Lower ~diag:Blas.Unit lu y;
+      Blas.trsv ~uplo:Blas.Upper ~diag:Blas.NonUnit lu y;
+      Alcotest.(check bool)
+        (Printf.sprintf "getrs_nopiv n=%d nb=%d" n nb)
+        true (bits_equal x y))
+
+let test_potrs_f32_bitwise () =
+  for_each_size (fun ~nb ~n ->
+      let rng = Rng.create ((n * 17) + nb) in
+      let a, _ = Tile.pad_to ~nb (Mat.random_spd rng n) in
+      let p = Packed.S.of_mat ~nb a in
+      Packed.S.potrf p;
+      let b = Vec.random rng p.Packed.S.n in
+      let x = Array.copy b in
+      Packed.S.potrs p x;
+      let y = Array.copy b in
+      Lapack.potrs (Packed.S.to_mat p) y;
+      Alcotest.(check bool)
+        (Printf.sprintf "f32 potrs n=%d nb=%d" n nb)
+        true (bits_equal x y))
 
 let () =
   Alcotest.run "xsc_packed"
@@ -405,6 +493,14 @@ let () =
         [
           Alcotest.test_case "potrf accuracy" `Quick test_potrf_f32_accuracy;
           Alcotest.test_case "potrs solve" `Quick test_potrs_f32;
+        ] );
+      ( "solves",
+        [
+          Alcotest.test_case "pack_padded on a dirty buffer" `Quick test_pack_padded_dirty;
+          Alcotest.test_case "potrs bitwise vs Lapack.potrs" `Quick test_potrs_bitwise;
+          Alcotest.test_case "getrs_nopiv bitwise vs trsv" `Quick test_getrs_nopiv_bitwise;
+          Alcotest.test_case "f32 potrs bitwise vs widened Lapack.potrs" `Quick
+            test_potrs_f32_bitwise;
         ] );
       ( "variants",
         [

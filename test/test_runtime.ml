@@ -988,6 +988,24 @@ let test_pool_failure_isolation () =
   Alcotest.(check int) "post-failure run" 2 (Atomic.get cell);
   Pool.shutdown pool
 
+(* A raising completion callback is contained: with one worker, that
+   worker must survive it to run the next job. *)
+let test_pool_callback_raises () =
+  let pool = Pool.create ~workers:1 () in
+  let failures = Xsc_obs.Metrics.counter "pool.callback_failures" in
+  let before = Xsc_obs.Metrics.counter_value failures in
+  let one () =
+    Dag.build [ Task.make ~id:0 ~name:"one" ~flops:1.0 ~run:(fun () -> ()) [ Task.Write 0 ] ]
+  in
+  let fired = Atomic.make false in
+  Pool.submit pool (one ()) ~on_done:(fun _ ~worker:_ ->
+      Atomic.set fired true;
+      failwith "callback boom");
+  Alcotest.(check bool) "callback fired" true (wait_for (fun () -> Atomic.get fired));
+  ignore (Pool.run pool (one ()));
+  Alcotest.(check int) "raise counted" (before + 1) (Xsc_obs.Metrics.counter_value failures);
+  Pool.shutdown pool
+
 let test_pool_dynamic_insertion () =
   let pool = Pool.create ~workers:2 () in
   let order = Atomic.make [] in
@@ -1182,6 +1200,7 @@ let () =
           Alcotest.test_case "concurrent jobs bitwise" `Quick
             test_pool_concurrent_jobs_bitwise;
           Alcotest.test_case "per-job failure isolation" `Quick test_pool_failure_isolation;
+          Alcotest.test_case "raising callback contained" `Quick test_pool_callback_raises;
           Alcotest.test_case "dynamic insertion from on_done" `Quick
             test_pool_dynamic_insertion;
           Alcotest.test_case "EDF between jobs" `Quick test_pool_edf_between_jobs;

@@ -764,7 +764,14 @@ let test_sparse_class_cap () =
   Alcotest.(check int) "cap never exceeded" 0 !over;
   Alcotest.(check int) "uncapped kind reads zero" 0 (Server.class_live srv "spd");
   let c = Server.counters srv in
-  Alcotest.(check bool) "held-back claims counted" true (c.Server.cap_deferred > 0);
+  Alcotest.(check bool) "held-back batches counted" true (c.Server.cap_deferred > 0);
+  (* max_batch = 1: six capped batches, and each deferred one counts once
+     however many pump passes it waits through *)
+  Alcotest.(check int) "six capped batches" 6 c.Server.batches;
+  Alcotest.(check bool)
+    (Printf.sprintf "cap_deferred %d <= capped batches" c.Server.cap_deferred)
+    true
+    (c.Server.cap_deferred <= c.Server.batches);
   check_counters_reconcile "class cap" srv ~offered:6
 
 (* run_mixed merges two seeded streams and reports them per class; each
@@ -809,6 +816,12 @@ let test_run_mixed_reconciles () =
     (bitwise dense m.Loadgen.m_dense_pairs);
   Alcotest.(check bool) "sparse survivors bitwise" true
     (bitwise sparse m.Loadgen.m_sparse_pairs);
+  (* every capped batch holds at least one of the sparse requests *)
+  let deferred = (Server.counters srv).Server.cap_deferred in
+  Alcotest.(check bool)
+    (Printf.sprintf "cap_deferred %d <= sparse requests" deferred)
+    true
+    (deferred <= sparse.Loadgen.count);
   check_counters_reconcile "run_mixed" srv
     ~offered:(dense.Loadgen.count + sparse.Loadgen.count)
 
@@ -942,6 +955,17 @@ let test_scratch_reuse () =
   let c = Scratch.acquire_packed ~n:32 ~nb:16 in
   Alcotest.(check bool) "disabled pool allocates fresh" true (c != b);
   Scratch.set_enabled true
+
+(* A buffer packed on one lane and released by a completion on another
+   returns to the one shared list, and outlives the domain that released
+   it (pool domains exit at every Server.stop). *)
+let test_scratch_crosses_domains () =
+  Scratch.set_enabled true;
+  let a = Scratch.acquire_packed ~n:48 ~nb:16 in
+  Domain.join (Domain.spawn (fun () -> Scratch.release_packed a));
+  Alcotest.(check bool) "released elsewhere, reused here" true
+    (Scratch.acquire_packed ~n:48 ~nb:16 == a);
+  Scratch.release_packed a
 
 (* ---- batched results satellite ---- *)
 
@@ -1290,6 +1314,7 @@ let () =
             test_harness_thunk_determinism;
           Alcotest.test_case "route direct vs lapack" `Quick test_route_direct_vs_lapack;
           Alcotest.test_case "scratch buffer reuse" `Quick test_scratch_reuse;
+          Alcotest.test_case "scratch crosses domains" `Quick test_scratch_crosses_domains;
         ] );
       ( "spans",
         [
