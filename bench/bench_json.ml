@@ -20,6 +20,7 @@ module Packed = Xsc_tile.Packed
 module Cholesky = Xsc_core.Cholesky
 module Ir = Xsc_precision.Ir
 module Real_exec = Xsc_runtime.Real_exec
+module Pool = Xsc_runtime.Pool
 module Trace = Xsc_runtime.Trace
 module Rng = Xsc_util.Rng
 module Clock = Xsc_obs.Clock
@@ -149,14 +150,13 @@ let sched_record ~nt ~nb ~workers =
   let rng = Rng.create 7 in
   let a = Mat.random_spd rng n in
   let dag = Cholesky.dag_ops ~nt ~nb in
-  let priority = Xsc_core.Runtime_api.critical_path_priority dag in
   let run exec =
     let p = Packed.D.of_mat ~nb a in
     let interp = Cholesky.packed_interp p in
     match exec with
     | `Seq -> Real_exec.run_sequential ~interp dag
     | `Forkjoin -> Real_exec.run_forkjoin ~interp ~workers dag
-    | `Dataflow -> Real_exec.run_dataflow ~interp ~priority ~workers dag
+    | `Dataflow -> Pool.run_once ~interp ~workers dag
   in
   let median exec =
     let rs = Array.init 5 (fun _ -> run exec) in
@@ -184,10 +184,7 @@ let sched_record ~nt ~nb ~workers =
   in
   let per_kernel =
     let p = Packed.D.of_mat ~nb a in
-    let traced =
-      Real_exec.run_dataflow ~interp:(Cholesky.packed_interp p) ~priority ~trace:true
-        ~workers dag
-    in
+    let traced = Pool.run_once ~interp:(Cholesky.packed_interp p) ~trace:true ~workers dag in
     match traced.Real_exec.trace with
     | None -> []
     | Some tr ->

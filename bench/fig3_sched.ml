@@ -1,12 +1,14 @@
 (* FIG-3: fork-join (BSP) vs dynamic DAG scheduling for tiled Cholesky —
-   simulated across worker counts, plus a real run on host domains.
-   Includes the scheduler-priority ablation (critical path vs FIFO vs
-   random work stealing). *)
+   simulated across worker counts, including the scheduler-priority
+   ablation (critical path vs FIFO vs random work stealing), plus a real
+   run on host domains: the sequential and fork-join baselines against
+   the work-stealing pool. *)
 
 module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Sim_exec = Xsc_runtime.Sim_exec
 module Real_exec = Xsc_runtime.Real_exec
+module Pool = Xsc_runtime.Pool
 module Dag = Xsc_runtime.Dag
 module Table = Xsc_util.Table
 module Units = Xsc_util.Units
@@ -58,17 +60,9 @@ let real_host () =
     match exec with
     | `Seq -> Real_exec.run_sequential dag
     | `Forkjoin -> Real_exec.run_forkjoin ~workers dag
-    | `Steal ->
-      (* pure work stealing: no priority, successors run in discovery order *)
-      Real_exec.run_dataflow ~workers dag
-    | `Steal_cp ->
-      (* the critical-path ablation: rank ready tasks by bottom level *)
-      Real_exec.run_dataflow
-        ~priority:(Xsc_core.Runtime_api.critical_path_priority dag)
-        ~workers dag
-    | `Steal_fifo ->
-      (* FIFO program order: prefer the oldest ready task *)
-      Real_exec.run_dataflow ~priority:(fun id -> -id) ~workers dag
+    | `Dataflow ->
+      (* work stealing, critical path first (the pool's bottom-level key) *)
+      Pool.run_once ~workers dag
   in
   (* median of 3 to tame noise *)
   let timed name exec =
@@ -78,13 +72,7 @@ let real_host () =
   in
   let seq = timed "sequential" `Seq in
   let rows =
-    [
-      seq;
-      timed "fork-join" `Forkjoin;
-      timed "steal" `Steal;
-      timed "steal+cp" `Steal_cp;
-      timed "steal+fifo" `Steal_fifo;
-    ]
+    [ seq; timed "fork-join" `Forkjoin; timed "dataflow" `Dataflow ]
   in
   Printf.printf "\nreal execution on %d domains (n=%d, nb=%d, median of 3):\n\n" workers n nb;
   if Real_exec.default_workers () <= 1 then

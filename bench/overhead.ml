@@ -1,5 +1,5 @@
 (* `bench/main.exe -- --overhead [PCT]`: measure what tracing costs on the
-   scheduler smoke (6x6 tiles of 72, dataflow executor). Runs the same
+   scheduler smoke (6x6 tiles of 72, work-stealing pool). Runs the same
    Cholesky with tracing off and on, median of 7 each, and prints the
    relative difference; with a PCT argument, exits 1 when the overhead
    exceeds it — the CI regression gate for the "tracing must stay cheap"
@@ -14,6 +14,7 @@ open Xsc_linalg
 module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Real_exec = Xsc_runtime.Real_exec
+module Pool = Xsc_runtime.Pool
 module Server = Xsc_serve.Server
 module Loadgen = Xsc_serve.Loadgen
 module Metrics = Xsc_obs.Metrics
@@ -24,13 +25,7 @@ let median_elapsed ~trace ~workers ~nt ~nb ~reps =
   let a = Mat.random_spd rng n in
   let once () =
     let tiles = Tile.of_mat ~nb a in
-    let dag = Cholesky.dag tiles in
-    let s =
-      Real_exec.run_dataflow
-        ~priority:(Xsc_core.Runtime_api.critical_path_priority dag)
-        ~trace ~workers dag
-    in
-    s.Real_exec.elapsed
+    (Pool.run_once ~trace ~workers (Cholesky.dag tiles)).Real_exec.elapsed
   in
   ignore (once ());
   (* warm-up *)

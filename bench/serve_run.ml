@@ -56,11 +56,10 @@ let metrics_delta_json before =
   in
   Printf.sprintf
     "{\"completed\": %d, \"retried\": %d, \"batches\": %d, \
-     \"trace_dropped\": %d, \"span_dropped\": %d, \
+     \"span_dropped\": %d, \
      \"alloc_minor_words_per_req\": %.1f}"
     (counter "serve.completed") (counter "serve.retried")
     (counter "serve.batches")
-    (counter "obs.trace.dropped")
     (counter "obs.span.dropped")
     alloc
 

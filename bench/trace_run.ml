@@ -8,6 +8,7 @@ open Xsc_linalg
 module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Real_exec = Xsc_runtime.Real_exec
+module Pool = Xsc_runtime.Pool
 module Trace = Xsc_runtime.Trace
 module Roofline = Xsc_hpcbench.Roofline
 
@@ -31,11 +32,7 @@ let run ~file =
   let a = Mat.random_spd rng n in
   let tiles = Tile.of_mat ~nb a in
   let dag = Cholesky.dag tiles in
-  let stats =
-    Real_exec.run_dataflow
-      ~priority:(Xsc_core.Runtime_api.critical_path_priority dag)
-      ~trace:true ~workers dag
-  in
+  let stats = Pool.run_once ~trace:true ~workers dag in
   let tr =
     match stats.Real_exec.trace with
     | Some tr -> tr

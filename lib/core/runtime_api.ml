@@ -7,29 +7,12 @@ type exec =
   | Forkjoin of int
   | Pooled of Xsc_runtime.Pool.t
 
-(* Locality/priority hint for the work-stealing executor: rank ready tasks
-   by flops-weighted bottom level, normalised into an int scale. Tasks on
-   the critical path (the panel factorizations and the updates feeding
-   them) then run before trailing-matrix updates whenever a worker has the
-   choice, which is exactly the list-scheduling heuristic the simulator's
-   List_critical_path policy uses. *)
-let critical_path_priority dag =
-  let bl = Xsc_runtime.Dag.bottom_level dag in
-  let cp = Xsc_runtime.Dag.critical_path_flops dag in
-  if cp <= 0.0 then fun _ -> 0
-  else fun id -> int_of_float (1e6 *. bl.(id) /. cp)
-
 let execute ?interp exec dag =
   match exec with
   | Sequential -> Xsc_runtime.Real_exec.run_sequential ?interp dag
-  | Dataflow workers ->
-    Xsc_runtime.Real_exec.run_dataflow ?interp ~priority:(critical_path_priority dag)
-      ~workers dag
+  | Dataflow workers -> Xsc_runtime.Pool.run_once ?interp ~workers dag
   | Forkjoin workers -> Xsc_runtime.Real_exec.run_forkjoin ?interp ~workers dag
-  | Pooled pool ->
-    (* critical-path ordering comes from the pool's composite key (its
-       bottom-level tie-break), so no explicit priority hint is needed *)
-    Xsc_runtime.Pool.run ?interp pool dag
+  | Pooled pool -> Xsc_runtime.Pool.run ?interp pool dag
 
 (* High-level drivers (Cholesky.factor & co.) surface the task body's own
    exception — Singular from a non-SPD matrix is the caller's contract,

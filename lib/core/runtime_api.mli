@@ -5,7 +5,9 @@ type dag = Xsc_runtime.Dag.t
 
 type exec =
   | Sequential
-  | Dataflow of int  (** dynamic superscalar executor on [n] domains *)
+  | Dataflow of int
+      (** dynamic work-stealing executor on a transient pool of [n]
+          domains ({!Xsc_runtime.Pool.run_once}) *)
   | Forkjoin of int  (** level-synchronous executor on [n] domains *)
   | Pooled of Xsc_runtime.Pool.t
       (** submit into a shared long-lived pool and block until the job
@@ -14,11 +16,12 @@ type exec =
           worker (see {!Xsc_runtime.Pool.run}). *)
 
 val execute : ?interp:(Xsc_runtime.Task.op -> unit) -> exec -> dag -> Xsc_runtime.Real_exec.stats
-(** [Dataflow] runs with {!critical_path_priority} as its scheduling hint,
-    so every tiled factorization (Cholesky, LU, QR, ...) gets
-    critical-path-first ordering on real domains for free. [interp]
-    dispatches closure-free op-encoded tasks (see {!Xsc_runtime.Task.op});
-    without it, tasks must carry [run] closures. *)
+(** [Dataflow] and [Pooled] order ready tasks by the pool's composite
+    key, whose flops-weighted bottom-level tie-break gives every tiled
+    factorization (Cholesky, LU, QR, ...) critical-path-first ordering on
+    real domains for free. [interp] dispatches closure-free op-encoded
+    tasks (see {!Xsc_runtime.Task.op}); without it, tasks must carry
+    [run] closures. *)
 
 val execute_exn :
   ?interp:(Xsc_runtime.Task.op -> unit) -> exec -> dag -> Xsc_runtime.Real_exec.stats
@@ -26,11 +29,6 @@ val execute_exn :
     re-raises the task body's original exception: [Cholesky.factor] on a
     non-SPD matrix raises [Singular], not the executor wrapper. Use
     {!execute} directly to observe task failures (as {!Ft} does). *)
-
-val critical_path_priority : dag -> int -> int
-(** Flops-weighted bottom level of each task, scaled to an int rank —
-    higher means closer to the critical path. Suitable for
-    [Real_exec.run_dataflow ~priority]. *)
 
 val tile_bytes : nb:int -> float
 (** Footprint of one tile, for task byte weights. *)

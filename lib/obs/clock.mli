@@ -2,7 +2,7 @@
 
     Wall-clock time ([Unix.gettimeofday]) is not monotonic — NTP steps and
     manual clock changes can make elapsed-time differences negative or
-    wildly wrong mid-run — so every tracer timestamp and executor timing
+    wildly wrong mid-run — so every trace stamp and executor timing
     goes through [CLOCK_MONOTONIC] instead (C stub; QueryPerformanceCounter
     on Windows, [gettimeofday] only as a last-resort fallback). *)
 

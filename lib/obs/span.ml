@@ -34,11 +34,11 @@ type record = {
   finish_ns : int;
 }
 
-(* Bounded multi-writer collector. Unlike the single-writer tracer rings
-   this one takes a mutex: span recording happens once per request
-   *segment* (admission, attempt, task), not per scheduler event, so the
-   lock is off any per-element hot loop. Drop-newest like Ring — early
-   records keep parents present for whatever children do land. *)
+(* Bounded multi-writer collector under a mutex: span recording happens
+   once per request *segment* (admission, attempt, task), not per
+   scheduler event, so the lock is off any per-element hot loop.
+   Drop-newest — early records keep parents present for whatever children
+   do land. *)
 type collector = {
   mu : Mutex.t;
   mutable items : record list; (* newest first *)

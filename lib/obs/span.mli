@@ -49,8 +49,8 @@ type record = {
 }
 
 type collector
-(** Bounded thread-safe sink of span records (drop-newest when full, like
-    tracer rings, so parents survive for whatever children land). *)
+(** Bounded thread-safe sink of span records (drop-newest when full, so
+    parents survive for whatever children land). *)
 
 val collector : ?capacity:int -> ?tee:(record -> unit) -> unit -> collector
 (** [capacity] defaults to 65536 records. [tee] is invoked synchronously

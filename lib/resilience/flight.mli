@@ -2,9 +2,8 @@
     span records, dumped to a CRC-headed file when something goes wrong.
 
     The recorder keeps the {e last} N entries (overwrite-oldest) — the
-    opposite bias from tracer rings and the span collector, because a
-    post-mortem wants what happened just before the failure, not the
-    start of the run. Entries arrive either directly via {!record} or by
+    opposite bias from the span collector, because a post-mortem wants
+    what happened just before the failure, not the start of the run. Entries arrive either directly via {!record} or by
     teeing a span collector through {!note_span}
     ([Span.collector ~tee:Flight.note_span ()]).
 

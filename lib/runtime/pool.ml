@@ -1,14 +1,17 @@
-(* The shared deadline-aware task pool: one long-lived work-stealing
-   runtime serving the tiled DAGs of every in-flight computation at once.
+(* The shared deadline-aware task pool: the one work-stealing runtime.
+   It serves the tiled DAGs of every in-flight computation at once, and
+   [run_once] runs a single DAG to completion on a transient pool.
 
-   Where [Real_exec.run_dataflow] is run-to-completion — spawn domains,
-   drain one DAG, barrier, join — the pool keeps a fixed set of persistent
-   worker domains and accepts DAG submissions dynamically: each [submit]
-   registers a job (its own DAG, indegree counters and completion
-   callback), injects the job's source tasks into a global priority queue
-   ({!Pqueue}), and returns immediately. Tasks from any number of jobs
-   interleave on the same deques; a job's completion is signalled by a
-   per-task countdown, not a barrier, so no worker ever idles behind one
+   The pool keeps a fixed set of persistent worker domains and accepts
+   DAG submissions dynamically: each [submit] registers a job (its own
+   DAG, indegree counters and completion callback), injects the job's
+   source tasks into a global priority queue ({!Pqueue}), and returns
+   immediately. Tasks from any number of jobs interleave on per-worker
+   Chase-Lev deques: a worker pushes the successors it makes ready onto
+   its own deque (their input tiles are warm in its cache), pops LIFO,
+   and steals FIFO from a random victim only when its own deque and the
+   injection queue run dry. A job's completion is signalled by a per-task
+   countdown, not a barrier, so no worker ever idles behind one
    computation's tail while another has ready work.
 
    Priority is the composite {!Prio} key — request deadline first
@@ -30,10 +33,11 @@
    handle is ever orphaned) but their bodies are skipped. Other jobs are
    untouched — one poisoned request cannot take down the pool.
 
-   Span parentage is per job, not per pool: each job carries the span
-   context it was submitted under, and every task body runs with that
-   context re-seated, so task-level spans parent onto the right request
-   even when tasks from many requests interleave on one domain. *)
+   Span parentage and tracing are per job, not per pool: each job carries
+   the span context it was submitted under, and every task body runs with
+   that context re-seated, so task-level spans parent onto the right
+   request even when tasks from many requests interleave on one domain. A
+   traced job also carries its own stamp array ({!Real_exec.stamps}). *)
 
 module Clock = Xsc_obs.Clock
 module Metrics = Xsc_obs.Metrics
@@ -54,7 +58,7 @@ let m_yields = Metrics.counter "pool.deadline_yields"
 
 (* Task handles pack (job slot, task id) into one immediate int so the
    Chase-Lev deques keep carrying unboxed ints: nothing for the GC to
-   scan in the steal loop, exactly as in the run-to-completion executor. *)
+   scan in the steal loop. *)
 let tid_bits = 24
 let tid_mask = (1 lsl tid_bits) - 1
 
@@ -70,6 +74,7 @@ type job = {
   aborted : bool Atomic.t;
   failure : Real_exec.failure option Atomic.t;
   sctx : Span.ctx option;
+  stamps : int array option;  (* per-task trace stamps when traced *)
   on_done : Real_exec.failure option -> worker:int -> unit;
 }
 
@@ -159,20 +164,11 @@ let run_task t wid h =
   (if not (Atomic.get job.aborted) then
      match
        Span.with_current job.sctx (fun () ->
-           Real_exec.with_task_span job.sctx ~wid task (fun () ->
-               Real_exec.exec_body job.interp task))
+           Real_exec.run_body ~sctx:job.sctx ~stamps:job.stamps ~wid job.interp task)
      with
      | () -> ()
      | exception e ->
-       let f =
-         {
-           Real_exec.failed_task = tid;
-           failed_name = task.Task.name;
-           failed_worker = wid;
-           error = e;
-         }
-       in
-       ignore (Atomic.compare_and_set job.failure None (Some f));
+       ignore (Atomic.compare_and_set job.failure None (Some (Real_exec.failure_of ~wid task e)));
        Metrics.incr m_failures;
        Atomic.set job.aborted true);
   (* successors are released (and the countdown advanced) even for an
@@ -181,6 +177,23 @@ let run_task t wid h =
   release_successors t wid job tid
 
 (* ---- worker loop ---- *)
+
+(* How many failed steal sweeps before a worker parks, with exponential
+   backoff between sweeps. Parking is the slow path (a mutex + condvar
+   round trip against one CAS per steal), so an idle worker re-probes the
+   victims a few times first — but each failed sweep doubles the pause
+   before the next, so a starved worker stops hammering the victims'
+   deque tops with CAS traffic. BENCH_0002 measured 16 attempts per
+   successful steal with fixed 32-sweep spinning; bounded backoff cuts
+   the probe budget per idle episode ~5x while the growing pauses keep
+   the latency to discover new work comparable. *)
+let max_sweeps = 6
+
+let[@inline] backoff sweeps =
+  let spins = 16 lsl min sweeps 8 in
+  for _ = 1 to spins do
+    Domain.cpu_relax ()
+  done
 
 let worker t wid =
   let my = t.deques.(wid) in
@@ -257,14 +270,14 @@ let worker t wid =
       | None -> hunt 0)
   and hunt sweeps =
     if Atomic.get t.stopping && not (some_work t) then ()
-    else if t.workers = 1 || sweeps >= Real_exec.max_sweeps then begin
+    else if t.workers = 1 || sweeps >= max_sweeps then begin
       park ();
       if Atomic.get t.stopping && not (some_work t) then () else local ()
     end
     else begin
       let rec sweep attempts =
         if attempts >= t.workers - 1 then begin
-          Real_exec.backoff sweeps;
+          backoff sweeps;
           hunt (sweeps + 1)
         end
         else begin
@@ -317,7 +330,7 @@ let live_jobs t =
   Mutex.unlock t.mu;
   n
 
-let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
+let submit_job ?interp ?(deadline_ns = max_int) ?sctx ~stamps t dag ~on_done =
   if Atomic.get t.stopping then invalid_arg "Pool.submit: pool is shut down";
   Real_exec.check_bodies interp dag;
   let n = Dag.n_tasks dag in
@@ -349,6 +362,7 @@ let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
         aborted = Atomic.make false;
         failure = Atomic.make None;
         sctx;
+        stamps;
         on_done;
       }
     in
@@ -363,36 +377,43 @@ let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
     wake_parked t
   end
 
+let submit ?interp ?deadline_ns ?sctx t dag ~on_done =
+  submit_job ?interp ?deadline_ns ?sctx ~stamps:None t dag ~on_done
+
 (* Blocking convenience: submit and wait for the job to drain. Must not be
    called from a pool worker (a worker waiting on its own pool's work is a
-   lost lane, and with one worker a deadlock). *)
-let run ?interp ?deadline_ns t dag =
+   lost lane, and with one worker a deadlock). The job parents onto the
+   caller's ambient span context, like the sequential and fork-join runs. *)
+let run ?interp ?deadline_ns ?trace t dag =
+  let stamps = Real_exec.stamps ?trace dag in
   let mu = Mutex.create () and cv = Condition.create () in
   let result = ref None in
   let t0 = Clock.now_ns () in
-  submit ?interp ?deadline_ns t dag ~on_done:(fun failure ~worker:_ ->
+  submit_job ?interp ?deadline_ns ?sctx:(Real_exec.ambient_ctx ()) ~stamps t dag
+    ~on_done:(fun failure ~worker:_ ->
+      let t1 = Clock.now_ns () in
       Mutex.lock mu;
-      result := Some failure;
+      result := Some (failure, t1);
       Condition.broadcast cv;
       Mutex.unlock mu);
   Mutex.lock mu;
   while !result = None do
     Condition.wait cv mu
   done;
-  let failure = Option.get !result in
+  let failure, t1 = Option.get !result in
   Mutex.unlock mu;
   (match failure with
   | Some f -> raise (Real_exec.Task_failed f)
   | None -> ());
   {
-    Real_exec.elapsed = Clock.ns_to_s (Clock.now_ns () - t0);
+    Real_exec.elapsed = Clock.ns_to_s (t1 - t0);
     tasks = Dag.n_tasks dag;
     workers = t.workers;
     steals = 0;
     steal_attempts = 0;
     parks = 0;
     park_time = 0.0;
-    trace = None;
+    trace = Option.map (Real_exec.trace_of_stamps dag ~workers:t.workers ~t0_ns:t0) stamps;
   }
 
 let shutdown t =
@@ -408,3 +429,22 @@ let shutdown t =
 
 let workers t = t.workers
 let injected_pending t = Pqueue.length t.inj
+
+(* One DAG on a pool of its own: the steal/park figures are the registry
+   deltas over the pool's whole lifetime (spawn to join), which assumes no
+   other work-stealing run overlaps it in this process. *)
+let run_once ?interp ?trace ~workers dag =
+  Real_exec.check_bodies interp dag;
+  let steals = Metrics.counter_value m_steals
+  and attempts = Metrics.counter_value m_steal_attempts
+  and parks = Metrics.counter_value m_parks
+  and park_ns = Metrics.counter_value m_park_ns in
+  let t = create ~max_jobs:1 ~workers () in
+  let stats = Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run ?interp ?trace t dag) in
+  {
+    stats with
+    Real_exec.steals = Metrics.counter_value m_steals - steals;
+    steal_attempts = Metrics.counter_value m_steal_attempts - attempts;
+    parks = Metrics.counter_value m_parks - parks;
+    park_time = Clock.ns_to_s (Metrics.counter_value m_park_ns - park_ns);
+  }

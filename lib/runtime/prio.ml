@@ -7,8 +7,8 @@
    - [bl] descending — within a deadline, the flops-weighted bottom level
      (critical-path distance to the job's sink, normalised per job):
      panel factorizations and the updates feeding them run before
-     trailing-matrix updates, the list-scheduling heuristic the
-     run-to-completion executor already applies per DAG;
+     trailing-matrix updates, the simulator's List_critical_path
+     heuristic;
    - [seq] ascending — submission order of the owning job: equal-deadline
      equal-criticality work dispatches FIFO, so no request is overtaken
      by an equally urgent latecomer;
@@ -35,9 +35,7 @@ let before a b = compare a b < 0
 
 (* Per-job bottom-level ranks, normalised to a common [0, 1e6] integer
    scale (flops-weighted bottom level over the job's critical path) so the
-   tie-break is comparable across jobs of different absolute flop counts —
-   the same normalisation [Runtime_api.critical_path_priority] applies
-   within one run-to-completion DAG. *)
+   tie-break is comparable across jobs of different absolute flop counts. *)
 let bl_ranks (dag : Dag.t) =
   let bl = Dag.bottom_level dag in
   let cp = Dag.critical_path_flops dag in

@@ -1,6 +1,5 @@
 module Clock = Xsc_obs.Clock
 module Metrics = Xsc_obs.Metrics
-module Tracer = Xsc_obs.Tracer
 module Span = Xsc_obs.Span
 
 type stats = {
@@ -31,26 +30,10 @@ let () =
            f.failed_task f.failed_name f.failed_worker (Printexc.to_string f.error))
     | _ -> None)
 
-(* Scheduler counters live in the process-wide registry (cumulative);
-   per-run stats are before/after deltas. Shards are indexed by worker id,
-   so a pool of up to 16 workers never contends on a shard. *)
+(* Counters live in the process-wide registry (cumulative). *)
 let m_tasks = Metrics.counter "runtime.tasks_executed"
-let m_steals = Metrics.counter "runtime.steals"
-let m_steal_attempts = Metrics.counter "runtime.steal_attempts"
-let m_parks = Metrics.counter "runtime.parks"
-let m_park_ns = Metrics.counter "runtime.park_ns"
 let m_barrier_ns = Metrics.counter "runtime.barrier_wait_ns"
 let m_failures = Metrics.counter "runtime.task_failures"
-
-type baseline = { b_steals : int; b_attempts : int; b_parks : int; b_park_ns : int }
-
-let read_baseline () =
-  {
-    b_steals = Metrics.counter_value m_steals;
-    b_attempts = Metrics.counter_value m_steal_attempts;
-    b_parks = Metrics.counter_value m_parks;
-    b_park_ns = Metrics.counter_value m_park_ns;
-  }
 
 let closure_of (task : Task.t) =
   match task.Task.run with
@@ -80,20 +63,12 @@ let check_bodies interp (dag : Dag.t) =
       if not ok then invalid_arg ("Real_exec: task without body: " ^ t.Task.name))
     dag.Dag.tasks
 
-let want_trace = function Some b -> b | None -> Tracer.enabled_by_env ()
-
-(* Every event site is a [match] on the option, so with tracing off the
-   executors pay one branch per site and no clock reads — that is the whole
-   <2% disabled-overhead budget. *)
-let[@inline] event tracer ~domain kind ~arg =
-  match tracer with None -> () | Some t -> Tracer.record t ~domain kind ~arg
-
-(* Causal spans: the submitting domain's ambient request context is
-   captured once at run entry and re-seated in every spawned worker, so a
-   task executed by a steal still parents onto the request that submitted
-   the DAG. Only active when a collector is installed AND the submitter
-   had a context — otherwise the per-task cost is the [None] branch. *)
-let span_ctx () = match Span.installed () with None -> None | Some _ -> Span.current ()
+(* Causal spans: the submitting domain's ambient request context, captured
+   once at run entry and re-seated around every task body, so a task run
+   on another domain still parents onto the request that submitted the
+   DAG. Only present when a collector is installed AND the submitter had
+   a context — otherwise the per-task cost is the [None] branch. *)
+let ambient_ctx () = match Span.installed () with None -> None | Some _ -> Span.current ()
 
 let[@inline] with_task_span sctx ~wid (task : Task.t) f =
   match sctx with
@@ -126,330 +101,90 @@ let[@inline] with_task_span sctx ~wid (task : Task.t) f =
       note ();
       raise e)
 
-(* Ring capacity per worker: every task contributes at most 2 events to one
-   ring, steals at most 1, and park/sweep events are rare by construction
-   (a park costs a condvar round trip). The slack covers pathological
-   starvation; if it ever overflows, Tracer.dropped reports it and the
-   merged trace is marked partial rather than wrong. *)
-let ring_capacity n = (4 * n) + 4096
+(* ---- per-task trace stamps ----
 
-(* Merge per-domain rings into a Trace.t: pair each Task_start with the
-   following Task_finish of the same id (task bodies never nest within a
-   worker), timestamps rebased to [t0_ns] so the Gantt starts at zero. *)
-let trace_of_tracer (dag : Dag.t) ~workers ~t0_ns tracer =
+   A traced run carries one preallocated int array, three entries per
+   task: the worker that ran it, its start and its finish (monotonic ns;
+   worker -1 until the task runs). Each task is run exactly once, so each
+   triple has a single writer and no synchronisation is needed beyond the
+   run's own completion; the array is read only after that. *)
+
+let stamps ?trace (dag : Dag.t) =
+  let on =
+    match trace with
+    | Some b -> b
+    | None -> (
+      match Sys.getenv_opt "XSC_TRACE" with
+      | None | Some ("" | "0" | "false") -> false
+      | Some _ -> true)
+  in
+  if on then Some (Array.make (3 * Dag.n_tasks dag) (-1)) else None
+
+(* One branch per task when untraced; the finish stamp marks the body
+   only (successor release is scheduler time, not kernel time). *)
+let[@inline] run_body ~sctx ~stamps ~wid interp (task : Task.t) =
+  match stamps with
+  | None -> with_task_span sctx ~wid task (fun () -> exec_body interp task)
+  | Some s -> (
+    let i = 3 * task.Task.id in
+    s.(i) <- wid;
+    s.(i + 1) <- Clock.now_ns ();
+    match with_task_span sctx ~wid task (fun () -> exec_body interp task) with
+    | () -> s.(i + 2) <- Clock.now_ns ()
+    | exception e ->
+      s.(i + 2) <- Clock.now_ns ();
+      raise e)
+
+(* Stamps to a [Trace.t], rebased to [t0_ns] so the Gantt starts at zero
+   (clamped: a fork-join worker can start its first task a hair before
+   worker 0 records t0). Tasks that never ran are absent. *)
+let trace_of_stamps (dag : Dag.t) ~workers ~t0_ns s =
   let tr = Trace.create ~workers in
-  for d = 0 to workers - 1 do
-    let pending_id = ref (-1) and pending_ns = ref 0 in
-    List.iter
-      (fun (e : Tracer.event) ->
-        match e.Tracer.kind with
-        | Tracer.Task_start ->
-          pending_id := e.arg;
-          pending_ns := e.t_ns
-        | Tracer.Task_finish when !pending_id = e.arg ->
-          (* clamp to the timed region: a fork-join worker can start its
-             first task a hair before worker 0 records t0 *)
-          let start = Float.max 0.0 (Clock.ns_to_s (!pending_ns - t0_ns)) in
-          let finish = Float.max start (Clock.ns_to_s (e.t_ns - t0_ns)) in
-          Trace.add tr
-            {
-              Trace.task = e.arg;
-              name = dag.Dag.tasks.(e.arg).Task.name;
-              worker = d;
-              start;
-              finish;
-            };
-          pending_id := -1
-        | _ -> ())
-      (Tracer.events tracer ~domain:d)
-  done;
+  Array.iteri
+    (fun id (task : Task.t) ->
+      let worker = s.(3 * id) in
+      if worker >= 0 then begin
+        let start = Float.max 0.0 (Clock.ns_to_s (s.((3 * id) + 1) - t0_ns)) in
+        let finish = Float.max start (Clock.ns_to_s (s.((3 * id) + 2) - t0_ns)) in
+        Trace.add tr { Trace.task = id; name = task.Task.name; worker; start; finish }
+      end)
+    dag.Dag.tasks;
   tr
 
-let run_sequential ?interp ?trace (dag : Dag.t) =
-  check_bodies interp dag;
+let failure_of ~wid (task : Task.t) error =
+  { failed_task = task.Task.id; failed_name = task.Task.name; failed_worker = wid; error }
+
+(* Run [order] one task after another on the calling domain. *)
+let run_inline ?interp ?trace ~workers (dag : Dag.t) order =
   let n = Dag.n_tasks dag in
-  let tracer =
-    if want_trace trace && n > 0 then Some (Tracer.create ~domains:1 ~capacity:(ring_capacity n))
-    else None
-  in
-  let sctx = span_ctx () in
+  let stamps = if n = 0 then None else stamps ?trace dag in
+  let sctx = ambient_ctx () in
   let t0 = Clock.now_ns () in
   Array.iter
-    (fun task ->
-      event tracer ~domain:0 Tracer.Task_start ~arg:task.Task.id;
-      (match with_task_span sctx ~wid:0 task (fun () -> exec_body interp task) with
+    (fun id ->
+      let task = dag.Dag.tasks.(id) in
+      match run_body ~sctx ~stamps ~wid:0 interp task with
       | () -> ()
       | exception e ->
         Metrics.incr m_failures;
-        raise
-          (Task_failed
-             {
-               failed_task = task.Task.id;
-               failed_name = task.Task.name;
-               failed_worker = 0;
-               error = e;
-             }));
-      event tracer ~domain:0 Tracer.Task_finish ~arg:task.Task.id)
-    dag.Dag.tasks;
+        raise (Task_failed (failure_of ~wid:0 task e)))
+    order;
   let elapsed = Clock.ns_to_s (Clock.now_ns () - t0) in
   Metrics.add m_tasks n;
   {
     elapsed;
     tasks = n;
-    workers = 1;
+    workers;
     steals = 0;
     steal_attempts = 0;
     parks = 0;
     park_time = 0.0;
-    trace = Option.map (trace_of_tracer dag ~workers:1 ~t0_ns:t0) tracer;
+    trace = Option.map (trace_of_stamps dag ~workers:1 ~t0_ns:t0) stamps;
   }
 
-(* How many failed steal sweeps before a worker parks, with exponential
-   backoff between sweeps. Parking is the slow path (a mutex + condvar
-   round trip against one CAS per steal), so an idle worker re-probes the
-   victims a few times first — but each failed sweep doubles the pause
-   before the next, so a starved worker stops hammering the victims'
-   deque tops with CAS traffic. BENCH_0002 measured 16 attempts per
-   successful steal with fixed 32-sweep spinning; bounded backoff cuts
-   the probe budget per idle episode ~5x while the growing pauses keep
-   the latency to discover new work comparable. *)
-let max_sweeps = 6
-
-let[@inline] backoff sweeps =
-  let spins = 16 lsl min sweeps 8 in
-  for _ = 1 to spins do
-    Domain.cpu_relax ()
-  done
-
-let run_dataflow ?interp ?priority ?trace ~workers (dag : Dag.t) =
-  if workers < 1 then invalid_arg "Real_exec.run_dataflow: workers < 1";
-  let n = Dag.n_tasks dag in
+let run_sequential ?interp ?trace (dag : Dag.t) =
   check_bodies interp dag;
-  if n = 0 then
-    {
-      elapsed = 0.0;
-      tasks = 0;
-      workers;
-      steals = 0;
-      steal_attempts = 0;
-      parks = 0;
-      park_time = 0.0;
-      trace = None;
-    }
-  else begin
-    let tracer =
-      if want_trace trace then Some (Tracer.create ~domains:workers ~capacity:(ring_capacity n))
-      else None
-    in
-    let sctx = span_ctx () in
-    let remaining = Array.map Atomic.make dag.Dag.indegree in
-    let completed = Atomic.make 0 in
-    (* Abort protocol: the first task body that raises CASes its failure in,
-       sets [aborted] and broadcasts the idle condvar. [aborted] folds into
-       [finished ()], so every worker — popping locally, mid-steal-sweep or
-       waking from a park — observes the abort on its next check and falls
-       through to the joins; leftover deque entries are simply dropped. The
-       run then re-raises [Task_failed] after every domain has joined, so no
-       worker is left parked on a condvar that nobody will signal. *)
-    let aborted = Atomic.make false in
-    let failure = Atomic.make None in
-    let finished () = Atomic.get completed >= n || Atomic.get aborted in
-    (* Per-worker deques: a worker pushes the successors it makes ready onto
-       its own bottom (their input tiles are warm in this core's cache), pops
-       LIFO, and steals FIFO from the top of a random victim — stolen tasks
-       are the oldest, hence the coldest, so stealing them costs the least
-       locality. Sized so no deque can ever grow mid-run. *)
-    let deques = Array.init workers (fun _ -> Deque.create ~capacity:(n + 1) ()) in
-    (* Spin-then-park idling: [parked] is the Dekker-style handshake with
-       producers — a parker increments it *before* rescanning the deques, a
-       producer pushes *before* reading it, so (with SC atomics) either the
-       producer sees the parker and broadcasts, or the parker sees the new
-       work and never sleeps. The condvar is hit only when the whole system
-       runs dry, not on every push like a global-queue executor. *)
-    let parked = Atomic.make 0 in
-    let park_mutex = Mutex.create () in
-    let park_cond = Condition.create () in
-    let some_work () = Array.exists (fun d -> Deque.size d > 0) deques in
-    let wake_parked () =
-      if Atomic.get parked > 0 then begin
-        Mutex.lock park_mutex;
-        Condition.broadcast park_cond;
-        Mutex.unlock park_mutex
-      end
-    in
-    (* Newly-ready successors are pushed in ascending priority so the
-       highest-priority child is on top of the LIFO end — it runs next,
-       on this worker, while its parent's output is still in cache. *)
-    let ordered ids =
-      match priority with
-      | None -> ids
-      | Some p -> List.stable_sort (fun a b -> compare (p a) (p b)) ids
-    in
-    let complete wid id =
-      let ready =
-        List.filter
-          (fun s -> Atomic.fetch_and_add remaining.(s) (-1) = 1)
-          dag.Dag.succs.(id)
-      in
-      (match ready with
-      | [] -> ()
-      | ready ->
-        List.iter (Deque.push deques.(wid)) (ordered ready);
-        wake_parked ());
-      if Atomic.fetch_and_add completed 1 = n - 1 then begin
-        (* everything done: wake all sleepers so they can exit *)
-        Mutex.lock park_mutex;
-        Condition.broadcast park_cond;
-        Mutex.unlock park_mutex
-      end
-    in
-    let fail wid id e =
-      let f =
-        {
-          failed_task = id;
-          failed_name = dag.Dag.tasks.(id).Task.name;
-          failed_worker = wid;
-          error = e;
-        }
-      in
-      ignore (Atomic.compare_and_set failure None (Some f));
-      Metrics.incr m_failures;
-      Atomic.set aborted true;
-      (* wake every parked worker so it observes the abort and exits; the
-         broadcast cannot be lost — a parker holds the mutex from its
-         [finished] recheck until Condition.wait releases it *)
-      Mutex.lock park_mutex;
-      Condition.broadcast park_cond;
-      Mutex.unlock park_mutex
-    in
-    let run_task wid id =
-      event tracer ~domain:wid Tracer.Task_start ~arg:id;
-      match
-        with_task_span sctx ~wid dag.Dag.tasks.(id) (fun () -> exec_body interp dag.Dag.tasks.(id))
-      with
-      | () ->
-        (* finish marks the closure only: the per-kernel profile measures
-           kernel time, successor release is scheduler time *)
-        event tracer ~domain:wid Tracer.Task_finish ~arg:id;
-        complete wid id
-      | exception e ->
-        event tracer ~domain:wid Tracer.Task_finish ~arg:id;
-        fail wid id e
-    in
-    let worker wid =
-      let my = deques.(wid) in
-      (* worker-local statistics, flushed once to the registry at exit; the
-         hot loop touches no shared counter *)
-      let l_steals = ref 0 and l_attempts = ref 0 in
-      let l_parks = ref 0 and l_park_ns = ref 0 and l_tasks = ref 0 in
-      (* per-worker xorshift for victim selection; no shared RNG state *)
-      let rand_state = ref ((wid * 0x9E3779B1) lor 1) in
-      let rand_victim () =
-        let x = !rand_state in
-        let x = x lxor (x lsl 13) in
-        let x = x lxor (x lsr 17) in
-        let x = x lxor (x lsl 5) in
-        rand_state := x;
-        let v = x land max_int mod (workers - 1) in
-        if v >= wid then v + 1 else v
-      in
-      let park () =
-        Mutex.lock park_mutex;
-        Atomic.incr parked;
-        (* recheck under the lock: a producer that missed our increment
-           published its push before reading [parked], so we see it here *)
-        if not (finished ()) && not (some_work ()) then begin
-          incr l_parks;
-          event tracer ~domain:wid Tracer.Park ~arg:0;
-          let t0 = Clock.now_ns () in
-          Condition.wait park_cond park_mutex;
-          l_park_ns := !l_park_ns + (Clock.now_ns () - t0);
-          event tracer ~domain:wid Tracer.Unpark ~arg:0
-        end;
-        Atomic.decr parked;
-        Mutex.unlock park_mutex
-      in
-      let rec local () =
-        if Atomic.get aborted then ()
-        else
-          match Deque.pop my with
-          | Some id ->
-            incr l_tasks;
-            run_task wid id;
-            local ()
-          | None -> if not (finished ()) then hunt 0
-      and hunt sweeps =
-        if finished () then ()
-        else if workers = 1 then begin
-          (* no victims to steal from: wait for the last closure to finish *)
-          park ();
-          hunt 0
-        end
-        else if sweeps >= max_sweeps then begin
-          park ();
-          hunt 0
-        end
-        else begin
-          let rec sweep attempts =
-            if attempts >= workers - 1 then begin
-              event tracer ~domain:wid Tracer.Steal_fail ~arg:sweeps;
-              backoff sweeps;
-              hunt (sweeps + 1)
-            end
-            else begin
-              let victim = rand_victim () in
-              incr l_attempts;
-              match Deque.steal deques.(victim) with
-              | Deque.Stolen id ->
-                incr l_steals;
-                incr l_tasks;
-                event tracer ~domain:wid Tracer.Steal ~arg:victim;
-                run_task wid id;
-                local ()
-              | Deque.Empty | Deque.Abort -> sweep (attempts + 1)
-            end
-          in
-          sweep 0
-        end
-      in
-      local ();
-      Metrics.add_to_shard m_steals ~shard:wid !l_steals;
-      Metrics.add_to_shard m_steal_attempts ~shard:wid !l_attempts;
-      Metrics.add_to_shard m_parks ~shard:wid !l_parks;
-      Metrics.add_to_shard m_park_ns ~shard:wid !l_park_ns;
-      Metrics.add_to_shard m_tasks ~shard:wid !l_tasks
-    in
-    (* Seed the sources round-robin across the deques (pre-spawn, so no
-       ownership races), each deque's share in ascending priority so its
-       best task sits at the LIFO end. *)
-    let sources = ordered (Dag.sources dag) in
-    List.iteri (fun i id -> Deque.push deques.(i mod workers) id) sources;
-    let before = read_baseline () in
-    let t0 = Clock.now_ns () in
-    let domains =
-      List.init
-        (workers - 1)
-        (fun i ->
-          Domain.spawn (fun () ->
-              Span.set_current sctx;
-              worker (i + 1)))
-    in
-    worker 0;
-    List.iter Domain.join domains;
-    let elapsed = Clock.ns_to_s (Clock.now_ns () - t0) in
-    (match Atomic.get failure with Some f -> raise (Task_failed f) | None -> ());
-    assert (Atomic.get completed = n);
-    {
-      elapsed;
-      tasks = n;
-      workers;
-      steals = Metrics.counter_value m_steals - before.b_steals;
-      steal_attempts = Metrics.counter_value m_steal_attempts - before.b_attempts;
-      parks = Metrics.counter_value m_parks - before.b_parks;
-      park_time = Clock.ns_to_s (Metrics.counter_value m_park_ns - before.b_park_ns);
-      trace = Option.map (trace_of_tracer dag ~workers ~t0_ns:t0) tracer;
-    }
-  end
+  run_inline ?interp ?trace ~workers:1 dag (Array.init (Dag.n_tasks dag) Fun.id)
 
 (* Sense-reversing barrier for the fork-join pool. Its cost *is* the
    phenomenon run_forkjoin measures, so a plain mutex + condvar is the
@@ -492,52 +227,10 @@ let run_forkjoin ?interp ?trace ~workers (dag : Dag.t) =
   let n = Dag.n_tasks dag in
   let levels = Array.map Array.of_list dag.Dag.levels in
   let nlevels = Array.length levels in
-  if n = 0 || workers = 1 then begin
-    let tracer =
-      if want_trace trace && n > 0 then Some (Tracer.create ~domains:1 ~capacity:(ring_capacity n))
-      else None
-    in
-    let sctx = span_ctx () in
-    let t0 = Clock.now_ns () in
-    Array.iter
-      (Array.iter (fun id ->
-           event tracer ~domain:0 Tracer.Task_start ~arg:id;
-           (match
-              with_task_span sctx ~wid:0 dag.Dag.tasks.(id) (fun () ->
-                  exec_body interp dag.Dag.tasks.(id))
-            with
-           | () -> ()
-           | exception e ->
-             Metrics.incr m_failures;
-             raise
-               (Task_failed
-                  {
-                    failed_task = id;
-                    failed_name = dag.Dag.tasks.(id).Task.name;
-                    failed_worker = 0;
-                    error = e;
-                  }));
-           event tracer ~domain:0 Tracer.Task_finish ~arg:id))
-      levels;
-    let elapsed = Clock.ns_to_s (Clock.now_ns () - t0) in
-    Metrics.add m_tasks n;
-    {
-      elapsed;
-      tasks = n;
-      workers;
-      steals = 0;
-      steal_attempts = 0;
-      parks = 0;
-      park_time = 0.0;
-      trace = Option.map (trace_of_tracer dag ~workers:1 ~t0_ns:t0) tracer;
-    }
-  end
+  if n = 0 || workers = 1 then
+    run_inline ?interp ?trace ~workers dag (Array.concat (Array.to_list levels))
   else begin
-    let tracer =
-      if want_trace trace then
-        Some (Tracer.create ~domains:workers ~capacity:((2 * n) + (4 * nlevels) + 1024))
-      else None
-    in
+    let stamps = stamps ?trace dag in
     (* One fixed pool of domains, one barrier per level: the BSP-vs-DAG gap
        then measures barrier idle time, not repeated domain spawn cost. *)
     let barrier = barrier_make workers in
@@ -549,42 +242,26 @@ let run_forkjoin ?interp ?trace ~workers (dag : Dag.t) =
        not fill, and the joins below always complete. *)
     let aborted = Atomic.make false in
     let failure = Atomic.make None in
-    let sctx = span_ctx () in
+    let sctx = ambient_ctx () in
     let worker w =
       for l = 0 to nlevels - 1 do
         let tasks = levels.(l) in
         let ntasks = Array.length tasks in
         let lo = w * ntasks / workers and hi = (w + 1) * ntasks / workers in
         for i = lo to hi - 1 do
-          let id = tasks.(i) in
-          if not (Atomic.get aborted) then begin
-            event tracer ~domain:w Tracer.Task_start ~arg:id;
-            (match
-               with_task_span sctx ~wid:w dag.Dag.tasks.(id) (fun () ->
-                   exec_body interp dag.Dag.tasks.(id))
-             with
+          let task = dag.Dag.tasks.(tasks.(i)) in
+          if not (Atomic.get aborted) then
+            match run_body ~sctx ~stamps ~wid:w interp task with
             | () -> ()
             | exception e ->
-              let f =
-                {
-                  failed_task = id;
-                  failed_name = dag.Dag.tasks.(id).Task.name;
-                  failed_worker = w;
-                  error = e;
-                }
-              in
-              ignore (Atomic.compare_and_set failure None (Some f));
+              ignore (Atomic.compare_and_set failure None (Some (failure_of ~wid:w task e)));
               Metrics.incr m_failures;
-              Atomic.set aborted true);
-            event tracer ~domain:w Tracer.Task_finish ~arg:id
-          end
+              Atomic.set aborted true
         done;
-        (* the wait below *is* the BSP idle time the trace should show *)
-        event tracer ~domain:w Tracer.Barrier_enter ~arg:l;
+        (* the wait below *is* the BSP idle time the trace shows as gaps *)
         let t0 = Clock.now_ns () in
         barrier_wait barrier;
-        barrier_ns.(w) <- barrier_ns.(w) + (Clock.now_ns () - t0);
-        event tracer ~domain:w Tracer.Barrier_exit ~arg:l
+        barrier_ns.(w) <- barrier_ns.(w) + (Clock.now_ns () - t0)
       done
     in
     let domains =
@@ -613,7 +290,7 @@ let run_forkjoin ?interp ?trace ~workers (dag : Dag.t) =
       steal_attempts = 0;
       parks = 0;
       park_time = Clock.ns_to_s total_barrier_ns;
-      trace = Option.map (trace_of_tracer dag ~workers ~t0_ns:t0) tracer;
+      trace = Option.map (trace_of_stamps dag ~workers ~t0_ns:t0) stamps;
     }
   end
 

@@ -1,69 +1,55 @@
-(** Host execution of task DAGs on OCaml 5 domains.
+(** Host execution of task DAGs on the calling domain and on OCaml 5
+    domains: the rule-2 baselines next to the work-stealing {!Pool}.
 
-    Two executors embody the paper's comparison on real cores:
-
-    - {!run_dataflow} — a dynamic superscalar executor on per-domain
-      work-stealing deques ({!Deque}): a worker that completes a task pushes
-      the successors it made ready onto its *own* deque (the child's input
-      tiles are warm in that core's cache), pops LIFO locally, and steals
-      FIFO from a random victim only when its own deque runs dry; idle
-      workers spin over the victims briefly and then park on a condvar, so
-      there is no global queue and no global broadcast on the task fast
-      path;
+    - {!run_sequential} — program order on the calling domain (baseline
+      and test oracle);
     - {!run_forkjoin} — a bulk-synchronous executor: dependence levels are
-      executed one at a time over a fixed pool of domains with a real
-      barrier between levels (the classical loop-parallel style; the pool
-      is reused across levels so the comparison measures barrier idle time,
-      not domain spawn cost).
+      executed one at a time over a fixed set of domains with a real
+      barrier between levels (the classical loop-parallel style; the
+      domains are reused across levels so the comparison measures barrier
+      idle time, not domain spawn cost).
+
+    The dynamic DAG executor is {!Pool}: {!Pool.run_once} runs one DAG to
+    completion on a transient pool, {!Pool.submit} serves many at once.
+    This module holds what every executor shares: the {!stats} and
+    {!failure} types, task-body dispatch, task spans and trace stamps.
 
     Tasks must carry a body: a [run] closure, or a closure-free {!Task.op}
     when the caller passes an [interp] interpreter (the op wins if both are
     present, so an op-encoded DAG can also carry oracle closures). Bodies of
     independent tasks must be safe to run from different domains — the tile
     kernels are, as they write disjoint tiles. Op dispatch is one branch on
-    an immediate tag: no per-task closure allocation, nothing for the GC to
-    scan in the steal loop.
-
-    Idle dataflow workers retry failed steal sweeps with bounded exponential
-    backoff ({!Domain.cpu_relax} pauses doubling per failed sweep) and park
-    on a condvar after [max_sweeps] dry sweeps — the probe budget per idle
-    episode is bounded, so steal_attempts stays proportional to steals
-    rather than to idle time.
+    an immediate tag: no per-task closure allocation.
 
     {2 Telemetry}
 
     All timing uses the monotonic {!Xsc_obs.Clock} (wall-clock is not
-    monotonic; an NTP step mid-run would corrupt [elapsed]). Scheduler
-    counters feed the {!Xsc_obs.Metrics} registry ([runtime.steals],
-    [runtime.steal_attempts], [runtime.parks], [runtime.park_ns],
-    [runtime.barrier_wait_ns], [runtime.tasks_executed]); the per-run
-    figures in {!stats} are before/after registry deltas, which assumes
-    executor runs within one process do not overlap (true for the bench
-    harness and tests).
+    monotonic; an NTP step mid-run would corrupt [elapsed]). Counters feed
+    the {!Xsc_obs.Metrics} registry ([runtime.barrier_wait_ns],
+    [runtime.tasks_executed], [runtime.task_failures]).
 
-    With [~trace:true] (or [XSC_TRACE=1] in the environment) each worker
-    records task start/finish, steal, park/unpark and barrier events into a
-    preallocated domain-local ring ({!Xsc_obs.Tracer}); after the join the
-    rings are merged into the returned {!Trace.t}, so {!Trace.gantt},
-    {!Trace.to_chrome_json} and {!Trace.by_kernel} work on real runs. With
-    tracing off the executors skip recording entirely — the disabled
-    overhead is one predictable branch per event site (measured < 2% on the
-    scheduler smoke). *)
+    With [~trace:true] (or [XSC_TRACE=1] in the environment) a run carries
+    one preallocated stamp array — worker, start and finish per task, each
+    written once by the worker that runs the task ({!run_body}) — turned
+    into the returned {!Trace.t} after the run ({!trace_of_stamps}), so
+    {!Trace.gantt}, {!Trace.to_chrome_json} and {!Trace.by_kernel} work on
+    real runs. With tracing off the per-task cost is one [None] branch. *)
 
 type stats = {
   elapsed : float;  (** monotonic seconds *)
   tasks : int;
   workers : int;
-  steals : int;  (** successful steals (dataflow; 0 for the others) *)
+  steals : int;  (** successful steals ({!Pool.run_once}; 0 for the others) *)
   steal_attempts : int;
-      (** all steal attempts, successful + failed (dataflow; 0 otherwise).
+      (** all steal attempts, successful + failed ({!Pool.run_once}; 0
+          otherwise).
           [steal_attempts - steals] failed probes distinguishes contention
           (many failures, few parks) from starvation (few attempts, long
           parks). *)
-  parks : int;  (** condvar waits by idle workers (dataflow; 0 otherwise) *)
+  parks : int;  (** condvar waits by idle workers ({!Pool.run_once}; 0 otherwise) *)
   park_time : float;
       (** cumulative seconds workers spent blocked: on the idle condvar
-          (dataflow) or in level barriers (fork-join) *)
+          ({!Pool.run_once}) or in level barriers (fork-join) *)
   trace : Trace.t option;  (** present iff tracing was enabled for the run *)
 }
 
@@ -75,25 +61,13 @@ type failure = {
 }
 
 exception Task_failed of failure
-(** Raised by every executor when a task body raises, after the run has
-    been aborted cleanly: remaining ready tasks are dropped, parked
-    workers are woken and drained, and every spawned domain is joined
-    before the exception propagates — a fault can never leave a worker
-    blocked on a condvar or barrier. Only the first failure is reported
+(** Raised by every blocking executor when a task body raises, after the
+    run has been aborted cleanly: no further task body starts, and every
+    domain the run spawned is joined (or, on a shared {!Pool}, the job has
+    drained) before the exception propagates — a fault can never leave a
+    worker blocked on a condvar or barrier. Only the first failure is reported
     (concurrent failures race on a CAS; the winner's is kept). The
     [runtime.task_failures] counter tallies every captured failure. *)
-
-val run_dataflow :
-  ?interp:(Task.op -> unit) -> ?priority:(int -> int) -> ?trace:bool ->
-  workers:int -> Dag.t -> stats
-(** [interp] executes closure-free op-encoded tasks (see {!Task.op});
-    [priority] ranks ready tasks (higher runs sooner on the worker that
-    made them ready — e.g. a bottom-level rank for critical-path-first, or
-    [fun id -> -id] for FIFO program order); omitted, successors run in
-    discovery order. [trace] defaults to [XSC_TRACE] in the environment.
-    Raises [Invalid_argument] if a task lacks a body or [workers < 1], and
-    {!Task_failed} (after aborting and joining all workers) if a body
-    raises. *)
 
 val run_forkjoin :
   ?interp:(Task.op -> unit) -> ?trace:bool -> workers:int -> Dag.t -> stats
@@ -109,11 +83,10 @@ val default_workers : unit -> int
 (** [Domain.recommended_domain_count], capped at 8 to stay polite on shared
     CI machines. *)
 
-(** {2 Shared with the long-lived pool executor}
+(** {2 Shared with the pool}
 
-    {!Pool} reuses the executor's task-body dispatch, span recording and
-    idle-backoff policy so the two runtimes stay behaviourally identical
-    per task. *)
+    {!Pool} reuses the task-body dispatch, span recording and trace stamps
+    so every executor behaves identically per task. *)
 
 val exec_body : (Task.op -> unit) option -> Task.t -> unit
 (** Run one task body: the op through [interp] when both are present,
@@ -121,15 +94,32 @@ val exec_body : (Task.op -> unit) option -> Task.t -> unit
     applies. *)
 
 val check_bodies : (Task.op -> unit) option -> Dag.t -> unit
-(** Validate every task is runnable under [interp] (op, or closure). *)
+(** Validate every task is runnable under [interp] (op, or closure).
+    Raises [Invalid_argument "Real_exec: task without body: NAME"]. *)
 
-val with_task_span :
-  Xsc_obs.Span.ctx option -> wid:int -> Task.t -> (unit -> 'a) -> 'a
-(** Record a phase-["task"] child span of [ctx] around [f] (recorded even
-    when [f] raises); identity when [ctx] is [None]. *)
+val failure_of : wid:int -> Task.t -> exn -> failure
+(** The failure record of a task body that raised on worker [wid]. *)
 
-val max_sweeps : int
-(** Failed steal sweeps before an idle worker parks. *)
+val ambient_ctx : unit -> Xsc_obs.Span.ctx option
+(** The calling domain's span context when a collector is installed, else
+    [None]: the context a run's task spans parent onto. *)
 
-val backoff : int -> unit
-(** Exponential [Domain.cpu_relax] pause after the given failed sweep. *)
+val stamps : ?trace:bool -> Dag.t -> int array option
+(** A fresh stamp array (three ints per task, worker [-1] until the task
+    runs) when tracing is on — [trace], defaulting to [XSC_TRACE] set to
+    anything but [""], ["0"] or ["false"] — else [None]. *)
+
+val run_body :
+  sctx:Xsc_obs.Span.ctx option ->
+  stamps:int array option ->
+  wid:int ->
+  (Task.op -> unit) option ->
+  Task.t ->
+  unit
+(** Run one task body on worker [wid]: stamp its worker, start and finish
+    into [stamps] (also when the body raises), and record a phase-["task"]
+    child span of [sctx] around it. *)
+
+val trace_of_stamps : Dag.t -> workers:int -> t0_ns:int -> int array -> Trace.t
+(** The trace of a finished run: one entry per task that ran, times
+    relative to [t0_ns]. *)

@@ -131,10 +131,6 @@ type counters = {
    slot, mirroring the admission window's pool-depth accounting. *)
 type class_cap = { cc_kind : string; cc_cap : int; cc_live : int Atomic.t }
 
-(* A finished request's trace footprint: a queue-wait span on the virtual
-   queue lane plus a service span on the executing worker's lane. *)
-type span = { task : int; name : string; lane : int; start_ns : int; finish_ns : int }
-
 (* A transiently-faulted request waiting out its retry backoff: the pump
    resubmits it when due instead of a pool worker sleeping in a callback
    (a sleeping callback would block a whole execution lane). *)
@@ -159,7 +155,6 @@ type t = {
   batcher : Request.t Batcher.t;
   sched : Request.t Scheduler.t;
   tickets : (int, ticket) Hashtbl.t;
-  mutable spans : span list;
   deferred : (int, unit) Hashtbl.t;  (* seqs of batches held back by a cap *)
   (* ---- retry queue (Shared mode), under [retry_mu] ---- *)
   retry_mu : Mutex.t;
@@ -247,7 +242,7 @@ let run_attempt t worker (r : Request.t) ~attempt () =
       note ();
       raise e)
 
-let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
+let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
   let finish_ns = Clock.now_ns () in
   let queue_wait_s = Clock.ns_to_s (dispatch_ns - r.Request.submit_ns) in
   let service_s = Clock.ns_to_s (finish_ns - dispatch_ns) in
@@ -273,24 +268,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
       met_deadline = finish_ns <= r.Request.deadline_ns;
     }
   in
-  let key = Request.class_key r.Request.payload in
   Mutex.lock t.mu;
-  t.spans <-
-    {
-      task = r.Request.id;
-      name = Printf.sprintf "%s(%d)" key r.Request.id;
-      lane = worker;
-      start_ns = dispatch_ns;
-      finish_ns;
-    }
-    :: {
-         task = r.Request.id;
-         name = Printf.sprintf "wait:%s(%d)" key r.Request.id;
-         lane = queue_lane t.cfg;
-         start_ns = r.Request.submit_ns;
-         finish_ns = dispatch_ns;
-       }
-    :: t.spans;
   let ticket = Hashtbl.find_opt t.tickets r.Request.id in
   Hashtbl.remove t.tickets r.Request.id;
   Mutex.unlock t.mu;
@@ -314,6 +292,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
       (match t.collector with
       | None -> ()
       | Some col ->
+        let key = Request.class_key r.Request.payload in
         let wait = Span.child r.Request.span in
         Span.record col
           {
@@ -402,7 +381,7 @@ let execute t worker (batch : Request.t Batcher.batch) =
           Error (Request.Failed { attempts = !retries + 1; error = Printexc.to_string e })
       in
       let outcome = settle first in
-      complete t r outcome ~retries:!retries ~dispatch_ns ~worker)
+      complete t r outcome ~retries:!retries ~dispatch_ns)
     results;
   let n = Array.length batch.Batcher.requests in
   if n > 0 then begin
@@ -471,12 +450,12 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
              solve-and-release (this domain); the factorization tasks
              themselves run in place over pooled buffers *)
           Metrics.observe m_alloc (plan_alloc +. (Gcstat.minor_words () -. m1));
-          complete t r (Ok sol) ~retries:attempt ~dispatch_ns ~worker
+          complete t r (Ok sol) ~retries:attempt ~dispatch_ns
         | exception e ->
           plan.Route.cleanup ();
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
-            ~retries:attempt ~dispatch_ns ~worker)
+            ~retries:attempt ~dispatch_ns)
       | Some f -> (
         plan.Route.cleanup ();
         match f.Real_exec.error with
@@ -503,7 +482,7 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
         | e ->
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
-            ~retries:attempt ~dispatch_ns ~worker));
+            ~retries:attempt ~dispatch_ns));
   if attempt = 0 then ignore (Atomic.fetch_and_add t.staged (-1))
 
 and service_retries t pool =
@@ -669,7 +648,6 @@ let start ?harness cfg =
       sched = Scheduler.create ();
       tickets = Hashtbl.create 64;
       deferred = Hashtbl.create 8;
-      spans = [];
       retry_mu = Mutex.create ();
       retry_q = [];
       in_system = Atomic.make 0;
@@ -845,20 +823,20 @@ let slo_reports t = match t.slo with None -> [] | Some s -> Slo.reports s
 let slo_breached t = match t.slo with None -> false | Some s -> Slo.breached s
 let slo_report_json t = Option.map Slo.report_json t.slo
 
+(* The worker-lane view of the span records: each request's wait segment
+   on the virtual queue lane and each attempt on the lane that ran it. *)
 let trace t =
-  Mutex.lock t.mu;
-  let spans = t.spans in
-  Mutex.unlock t.mu;
   let tr = Trace.create ~workers:(queue_lane t.cfg + 1) in
   List.iter
-    (fun s ->
-      Trace.add tr
-        {
-          Trace.task = s.task;
-          name = s.name;
-          worker = s.lane;
-          start = Clock.ns_to_s (s.start_ns - t.start_ns);
-          finish = Clock.ns_to_s (s.finish_ns - t.start_ns);
-        })
-    spans;
+    (fun (s : Span.record) ->
+      if (s.Span.phase = "wait" || s.Span.phase = "attempt") && s.Span.lane >= 0 then
+        Trace.add tr
+          {
+            Trace.task = s.Span.request;
+            name = Printf.sprintf "%s(%d)" s.Span.name s.Span.request;
+            worker = s.Span.lane;
+            start = Clock.ns_to_s (s.Span.start_ns - t.start_ns);
+            finish = Clock.ns_to_s (s.Span.finish_ns - t.start_ns);
+          })
+    (span_records t);
   tr

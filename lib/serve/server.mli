@@ -29,12 +29,9 @@
     Counters [serve.admitted\]/[rejected]/[completed]/[failed]/[retried]/
     [batches] and log2 histograms [serve.queue_wait_s]/[service_s]/
     [total_s]/[batch_size]/[alloc_minor_words_per_req] feed the
-    {!Xsc_obs.Metrics} registry; {!trace} exports per-request queue-wait
-    and service spans as a {!Xsc_runtime.Trace.t} (one lane per worker
-    plus a queue lane), so a served run drops into the existing
-    Chrome-trace pipeline.
+    {!Xsc_obs.Metrics} registry.
 
-    With [spans] on (the default), the server additionally keeps a causal
+    With [spans] on (the default), the server keeps a causal
     {!Xsc_obs.Span} tree per request: a root span minted at admission,
     wait and per-attempt child spans, plus whatever executor tasks,
     injected faults and ABFT replays run under the attempt's ambient
@@ -157,9 +154,11 @@ val occupancy : t -> int
     while retries sleep. *)
 
 val trace : t -> Xsc_runtime.Trace.t
-(** Spans of every completed request: service spans on worker lanes
-    [0..workers-1], queue-wait spans on lane [workers]. Feed to
-    {!Xsc_runtime.Trace.to_chrome_json}. *)
+(** The span collector's wait and attempt records as a worker-lane trace:
+    attempts on the lanes that ran them ([0..workers-1]), queue waits on
+    lane [workers]. Bounded by the collector's capacity; empty when
+    [spans] is off. Feed to {!Xsc_runtime.Trace.to_chrome_json}, so a
+    served run drops into the existing Chrome-trace pipeline. *)
 
 val origin_ns : t -> int
 (** Monotonic timestamp taken at [start]; span export rebases on it. *)

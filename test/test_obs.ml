@@ -1,9 +1,7 @@
-(* Tests for Xsc_obs: the monotonic clock, the per-domain event rings, the
-   tracer and the metrics registry (exactness under concurrent domains). *)
+(* Tests for Xsc_obs: the monotonic clock, the metrics registry (exactness
+   under concurrent domains) and causal spans. *)
 
 module Clock = Xsc_obs.Clock
-module Ring = Xsc_obs.Ring
-module Tracer = Xsc_obs.Tracer
 module Metrics = Xsc_obs.Metrics
 module Json = Xsc_util.Json
 
@@ -29,71 +27,6 @@ let test_clock_seconds () =
   let s = Clock.now_s () in
   Alcotest.(check bool) "seconds positive" true (s > 0.0);
   Alcotest.(check (float 1e-9)) "ns_to_s" 1.5 (Clock.ns_to_s 1_500_000_000)
-
-(* ---- Ring ---- *)
-
-let test_ring_basic () =
-  let r = Ring.create ~capacity:8 in
-  Alcotest.(check int) "capacity" 8 (Ring.capacity r);
-  ignore (Ring.record r ~kind:1 ~t_ns:100 ~arg:7);
-  ignore (Ring.record r ~kind:2 ~t_ns:200 ~arg:8);
-  Alcotest.(check int) "length" 2 (Ring.length r);
-  let k, t, a = Ring.get r 0 in
-  Alcotest.(check (triple int int int)) "first record" (1, 100, 7) (k, t, a);
-  let k, t, a = Ring.get r 1 in
-  Alcotest.(check (triple int int int)) "second record" (2, 200, 8) (k, t, a)
-
-let test_ring_overflow_drops_newest () =
-  let r = Ring.create ~capacity:4 in
-  for i = 0 to 9 do
-    ignore (Ring.record r ~kind:0 ~t_ns:i ~arg:i)
-  done;
-  Alcotest.(check int) "full" 4 (Ring.length r);
-  Alcotest.(check int) "dropped the overflow" 6 (Ring.dropped r);
-  (* drop-newest: the oldest records survive, so the prefix is intact *)
-  let _, t0, _ = Ring.get r 0 in
-  let _, t3, _ = Ring.get r 3 in
-  Alcotest.(check int) "oldest kept" 0 t0;
-  Alcotest.(check int) "prefix kept" 3 t3
-
-let test_ring_iter_clear () =
-  let r = Ring.create ~capacity:8 in
-  for i = 0 to 4 do
-    ignore (Ring.record r ~kind:i ~t_ns:(10 * i) ~arg:0)
-  done;
-  let seen = ref [] in
-  Ring.iter r ~f:(fun ~kind ~t_ns:_ ~arg:_ -> seen := kind :: !seen);
-  Alcotest.(check (list int)) "iter in order" [ 0; 1; 2; 3; 4 ] (List.rev !seen);
-  Ring.clear r;
-  Alcotest.(check int) "cleared" 0 (Ring.length r);
-  Alcotest.(check int) "dropped reset" 0 (Ring.dropped r)
-
-(* ---- Tracer ---- *)
-
-let test_tracer_records_events () =
-  let t = Tracer.create ~domains:2 ~capacity:16 in
-  Tracer.record t ~domain:0 Tracer.Task_start ~arg:5;
-  Tracer.record t ~domain:0 Tracer.Task_finish ~arg:5;
-  Tracer.record t ~domain:1 Tracer.Steal ~arg:0;
-  let e0 = Tracer.events t ~domain:0 in
-  let e1 = Tracer.events t ~domain:1 in
-  Alcotest.(check int) "domain 0 events" 2 (List.length e0);
-  Alcotest.(check int) "domain 1 events" 1 (List.length e1);
-  (match e0 with
-  | [ a; b ] ->
-    Alcotest.(check bool) "kinds" true
-      (a.Tracer.kind = Tracer.Task_start && b.Tracer.kind = Tracer.Task_finish);
-    Alcotest.(check int) "arg" 5 a.Tracer.arg;
-    Alcotest.(check bool) "timestamps ordered" true (a.Tracer.t_ns <= b.Tracer.t_ns);
-    Alcotest.(check bool) "after origin" true (a.Tracer.t_ns >= Tracer.origin_ns t)
-  | _ -> Alcotest.fail "expected two events");
-  Alcotest.(check int) "domains" 2 (Tracer.domains t);
-  Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped t)
-
-let test_tracer_env_toggle () =
-  (* only the documented truthy values enable tracing *)
-  Alcotest.(check bool) "unset -> off" true
-    (match Sys.getenv_opt "XSC_TRACE" with None -> not (Tracer.enabled_by_env ()) | Some _ -> true)
 
 (* ---- Metrics ---- *)
 
@@ -375,17 +308,6 @@ let () =
           Alcotest.test_case "monotonic" `Quick test_clock_monotonic;
           Alcotest.test_case "advances" `Quick test_clock_advances;
           Alcotest.test_case "seconds" `Quick test_clock_seconds;
-        ] );
-      ( "ring",
-        [
-          Alcotest.test_case "basic" `Quick test_ring_basic;
-          Alcotest.test_case "overflow drops newest" `Quick test_ring_overflow_drops_newest;
-          Alcotest.test_case "iter/clear" `Quick test_ring_iter_clear;
-        ] );
-      ( "tracer",
-        [
-          Alcotest.test_case "records events" `Quick test_tracer_records_events;
-          Alcotest.test_case "env toggle" `Quick test_tracer_env_toggle;
         ] );
       ( "metrics",
         [

@@ -615,7 +615,7 @@ let test_flight_roundtrip () =
 
 let test_flight_overwrites_oldest () =
   (* the post-mortem bias: a full ring keeps the most recent entries,
-     the opposite of the tracer rings' drop-newest *)
+     the opposite of the span collector's drop-newest *)
   Flight.configure ~capacity:8;
   Fun.protect
     ~finally:(fun () -> Flight.configure ~capacity:4096)

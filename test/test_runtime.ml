@@ -5,6 +5,7 @@ module Task = Xsc_runtime.Task
 module Dag = Xsc_runtime.Dag
 module Sim_exec = Xsc_runtime.Sim_exec
 module Real_exec = Xsc_runtime.Real_exec
+module Pool = Xsc_runtime.Pool
 module Deque = Xsc_runtime.Deque
 module Trace = Xsc_runtime.Trace
 module Rng = Xsc_util.Rng
@@ -325,7 +326,7 @@ let test_real_dataflow_matches_sequential () =
   let dag_seq, cells_seq = accumulation_dag 60 in
   ignore (Real_exec.run_sequential dag_seq);
   let dag_par, cells_par = accumulation_dag 60 in
-  let stats = Real_exec.run_dataflow ~workers:4 dag_par in
+  let stats = Pool.run_once ~workers:4 dag_par in
   Alcotest.(check int) "all tasks ran" 60 stats.Real_exec.tasks;
   (* per-datum chains are serialised by Read_write dependences, so the
      result must be bitwise identical to sequential execution *)
@@ -348,14 +349,26 @@ let test_real_dataflow_parallel_independent () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let stats = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check int) "all ran exactly once" 32 (Atomic.get counter);
   Alcotest.(check bool) "elapsed sane" true (stats.Real_exec.elapsed >= 0.0)
 
+(* Domain ids are handed out in spawn order, so the id of a probe domain
+   tells how many domains were spawned since the previous probe. *)
+let probe_domain_id () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
 let test_real_missing_closure () =
-  let dag = Dag.build [ Task.make ~id:0 ~name:"bare" ~flops:1.0 [ Task.Write 0 ] ] in
+  let dag =
+    Dag.build
+      [
+        task ~run:ignore 0 [ Task.Write 0 ];
+        Task.make ~id:1 ~name:"bare" ~flops:1.0 [ Task.Read 0 ];
+      ]
+  in
+  let before = probe_domain_id () in
   Alcotest.check_raises "no body" (Invalid_argument "Real_exec: task without body: bare")
-    (fun () -> ignore (Real_exec.run_dataflow ~workers:2 dag))
+    (fun () -> ignore (Pool.run_once ~workers:4 dag));
+  Alcotest.(check int) "rejected before spawning a worker" (before + 1) (probe_domain_id ())
 
 (* Closure-free dispatch: op-encoded tasks run through a single interpreter
    with no per-task closures, on every executor. The Gemm coordinates are
@@ -381,7 +394,7 @@ let test_op_dispatch_all_executors () =
   let seq, cells_seq = run_op_dag (fun ~interp d -> Real_exec.run_sequential ~interp d) in
   Alcotest.(check int) "sequential ran all" 60 seq.Real_exec.tasks;
   let df, cells_df =
-    run_op_dag (fun ~interp d -> Real_exec.run_dataflow ~interp ~workers:4 d)
+    run_op_dag (fun ~interp d -> Pool.run_once ~interp ~workers:4 d)
   in
   Alcotest.(check int) "dataflow ran all" 60 df.Real_exec.tasks;
   Alcotest.(check (array (float 0.0))) "dataflow matches sequential" cells_seq cells_df;
@@ -396,7 +409,7 @@ let test_op_without_interp_rejected () =
      fail up front, not mid-flight *)
   let dag = Dag.build [ Task.make ~id:0 ~name:"op" ~flops:1.0 ~op:(Task.Potrf 0) [ Task.Write 0 ] ] in
   Alcotest.check_raises "no interp" (Invalid_argument "Real_exec: task without body: op")
-    (fun () -> ignore (Real_exec.run_dataflow ~workers:2 dag))
+    (fun () -> ignore (Pool.run_once ~workers:2 dag))
 
 let test_op_name () =
   Alcotest.(check string) "potrf" "potrf(2,2)" (Task.op_name (Task.Potrf 2));
@@ -405,7 +418,7 @@ let test_op_name () =
   Alcotest.(check string) "trsm_l" "trsm_l(0,2)" (Task.op_name (Task.Trsm_l (0, 2)))
 
 let test_real_empty_dag () =
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build []) in
+  let stats = Pool.run_once ~workers:4 (Dag.build []) in
   Alcotest.(check int) "no tasks" 0 stats.Real_exec.tasks
 
 let test_default_workers () =
@@ -448,7 +461,7 @@ let test_task_failed_dataflow () =
      on the idle condvar when the failure fires — a missed broadcast would
      deadlock the join *)
   for _ = 1 to 20 do
-    check_task_failed "dataflow" (fun d -> Real_exec.run_dataflow ~workers:4 d)
+    check_task_failed "dataflow" (fun d -> Pool.run_once ~workers:4 d)
   done
 
 let test_task_failed_forkjoin () =
@@ -465,7 +478,7 @@ let test_task_failed_wide_dataflow () =
           let run () = if id = 40 then failwith "mid" else () in
           Task.make ~id ~name:(Printf.sprintf "w%d" id) ~flops:1.0 ~run [ Task.Write id ])
     in
-    match Real_exec.run_dataflow ~workers:4 (Dag.build tasks) with
+    match Pool.run_once ~workers:4 (Dag.build tasks) with
     | _ -> Alcotest.fail "expected Task_failed"
     | exception Real_exec.Task_failed f ->
       Alcotest.(check int) "failed id" 40 f.Real_exec.failed_task
@@ -474,9 +487,9 @@ let test_task_failed_wide_dataflow () =
 let test_executor_reusable_after_failure () =
   (* an aborted run must leave no residue that breaks the next run *)
   let dag, _ = failing_chain 20 10 in
-  (try ignore (Real_exec.run_dataflow ~workers:4 dag) with Real_exec.Task_failed _ -> ());
+  (try ignore (Pool.run_once ~workers:4 dag) with Real_exec.Task_failed _ -> ());
   let dag_ok, cells = accumulation_dag 40 in
-  let stats = Real_exec.run_dataflow ~workers:4 dag_ok in
+  let stats = Pool.run_once ~workers:4 dag_ok in
   Alcotest.(check int) "clean run completes" 40 stats.Real_exec.tasks;
   let dag_ref, cells_ref = accumulation_dag 40 in
   ignore (Real_exec.run_sequential dag_ref);
@@ -494,17 +507,15 @@ let test_task_failures_counted () =
   Alcotest.(check int) "failure tallied" (before + 1) (value ())
 
 (* qcheck oracle over random accumulation DAGs: the work-stealing executor
-   (with and without a priority hook) must reproduce sequential results
-   bit-for-bit at any worker count. *)
+   must reproduce sequential results bit-for-bit at any worker count. *)
 let prop_dataflow_bitwise_oracle =
   QCheck.Test.make ~name:"dataflow = sequential bitwise on random DAGs" ~count:15
-    QCheck.(triple (int_range 8 80) (int_range 1 8) bool)
-    (fun (n, workers, with_priority) ->
+    QCheck.(pair (int_range 8 80) (int_range 1 8))
+    (fun (n, workers) ->
       let dag_seq, cells_seq = accumulation_dag n in
       ignore (Real_exec.run_sequential dag_seq);
       let dag_par, cells_par = accumulation_dag n in
-      let priority = if with_priority then Some (fun id -> n - id) else None in
-      let stats = Real_exec.run_dataflow ?priority ~workers dag_par in
+      let stats = Pool.run_once ~workers dag_par in
       stats.Real_exec.tasks = n && cells_seq = cells_par)
 
 (* ---- oracle: tiled factorizations on real domains ---- *)
@@ -545,13 +556,7 @@ let factorization_oracle ~name ~dag_of ~make_input sizes =
       List.iter
         (fun workers ->
           let w = string_of_int workers in
-          check_variant ("dataflow w=" ^ w) (Real_exec.run_dataflow ~workers);
-          check_variant
-            ("dataflow+cp w=" ^ w)
-            (fun dag ->
-              Real_exec.run_dataflow
-                ~priority:(Xsc_core.Runtime_api.critical_path_priority dag)
-                ~workers dag);
+          check_variant ("dataflow w=" ^ w) (Pool.run_once ~workers);
           check_variant ("forkjoin w=" ^ w) (Real_exec.run_forkjoin ~workers))
         [ 1; 2; 4; 8 ])
     sizes
@@ -580,7 +585,7 @@ let test_dataflow_stats_reported () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let stats = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check int) "all ran" 64 (Atomic.get counter);
   Alcotest.(check bool) "steals >= 0" true (stats.Real_exec.steals >= 0);
   Alcotest.(check bool) "parks >= 0" true (stats.Real_exec.parks >= 0)
@@ -676,7 +681,7 @@ let traced_cholesky ~seed ~executor () =
   let dag = Xsc_core.Cholesky.dag tiles in
   let stats =
     match executor with
-    | `Dataflow -> Real_exec.run_dataflow ~trace:true ~workers:4 dag
+    | `Dataflow -> Pool.run_once ~trace:true ~workers:4 dag
     | `Forkjoin -> Real_exec.run_forkjoin ~trace:true ~workers:4 dag
   in
   (dag, stats)
@@ -688,8 +693,8 @@ let test_traced_run_bitwise_identical () =
   let a = Mat.random_spd rng 32 in
   let t_off = Tile.of_mat ~nb:8 a in
   let t_on = Tile.of_mat ~nb:8 a in
-  ignore (Real_exec.run_dataflow ~trace:false ~workers:4 (Xsc_core.Cholesky.dag t_off));
-  let s = Real_exec.run_dataflow ~trace:true ~workers:4 (Xsc_core.Cholesky.dag t_on) in
+  ignore (Pool.run_once ~trace:false ~workers:4 (Xsc_core.Cholesky.dag t_off));
+  let s = Pool.run_once ~trace:true ~workers:4 (Xsc_core.Cholesky.dag t_on) in
   Alcotest.(check bool) "trace present when asked" true (s.Real_exec.trace <> None);
   Alcotest.(check bool) "factorization bitwise identical" true
     (tiles_bitwise_equal t_off t_on)
@@ -697,7 +702,7 @@ let test_traced_run_bitwise_identical () =
 let test_untraced_has_no_trace () =
   let rng = Rng.create 13 in
   let a = Mat.random_spd rng 16 in
-  let s = Real_exec.run_dataflow ~workers:2 (Xsc_core.Cholesky.dag (Tile.of_mat ~nb:8 a)) in
+  let s = Pool.run_once ~workers:2 (Xsc_core.Cholesky.dag (Tile.of_mat ~nb:8 a)) in
   match Sys.getenv_opt "XSC_TRACE" with
   | None -> Alcotest.(check bool) "no trace by default" true (s.Real_exec.trace = None)
   | Some _ -> ()
@@ -750,12 +755,71 @@ let test_steal_attempts_and_park_time () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let s = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let s = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check bool) "attempts cover successes" true
     (s.Real_exec.steal_attempts >= s.Real_exec.steals);
   Alcotest.(check bool) "park time non-negative" true (s.Real_exec.park_time >= 0.0);
   Alcotest.(check bool) "park time consistent with parks" true
     (s.Real_exec.parks > 0 || s.Real_exec.park_time = 0.0)
+
+let test_trace_env_toggle () =
+  let dag = Dag.build [ task ~run:ignore 0 [ Task.Write 0 ]; task ~run:ignore 1 [ Task.Write 1 ] ] in
+  Alcotest.(check (option (array int))) "trace:true stamps every task once" (Some (Array.make 6 (-1)))
+    (Real_exec.stamps ~trace:true dag);
+  Alcotest.(check bool) "trace:false stamps nothing" true (Real_exec.stamps ~trace:false dag = None);
+  (* only the documented truthy values of XSC_TRACE enable tracing *)
+  match Sys.getenv_opt "XSC_TRACE" with
+  | None -> Alcotest.(check bool) "unset -> off" true (Real_exec.stamps dag = None)
+  | Some _ -> ()
+
+let test_traced_and_untraced_jobs_share_pool () =
+  (* one persistent pool, an untraced job streaming while a traced job
+     runs: the trace holds exactly the traced job's tasks *)
+  let pool = Pool.create ~workers:2 () in
+  let spins = Atomic.make 0 in
+  let busy =
+    Dag.build
+      (List.init 64 (fun id ->
+           Task.make ~id ~name:"busy" ~flops:1.0
+             ~run:(fun () ->
+               let acc = ref 0 in
+               for i = 1 to 20_000 do
+                 acc := Sys.opaque_identity (!acc + i)
+               done;
+               Atomic.incr spins)
+             [ Task.Write id ]))
+  in
+  let busy_done = Atomic.make false in
+  Pool.submit pool busy ~on_done:(fun _ ~worker:_ -> Atomic.set busy_done true);
+  let a = Mat.random_spd (Rng.create 21) 32 in
+  let seq_tiles = Tile.of_mat ~nb:8 a in
+  ignore (Real_exec.run_sequential (Xsc_core.Cholesky.dag seq_tiles));
+  let tiles = Tile.of_mat ~nb:8 a in
+  let dag = Xsc_core.Cholesky.dag tiles in
+  (* an earlier deadline, so the traced job interleaves with the busy one
+     instead of queueing behind it *)
+  let stats =
+    Pool.run ~trace:true ~deadline_ns:(Xsc_obs.Clock.now_ns () + 1_000_000_000) pool dag
+  in
+  while not (Atomic.get busy_done) do
+    Domain.cpu_relax ()
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "untraced job ran" 64 (Atomic.get spins);
+  Alcotest.(check bool) "traced job bitwise identical" true (tiles_bitwise_equal seq_tiles tiles);
+  match stats.Real_exec.trace with
+  | None -> Alcotest.fail "expected a trace"
+  | Some tr ->
+    let entries = Trace.entries tr in
+    Alcotest.(check (list int)) "exactly the traced job's tasks"
+      (List.init (Dag.n_tasks dag) Fun.id)
+      (List.sort compare (List.map (fun e -> e.Trace.task) entries));
+    List.iter
+      (fun (e : Trace.entry) ->
+        Alcotest.(check string) "task name" dag.Dag.tasks.(e.Trace.task).Task.name e.Trace.name;
+        Alcotest.(check bool) "lane in [0, workers)" true (e.Trace.worker >= 0 && e.Trace.worker < 2);
+        Alcotest.(check bool) "start <= finish" true (e.Trace.start <= e.Trace.finish))
+      entries
 
 let test_forkjoin_trace_and_barrier_wait () =
   let dag, stats = traced_cholesky ~seed:15 ~executor:`Forkjoin () in
@@ -820,7 +884,6 @@ let test_hetero_validation () =
 
 module Prio = Xsc_runtime.Prio
 module Pqueue = Xsc_runtime.Pqueue
-module Pool = Xsc_runtime.Pool
 module PD = Xsc_tile.Packed.D
 
 let pk ?(bl = 0) ?(seq = 0) ?(tid = 0) d = Prio.make ~deadline_ns:d ~bl ~seq ~tid
@@ -1056,6 +1119,37 @@ let test_pool_edf_between_jobs () =
     (Atomic.get urgent_preempted);
   Pool.shutdown pool
 
+let test_pool_run_parents_ambient_spans () =
+  (* Pool.run submits under the caller's ambient span context: every task
+     body runs under it and records a task span parented onto it *)
+  let module Span = Xsc_obs.Span in
+  let col = Span.collector () in
+  let prev = Span.installed () in
+  let root = Span.root ~request:77 in
+  let under_root = Atomic.make 0 in
+  let dag =
+    Dag.build
+      (List.init 8 (fun id ->
+           Task.make ~id ~name:"t" ~flops:1.0
+             ~run:(fun () -> if Span.current () = Some root then Atomic.incr under_root)
+             [ Task.Write id ]))
+  in
+  let pool = Pool.create ~workers:2 () in
+  Span.install (Some col);
+  Fun.protect
+    ~finally:(fun () ->
+      Span.install prev;
+      Pool.shutdown pool)
+    (fun () -> Span.with_current (Some root) (fun () -> ignore (Pool.run pool dag)));
+  Alcotest.(check int) "bodies run under the ambient context" 8 (Atomic.get under_root);
+  let spans = List.filter (fun r -> r.Span.phase = "task") (Span.records col) in
+  Alcotest.(check int) "one task span per task" 8 (List.length spans);
+  List.iter
+    (fun r ->
+      Alcotest.(check int) "request" 77 r.Span.request;
+      Alcotest.(check int) "parented on the caller's span" root.Span.span r.Span.parent)
+    spans
+
 let test_pool_run_and_lifecycle () =
   let pool = Pool.create ~workers:1 () in
   let hits = Atomic.make 0 in
@@ -1179,6 +1273,9 @@ let () =
             test_real_chrome_json_roundtrip;
           Alcotest.test_case "steal attempts and park time" `Quick
             test_steal_attempts_and_park_time;
+          Alcotest.test_case "env toggle" `Quick test_trace_env_toggle;
+          Alcotest.test_case "traced and untraced jobs share a pool" `Quick
+            test_traced_and_untraced_jobs_share_pool;
           Alcotest.test_case "forkjoin trace and barrier wait" `Quick
             test_forkjoin_trace_and_barrier_wait;
         ] );
@@ -1204,6 +1301,8 @@ let () =
           Alcotest.test_case "dynamic insertion from on_done" `Quick
             test_pool_dynamic_insertion;
           Alcotest.test_case "EDF between jobs" `Quick test_pool_edf_between_jobs;
+          Alcotest.test_case "run parents task spans on the ambient context" `Quick
+            test_pool_run_parents_ambient_spans;
           Alcotest.test_case "blocking run and lifecycle" `Quick
             test_pool_run_and_lifecycle;
         ] );
