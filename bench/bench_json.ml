@@ -25,7 +25,6 @@ module Trace = Xsc_runtime.Trace
 module Rng = Xsc_util.Rng
 module Clock = Xsc_obs.Clock
 module Gcstat = Xsc_obs.Gcstat
-module Flight = Xsc_resilience.Flight
 
 let time f reps =
   f ();
@@ -264,12 +263,11 @@ let gc_json (d : Gcstat.snap) =
     d.Gcstat.minor_collections d.Gcstat.major_collections d.Gcstat.compactions
     d.Gcstat.heap_words
 
-(* A failed gate ships its post-mortem: whatever the flight ring holds
-   (the serve storms tee into it) lands next to the record for CI to
-   upload with the red run. *)
+(* A failed gate points at its post-mortem: the serve phase's permanent
+   storm writes [<record>_flight.bin] on its first failure and at stop,
+   next to the record for CI to upload with the red run. *)
 let gate_fail ~file what =
-  let path = Filename.remove_extension file ^ "_gate_flight.bin" in
-  ignore (Flight.dump ~path ~reason:("bench-gate-failure: " ^ what));
+  let path = Filename.remove_extension file ^ "_flight.bin" in
   Printf.eprintf "%s FAILED (flight dump: %s)\n" what path;
   exit 1
 

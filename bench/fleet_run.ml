@@ -26,10 +26,9 @@
        sqrt(2CM) prescribes for the Failure process's MTBF, with the
        empirical failure count within tolerance of rate x makespan.
 
-   A failing gate dumps the flight-recorder ring (the replay runs tee
-   their simulated spans into it) next to the record, same as the serve
-   bench. All file writes go through Fun.protect so a failing gate or a
-   full disk never leaks a handle. *)
+   A failing gate dumps the replay storm's simulated spans as a flight
+   recorder file next to the record. All file writes go through
+   Fun.protect so a failing gate or a full disk never leaks a handle. *)
 
 module Sim = Xsc_fleet.Sim
 module Model = Xsc_fleet.Model
@@ -238,12 +237,10 @@ let cadence_compare ~p =
 (* ---- gate (c): seeded storm replay ---- *)
 
 let replay ~p =
-  (* spans on, teed into the flight recorder: a failing gate dumps the
-     last simulated spans as the post-mortem *)
+  (* spans on: a failing gate dumps the simulated spans as the post-mortem *)
   let cfg = mk_config ~p ~mtbf:p.mtbf_storm ~seed:7 ~spans:true () in
   let r1, j1 = run_one ~label:"replay-a" cfg in
   let r2, _ = run_one ~label:"replay-b" cfg in
-  List.iter Flight.note_span r1.Sim.sim_spans;
   let bitwise =
     Array.length r1.Sim.records = Array.length r2.Sim.records
     && Array.for_all2 (fun (a : Sim.record) b -> a = b) r1.Sim.records r2.Sim.records
@@ -265,7 +262,7 @@ let replay ~p =
       j1 r1.Sim.outcome_hash r2.Sim.outcome_hash bitwise same_rejects
       (List.length r1.Sim.sim_spans)
   in
-  (gate_c && same_rejects, json)
+  (gate_c && same_rejects, json, r1.Sim.sim_spans)
 
 (* ---- Young cadence vs the Failure process (part of gate d) ---- *)
 
@@ -423,7 +420,7 @@ let record ~p =
   all_sound := true;
   let gate_a, sweep_json = mtbf_sweep ~p in
   let gate_b, cadence_json, _ = cadence_compare ~p in
-  let gate_c, replay_json = replay ~p in
+  let gate_c, replay_json, replay_spans = replay ~p in
   let young_ok, young_json = young_validation ~p in
   let table_json = policy_table ~p in
   let scaling_json = scaling ~p in
@@ -473,7 +470,7 @@ let record ~p =
       sweep_json cadence_json replay_json young_json table_json scaling_json ca_json
       gate_a gate_b gate_c gate_d ca_ok ok
   in
-  (json, ok)
+  (json, ok, replay_spans)
 
 let human ~p json_ok =
   Printf.printf "fleet: %d nodes, storm node-MTBF %.0f s (system MTBF %.1f s), %d req @ %.1f rps\n"
@@ -489,17 +486,17 @@ let write_file ~file contents =
     (fun () -> output_string oc contents)
 
 let run_with ~p ~file =
-  let json, ok = record ~p in
+  let json, ok, replay_spans = record ~p in
   write_file ~file ("{\n  \"fleet\": " ^ json ^ "\n}\n");
   Printf.printf "wrote %s\n" file;
   human ~p ok;
   if not ok then begin
-    (* gate failing: ship the flight ring (holding the replay storm's
-       simulated spans) next to the red record *)
+    (* gate failing: ship the replay storm's simulated spans next to the
+       red record *)
     let base = Filename.remove_extension file in
     ignore
-      (Flight.dump_once ~path:(base ^ "_gate_flight.bin")
-         ~reason:"bench-fleet-gate-failure");
+      (Flight.dump ~path:(base ^ "_gate_flight.bin") ~reason:"bench-fleet-gate-failure"
+         replay_spans);
     Printf.eprintf "fleet record self-checks FAILED (see %s)\n" file;
     exit 1
   end;

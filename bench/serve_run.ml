@@ -194,13 +194,8 @@ let flight_ok ~path ~max_retries completions =
   match (fail_id, Flight.read path) with
   | None, _ | _, Error _ -> false
   | Some id, Ok d ->
-    let mine =
-      Array.to_list d.Flight.entries
-      |> List.filter (fun (e : Flight.entry) -> e.Flight.request = id)
-    in
-    let count phase =
-      List.length (List.filter (fun (e : Flight.entry) -> e.Flight.phase = phase) mine)
-    in
+    let mine = List.filter (fun (r : Span.record) -> r.request = id) d.Flight.records in
+    let count phase = List.length (List.filter (fun (r : Span.record) -> r.phase = phase) mine) in
     count "request" = 1
     && count "attempt" = max_retries + 1
     && count "inject" = max_retries + 1
@@ -218,11 +213,7 @@ let run_storm ~transient ~count ?flight_path () =
      it; the permanent storm must (its typed failures are violations),
      tripping the breach-edge flight dump on the way. *)
   let slos = [ { Slo.kind = "*"; latency_s = cfg.Loadgen.deadline_s; error_budget = 0.01 } ] in
-  (match flight_path with
-  | Some _ ->
-    Flight.clear ();
-    Flight.reset_dump_guard ()
-  | None -> ());
+  if flight_path <> None then Flight.reset_dump_guard ();
   let srv =
     Server.start ~harness:h
       { Server.default_config with
@@ -344,10 +335,7 @@ let run ~file =
     [ "nominal (open loop, 300 req/s)"; "overload (burst vs 8-slot window)" ]
     reports;
   if not ok then begin
-    (* Gate failing: dump whatever the flight ring still holds next to the
-       record so the post-mortem ships with the red CI run. *)
-    ignore (Flight.dump ~path:(base ^ "_gate_flight.bin") ~reason:"bench-serve-gate-failure");
-    Printf.eprintf "serve record self-checks FAILED (see %s)\n" file;
+    Printf.eprintf "serve record self-checks FAILED (see %s, flight dump: %s)\n" file flight_file;
     exit 1
   end;
   print_endline "serve record self-checks passed"

@@ -11,7 +11,7 @@
      tune        autotune the packed microkernels; persist a host-keyed cache
      serve-demo  run the concurrent solver service under a seeded load
      fleet       simulate serve policies under a failure storm at scale
-     flight      dump or inspect the crash flight recorder (CRC-headed) *)
+     flight      inspect a crash flight recorder dump (CRC-headed) *)
 
 open Cmdliner
 open Xsc_linalg
@@ -514,8 +514,9 @@ let serve_demo_cmd =
   in
   let flight_arg =
     Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE"
-           ~doc:"Arm the flight recorder: dump the span ring to $(docv) on the \
-                 first permanent request failure or SLO breach (inspect with \
+           ~doc:"Arm the flight recorder: dump the server's newest span records \
+                 to $(docv) on the first permanent request failure or SLO breach, \
+                 and again at stop if any request failed (inspect with \
                  $(b,xsc flight --read)).")
   in
   let isolation_arg =
@@ -844,38 +845,20 @@ let fleet_cmd =
 let flight_cmd =
   let module Flight = Xsc_resilience.Flight in
   let read_arg =
-    Arg.(value & opt (some string) None & info [ "read" ] ~docv:"FILE"
+    Arg.(required & opt (some string) None & info [ "read" ] ~docv:"FILE"
            ~doc:"Parse and CRC-verify a flight dump, then print the per-request \
                  span chains (torn or corrupt files are rejected typed).")
   in
-  let dump_arg =
-    Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE"
-           ~doc:"Write this process's flight ring to $(docv) (a fresh CLI \
-                 process has an empty ring — mainly useful after an in-process \
-                 serve run, or for scripting the file format).")
-  in
-  let run read dump =
-    match (read, dump) with
-    | Some file, None -> (
-      match Flight.read file with
-      | Ok d -> Format.printf "%a@?" Flight.pp_dump d
-      | Error e ->
-        Printf.eprintf "flight: %s: %s\n" file
-          (Xsc_resilience.Checkpoint.describe_error e);
-        exit 1)
-    | None, Some file ->
-      let bytes, entries = Flight.dump ~path:file ~reason:"xsc flight --dump" in
-      Printf.printf "flight: wrote %d entr%s (%d bytes) to %s\n" entries
-        (if entries = 1 then "y" else "ies")
-        bytes file
-    | _ ->
-      Printf.eprintf "flight: pass exactly one of --read FILE or --dump FILE\n";
-      exit 2
+  let run file =
+    match Flight.read file with
+    | Ok d -> Format.printf "%a@?" Flight.pp_dump d
+    | Error e ->
+      Printf.eprintf "flight: %s: %s\n" file (Xsc_resilience.Checkpoint.describe_error e);
+      exit 1
   in
   Cmd.v
-    (Cmd.info "flight"
-       ~doc:"Dump or inspect the crash flight recorder (CRC-headed span ring)")
-    Term.(const run $ read_arg $ dump_arg)
+    (Cmd.info "flight" ~doc:"Inspect a crash flight recorder dump (CRC-headed span records)")
+    Term.(const run $ read_arg)
 
 let () =
   (* Pick up this host's kernel-tuning cache (written by [xsc tune]) so

@@ -1,7 +1,7 @@
 (** GC/allocation telemetry: [Gc.quick_stat] snapshots, phase deltas into
     {!Metrics} gauges, and an allocation-free per-domain minor-words
-    reader for hot-path allocation estimates (ROADMAP item 6's
-    "zero-allocation steady state" made measurable). *)
+    reader for hot-path allocation estimates (the "zero-allocation steady
+    state" goal made measurable). *)
 
 type snap = {
   minor_words : float;  (** cumulative words allocated in the minor heap *)

@@ -3,24 +3,9 @@
    and retries can be reassembled as a tree no matter which domain each
    segment ran on. Span ids come from one process-wide atomic counter;
    the ambient context travels in domain-local storage and is re-seated
-   explicitly when an executor hands work to freshly spawned domains. *)
-
-type ctx = { request : int; span : int; parent : int }
-
-let next_id = Atomic.make 1
-let fresh_id () = Atomic.fetch_and_add next_id 1
-let root ~request = { request; span = fresh_id (); parent = -1 }
-let child c = { request = c.request; span = fresh_id (); parent = c.span }
-
-(* ambient context, per domain *)
-let dls_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current () = Domain.DLS.get dls_key
-let set_current c = Domain.DLS.set dls_key c
-
-let with_current c f =
-  let saved = current () in
-  set_current c;
-  Fun.protect ~finally:(fun () -> set_current saved) f
+   explicitly when an executor hands work to freshly spawned domains.
+   Each context names the collector its request records into, so two
+   servers in one process never mix their spans. *)
 
 type record = {
   request : int;
@@ -34,86 +19,86 @@ type record = {
   finish_ns : int;
 }
 
-(* Bounded multi-writer collector under a mutex: span recording happens
-   once per request *segment* (admission, attempt, task), not per
-   scheduler event, so the lock is off any per-element hot loop.
-   Drop-newest — early records keep parents present for whatever children
-   do land. *)
-type collector = {
-  mu : Mutex.t;
-  mutable items : record list; (* newest first *)
-  mutable count : int;
-  capacity : int;
-  mutable lost : int;
-  tee : (record -> unit) option;
-}
+(* Fixed-capacity overwrite-oldest ring, lock-free. A writer takes a
+   ticket from one atomic counter and publishes an immutable (ticket,
+   record) entry into slot [ticket land mask]; a slot only ever moves to a
+   larger ticket, so a writer that was lapped while it held its ticket
+   gives way instead of burying a newer record. A reader walks the last
+   [capacity] tickets and keeps an entry only if it carries exactly the
+   ticket it looked for: a slot not yet stored (still the previous lap)
+   or already overwritten (the next lap) is skipped, so a record is never
+   returned twice and never half-written. *)
+type entry = { ticket : int; r : record }
+
+type collector = { slots : entry Atomic.t array; mask : int; next : int Atomic.t }
+
+type ctx = { request : int; span : int; parent : int; sink : collector option }
+
+let next_id = Atomic.make 1
+let fresh_id () = Atomic.fetch_and_add next_id 1
+let root ~sink ~request = { request; span = fresh_id (); parent = -1; sink }
+let child c = { c with span = fresh_id (); parent = c.span }
+
+(* ambient context, per domain *)
+let dls_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current () = Domain.DLS.get dls_key
+let set_current c = Domain.DLS.set dls_key c
+
+let with_current c f =
+  let saved = current () in
+  set_current c;
+  Fun.protect ~finally:(fun () -> set_current saved) f
 
 (* Registered at module init, not lazily: two domains forcing one lazy
    value at once make one of them raise [CamlinternalLazy.Undefined]. *)
 let m_dropped = Metrics.counter "obs.span.dropped"
 
-let collector ?(capacity = 1 lsl 16) ?tee () =
+let collector ?(capacity = 1 lsl 16) () =
   if capacity <= 0 then invalid_arg "Span.collector: capacity must be positive";
-  { mu = Mutex.create (); items = []; count = 0; capacity; lost = 0; tee }
+  let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
+  let cap = pow2 1 in
+  let empty =
+    { ticket = -1;
+      r = { request = -1; span = -1; parent = -1; phase = ""; name = ""; lane = -1;
+            attempt = 0; start_ns = 0; finish_ns = 0 } }
+  in
+  { slots = Array.init cap (fun _ -> Atomic.make empty); mask = cap - 1; next = Atomic.make 0 }
 
-let record col (r : record) =
-  (match col.tee with Some f -> f r | None -> ());
-  Mutex.lock col.mu;
-  if col.count >= col.capacity then begin
-    col.lost <- col.lost + 1;
-    Mutex.unlock col.mu;
-    Metrics.incr m_dropped
-  end
-  else begin
-    col.items <- r :: col.items;
-    col.count <- col.count + 1;
-    Mutex.unlock col.mu
-  end
+let capacity col = col.mask + 1
 
-let records col =
-  Mutex.lock col.mu;
-  let items = col.items in
-  Mutex.unlock col.mu;
-  List.rev items
+let record col r =
+  let ticket = Atomic.fetch_and_add col.next 1 in
+  if ticket > col.mask then Metrics.incr m_dropped;
+  let slot = col.slots.(ticket land col.mask) and e = { ticket; r } in
+  let rec publish () =
+    let cur = Atomic.get slot in
+    if cur.ticket < ticket && not (Atomic.compare_and_set slot cur e) then publish ()
+  in
+  publish ()
 
-let dropped col =
-  Mutex.lock col.mu;
-  let n = col.lost in
-  Mutex.unlock col.mu;
-  n
+let records ?last col =
+  let hi = Atomic.get col.next in
+  let keep = match last with Some n -> min n (capacity col) | None -> capacity col in
+  let acc = ref [] in
+  for ticket = hi - 1 downto max 0 (hi - keep) do
+    let e = Atomic.get col.slots.(ticket land col.mask) in
+    if e.ticket = ticket then acc := e.r :: !acc
+  done;
+  !acc
 
-(* Process-wide installed collector: executors and the fault harness sit
-   below the server in the dependency order, so they reach the collector
-   through this cell rather than a parameter threaded down every call. *)
-let installed_cell : collector option Atomic.t = Atomic.make None
-let install c = Atomic.set installed_cell c
-let installed () = Atomic.get installed_cell
+let dropped col = max 0 (Atomic.get col.next - capacity col)
 
-(* Record a child segment of the ambient context into the installed
-   collector, if both exist. The common disabled case costs one atomic
-   read and one DLS read. *)
+(* Record a child segment of the ambient context into that context's own
+   collector. The common disabled case costs one DLS read. *)
 let note ~phase ~name ~lane ~attempt ~start_ns ~finish_ns =
-  match installed () with
-  | None -> ()
-  | Some col -> (
-    match current () with
-    | None -> ()
-    | Some ctx ->
-      let c = child ctx in
-      record col
-        {
-          request = c.request;
-          span = c.span;
-          parent = c.parent;
-          phase;
-          name;
-          lane;
-          attempt;
-          start_ns;
-          finish_ns;
-        })
+  match current () with
+  | Some ({ sink = Some col; _ } as ctx) ->
+    record col
+      { request = ctx.request; span = fresh_id (); parent = ctx.span; phase; name; lane;
+        attempt; start_ns; finish_ns }
+  | _ -> ()
 
-let active () = (match installed () with None -> false | Some _ -> true) && current () <> None
+let active () = match current () with Some { sink = Some _; _ } -> true | _ -> false
 
 (* ---- Chrome/Perfetto export ----
    One lane per request: pid 1 (the executor trace uses pid 0), tid =

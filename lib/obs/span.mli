@@ -12,30 +12,26 @@
     ambiently in domain-local storage ({!set_current}/{!current}) so
     layers below the server (executors, the fault harness, ABFT replay)
     can parent their segments onto whatever request is running without
-    any API changes — they call {!note}, which is a no-op unless a
-    collector is {!install}ed *and* an ambient context is set. *)
+    any API changes — they call {!note}, which is a no-op unless an
+    ambient context is set and names a collector.
 
-type ctx = { request : int; span : int; parent : int }
+    The context carries its request's {!collector} ([sink]), so there is
+    no process-wide sink: two servers in one process each record their
+    own requests' segments, executor tasks included. The collector is the
+    one store of span records — Chrome export, the server's worker-lane
+    trace and the crash flight recorder all read from it. *)
 
-val fresh_id : unit -> int
-(** Process-unique, strictly increasing span id. *)
+type collector
+(** A fixed-capacity, lock-free ring of span records. Writers on any
+    domain take a ticket from one atomic counter and overwrite the oldest
+    record once the ring is full, so a long-running server keeps tracing:
+    the ring always holds the most recent [capacity] records. *)
 
-val root : request:int -> ctx
-(** New root context ([parent = -1]) for a request. *)
+type ctx = { request : int; span : int; parent : int; sink : collector option }
+(** [sink] is the collector every segment of this request records into
+    ([None]: spans off). Children inherit it. *)
 
-val child : ctx -> ctx
-(** New context one level below [ctx] (same request, fresh span id,
-    [parent = ctx.span]). *)
-
-val current : unit -> ctx option
-(** Ambient context of the calling domain. *)
-
-val set_current : ctx option -> unit
-
-val with_current : ctx option -> (unit -> 'a) -> 'a
-(** Run with the ambient context replaced, restoring the previous one on
-    return or raise. *)
-
+(* Declared after [ctx], so an unannotated [x.Span.request] is a record's. *)
 type record = {
   request : int;
   span : int;
@@ -48,29 +44,42 @@ type record = {
   finish_ns : int;
 }
 
-type collector
-(** Bounded thread-safe sink of span records (drop-newest when full, so
-    parents survive for whatever children land). *)
+val fresh_id : unit -> int
+(** Process-unique, strictly increasing span id. *)
 
-val collector : ?capacity:int -> ?tee:(record -> unit) -> unit -> collector
-(** [capacity] defaults to 65536 records. [tee] is invoked synchronously
-    for every record {i before} the capacity check — the flight recorder
-    hooks in here so its ring sees even records the collector sheds.
-    Raises [Invalid_argument] if [capacity <= 0]. *)
+val root : sink:collector option -> request:int -> ctx
+(** New root context ([parent = -1]) for a request, recording into [sink]. *)
+
+val child : ctx -> ctx
+(** New context one level below [ctx] (same request and sink, fresh span
+    id, [parent = ctx.span]). *)
+
+val current : unit -> ctx option
+(** Ambient context of the calling domain. *)
+
+val set_current : ctx option -> unit
+
+val with_current : ctx option -> (unit -> 'a) -> 'a
+(** Run with the ambient context replaced, restoring the previous one on
+    return or raise. *)
+
+val collector : ?capacity:int -> unit -> collector
+(** [capacity] defaults to 65536 records and is rounded up to a power of
+    two. Raises [Invalid_argument] if [capacity <= 0]. *)
 
 val record : collector -> record -> unit
+(** Append, overwriting the oldest record when the ring is full. Never
+    blocks. *)
 
-val records : collector -> record list
-(** In record order. *)
+val records : ?last:int -> collector -> record list
+(** The surviving records (the newest [last], default all), oldest
+    first in ticket order. A slot whose writer has taken its ticket but not
+    yet stored is skipped; no record is returned torn or twice. *)
 
 val dropped : collector -> int
-(** Records shed because the collector was full (also counted on the
-    [obs.span.dropped] metric). *)
-
-val install : collector option -> unit
-(** Set (or clear) the process-wide collector used by {!note}. *)
-
-val installed : unit -> collector option
+(** Records overwritten so far (also counted on the [obs.span.dropped]
+    metric). Once writers are quiescent,
+    [List.length (records c) + dropped c] is the number of records offered. *)
 
 val note :
   phase:string ->
@@ -80,15 +89,15 @@ val note :
   start_ns:int ->
   finish_ns:int ->
   unit
-(** Record a child segment of the ambient context into the installed
-    collector. No-op (one atomic read + one DLS read) when either is
-    absent — the executors call this per task, so the disabled path must
+(** Record a child segment of the ambient context into that context's
+    sink. No-op (one DLS read) when there is no ambient context or it has
+    no sink — the executors call this per task, so the disabled path must
     stay branch-cheap. *)
 
 val active : unit -> bool
-(** True when both a collector is installed and the calling domain has an
-    ambient context — i.e. {!note} would actually record. Lets hot paths
-    skip timestamp reads when spans are off. *)
+(** True when the calling domain's ambient context has a sink — i.e.
+    {!note} would actually record. Lets hot paths skip timestamp reads
+    when spans are off. *)
 
 val chrome_events : origin_ns:int -> record list -> string list
 (** Chrome trace-event objects (strings): one ["X"] complete event per

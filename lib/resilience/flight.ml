@@ -1,131 +1,49 @@
-(* Crash flight recorder: a process-wide bounded ring of the most recent
-   span records, kept cheap enough to leave on always, dumped to a
-   CRC-headed file (Checkpoint's header discipline under its own magic)
-   when something goes wrong — a permanent request failure, an SLO
-   breach, a bench gate tripping. Unlike the span collector (which keeps
-   the *first* N records so a trace has its parents), the recorder keeps
-   the *last* N: a post-mortem wants what happened just before the
-   crash. *)
+(* Crash flight recorder: the file format for a post-mortem of span
+   records. The records themselves live in the server's span collector —
+   an overwrite-oldest ring, so its newest records are exactly what a
+   post-mortem wants: what happened just before the failure. A dump is
+   CRC-headed (Checkpoint's header discipline under the recorder's own
+   magic) and written when something goes wrong — a permanent request
+   failure, an SLO breach, a bench gate tripping. *)
 
 module Metrics = Xsc_obs.Metrics
 module Span = Xsc_obs.Span
 
-type entry = {
-  t_ns : int;
-  domain : int;
-  request : int;
-  span : int;
-  parent : int;
-  attempt : int;
-  phase : string;
-  name : string;
-  dur_ns : int;
-}
-
 type dump = {
   reason : string;
   wall_unix : float;
-  recorded : int;  (* total entries ever offered, including overwritten *)
-  entries : entry array;  (* oldest first *)
+  records : Span.record list;  (* oldest first *)
 }
 
-let magic = "XSCFLTR"
+(* The second format: the payload became a list of span records. A dump
+   of the first format ("XSCFLTR", an entry array) fails [Bad_magic]
+   rather than being unmarshalled into the wrong type. *)
+let magic = "XSCFLT2"
 
-let m_records = Metrics.counter "flight.records"
 let m_dumps = Metrics.counter "flight.dumps"
 
-(* Sharded by domain id so concurrent recorders (server completion path,
-   executor workers) rarely contend on one lock. Each shard is a circular
-   overwrite buffer: [seq] counts everything offered, the array keeps the
-   last [cap]. *)
-type shard = {
-  mu : Mutex.t;
-  mutable buf : entry option array;
-  mutable seq : int;
-}
-
-let n_shards = 8
-let default_capacity = 4096
-
-let make_shards capacity =
-  let per = max 1 (capacity / n_shards) in
-  Array.init n_shards (fun _ -> { mu = Mutex.create (); buf = Array.make per None; seq = 0 })
-
-let shards = ref (make_shards default_capacity)
-
-let configure ~capacity =
-  if capacity <= 0 then invalid_arg "Flight.configure: capacity must be positive";
-  shards := make_shards capacity
-
-let record (e : entry) =
-  let s = !shards.((e.domain land max_int) land (n_shards - 1)) in
-  Mutex.lock s.mu;
-  s.buf.(s.seq mod Array.length s.buf) <- Some e;
-  s.seq <- s.seq + 1;
-  Mutex.unlock s.mu;
-  Metrics.incr m_records
-
-(* Adapter for Span collectors: [Span.collector ~tee:Flight.note_span]
-   mirrors every span record into the recorder as it happens. *)
-let note_span (r : Span.record) =
-  record
-    {
-      t_ns = r.Span.start_ns;
-      domain = (Domain.self () :> int);
-      request = r.Span.request;
-      span = r.Span.span;
-      parent = r.Span.parent;
-      attempt = r.Span.attempt;
-      phase = r.Span.phase;
-      name = r.Span.name;
-      dur_ns = max 0 (r.Span.finish_ns - r.Span.start_ns);
-    }
-
-let snapshot () =
-  let all = ref [] and total = ref 0 in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      Array.iter (function Some e -> all := e :: !all | None -> ()) s.buf;
-      total := !total + s.seq;
-      Mutex.unlock s.mu)
-    !shards;
-  let arr = Array.of_list !all in
-  Array.sort (fun a b -> compare a.t_ns b.t_ns) arr;
-  (arr, !total)
-
-let clear () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      Array.fill s.buf 0 (Array.length s.buf) None;
-      s.seq <- 0;
-      Mutex.unlock s.mu)
-    !shards
-
-let dump ~path ~reason =
-  let entries, recorded = snapshot () in
-  let d = { reason; wall_unix = Unix.gettimeofday (); recorded; entries } in
-  let bytes = Checkpoint.save_value_with ~magic path d in
+let dump ~path ~reason records =
+  let bytes =
+    Checkpoint.save_value_with ~magic path { reason; wall_unix = Unix.gettimeofday (); records }
+  in
   Metrics.incr m_dumps;
-  (bytes, Array.length entries)
+  bytes
 
 let read path : (dump, Checkpoint.load_error) result = Checkpoint.load_value_with ~magic path
 
-(* One dump per (path, reason-class) per process run would be ideal; a
-   permanent-fault storm can fail dozens of requests in a burst, and
-   re-marshalling the ring for each would turn a diagnostic into an IO
+(* A permanent-fault storm can fail dozens of requests in a burst, and
+   re-marshalling the records for each would turn a diagnostic into an IO
    storm. Callers use [dump_once] keyed by path: first failure wins, the
    final state can still be captured explicitly at shutdown. *)
 let dumped : (string, unit) Hashtbl.t = Hashtbl.create 4
 let dumped_mu = Mutex.create ()
 
-let dump_once ~path ~reason =
+let dump_once ~path ~reason records =
   Mutex.lock dumped_mu;
   let fresh = not (Hashtbl.mem dumped path) in
   if fresh then Hashtbl.add dumped path ();
   Mutex.unlock dumped_mu;
-  if fresh then Some (dump ~path ~reason) else None
+  if fresh then Some (dump ~path ~reason (records ())) else None
 
 let reset_dump_guard () =
   Mutex.lock dumped_mu;
@@ -135,15 +53,19 @@ let reset_dump_guard () =
 (* ---- human-readable rendering for `xsc flight --read` ---- *)
 
 let pp_dump fmt (d : dump) =
-  Format.fprintf fmt "flight dump: reason=%S entries=%d recorded=%d wall=%.3f@."
-    d.reason (Array.length d.entries) d.recorded d.wall_unix;
+  Format.fprintf fmt "flight dump: reason=%S records=%d wall=%.3f@." d.reason
+    (List.length d.records) d.wall_unix;
   (* group by request, chains in time order, indent by parent depth *)
-  let by_req : (int, entry list) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter (fun e -> Hashtbl.replace by_req e.request (e :: Option.value ~default:[] (Hashtbl.find_opt by_req e.request))) d.entries;
+  let by_req : (int, Span.record list) Hashtbl.t = Hashtbl.create 16 in
+  let parent_of = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Span.record) ->
+      Hashtbl.replace by_req r.request
+        (r :: Option.value ~default:[] (Hashtbl.find_opt by_req r.request));
+      Hashtbl.replace parent_of r.span r.parent)
+    d.records;
   let reqs = Hashtbl.fold (fun r _ acc -> r :: acc) by_req [] |> List.sort compare in
   let depth_cache = Hashtbl.create 64 in
-  let parent_of = Hashtbl.create 64 in
-  Array.iter (fun e -> Hashtbl.replace parent_of e.span e.parent) d.entries;
   let rec depth span =
     if span < 0 then 0
     else
@@ -159,13 +81,16 @@ let pp_dump fmt (d : dump) =
         d
   in
   List.iter
-    (fun r ->
-      Format.fprintf fmt "request %d:@." r;
+    (fun req ->
+      Format.fprintf fmt "request %d:@." req;
       List.iter
-        (fun e ->
-          Format.fprintf fmt "  %s%-8s %-24s span=%d parent=%d attempt=%d dom=%d t=%dns dur=%dns@."
-            (String.make (2 * max 0 (depth e.span - 1)) ' ')
-            e.phase e.name e.span e.parent e.attempt e.domain e.t_ns e.dur_ns)
-        (List.sort (fun a b -> compare (a.t_ns, a.span) (b.t_ns, b.span))
-           (Option.value ~default:[] (Hashtbl.find_opt by_req r))))
+        (fun (r : Span.record) ->
+          Format.fprintf fmt "  %s%-8s %-24s span=%d parent=%d attempt=%d lane=%d t=%dns dur=%dns@."
+            (String.make (2 * max 0 (depth r.span - 1)) ' ')
+            r.phase r.name r.span r.parent r.attempt r.lane r.start_ns
+            (max 0 (r.finish_ns - r.start_ns)))
+        (List.sort
+           (fun (a : Span.record) (b : Span.record) ->
+             compare (a.start_ns, a.span) (b.start_ns, b.span))
+           (Hashtbl.find by_req req)))
     reqs

@@ -66,32 +66,28 @@ let check_bodies interp (dag : Dag.t) =
 (* Causal spans: the submitting domain's ambient request context, captured
    once at run entry and re-seated around every task body, so a task run
    on another domain still parents onto the request that submitted the
-   DAG. Only present when a collector is installed AND the submitter had
-   a context — otherwise the per-task cost is the [None] branch. *)
-let ambient_ctx () = match Span.installed () with None -> None | Some _ -> Span.current ()
+   DAG. Only present when the submitter's context names a collector —
+   otherwise the per-task cost is the [None] branch. *)
+let ambient_ctx () =
+  match Span.current () with Some { Span.sink = Some _; _ } as c -> c | _ -> None
 
 let[@inline] with_task_span sctx ~wid (task : Task.t) f =
   match sctx with
-  | None -> f ()
-  | Some ctx ->
+  | Some ({ Span.sink = Some col; _ } as ctx) ->
     let t0 = Clock.now_ns () in
     let note () =
-      match Span.installed () with
-      | None -> ()
-      | Some col ->
-        let c = Span.child ctx in
-        Span.record col
-          {
-            Span.request = c.Span.request;
-            span = c.Span.span;
-            parent = c.Span.parent;
-            phase = "task";
-            name = task.Task.name;
-            lane = wid;
-            attempt = 0;
-            start_ns = t0;
-            finish_ns = Clock.now_ns ();
-          }
+      Span.record col
+        {
+          Span.request = ctx.Span.request;
+          span = Span.fresh_id ();
+          parent = ctx.Span.span;
+          phase = "task";
+          name = task.Task.name;
+          lane = wid;
+          attempt = 0;
+          start_ns = t0;
+          finish_ns = Clock.now_ns ();
+        }
     in
     (match f () with
     | v ->
@@ -100,6 +96,7 @@ let[@inline] with_task_span sctx ~wid (task : Task.t) f =
     | exception e ->
       note ();
       raise e)
+  | _ -> f ()
 
 (* ---- per-task trace stamps ----
 

@@ -101,7 +101,7 @@ val failure_of : wid:int -> Task.t -> exn -> failure
 (** The failure record of a task body that raised on worker [wid]. *)
 
 val ambient_ctx : unit -> Xsc_obs.Span.ctx option
-(** The calling domain's span context when a collector is installed, else
+(** The calling domain's span context when it names a collector, else
     [None]: the context a run's task spans parent onto. *)
 
 val stamps : ?trace:bool -> Dag.t -> int array option
@@ -118,7 +118,7 @@ val run_body :
   unit
 (** Run one task body on worker [wid]: stamp its worker, start and finish
     into [stamps] (also when the body raises), and record a phase-["task"]
-    child span of [sctx] around it. *)
+    child span of [sctx] around it into [sctx]'s collector. *)
 
 val trace_of_stamps : Dag.t -> workers:int -> t0_ns:int -> int array -> Trace.t
 (** The trace of a finished run: one entry per task that ran, times

@@ -1,36 +1,41 @@
 (* The concurrent solver service: admission -> bounded ingress queue ->
-   dynamic batcher -> EDF ready heap -> persistent worker pool.
+   dynamic batcher -> EDF ready heap -> one shared deadline-aware task
+   pool ({!Xsc_runtime.Pool}).
 
-   Concurrency structure: submit-side state is atomics (the admission
-   window) plus the bounded ingress queue; batcher and EDF heap are owned
-   by whichever worker holds the single state mutex, so they stay simple
-   single-threaded data structures. Workers pull: each loop iteration
-   drains the ingress into the batcher, flushes due batches into the heap,
-   and either executes the most urgent batch or sleeps one poll interval
-   (OCaml's [Condition] has no timed wait, so the time-triggered flush is
-   polled; with a 200 us poll against a >= 1 ms linger the flush-time error
-   is noise).
+   Concurrency structure (default [Shared] dispatch): submit-side state is
+   atomics (the admission window) plus the bounded ingress queue. One pump
+   domain owns the batcher and EDF heap under the single state mutex, so
+   they stay simple single-threaded data structures. Each pump pass
+   resubmits due retries, drains the ingress into the batcher, flushes
+   due batches into the heap and claims the most urgent eligible batch, or
+   sleeps one poll interval (OCaml's [Condition] has no timed wait, so the
+   time-triggered flush is polled; with a 200 us poll against a >= 1 ms
+   linger the flush-time error is noise). A claimed batch is a dispatch
+   unit only: every member becomes its own DAG job in the pool, carrying
+   the request's deadline down to task granularity, and its completion
+   callback settles the request on whichever pool worker ran its last
+   task. No thread blocks per request.
 
-   Fault isolation is per request: batch members run as independent
-   result-slots ([Batched.run_batch_results]), so one singular matrix or
-   injected fault fails exactly one request with a typed error; transient
-   injected faults are retried with exponential backoff on the same worker;
-   the server itself never goes down from a request failure.
+   Fault isolation is per request: a failing task aborts only its own
+   job, so one singular matrix or injected fault fails exactly one
+   request with a typed error. A transient injected fault hands the
+   request back to the pump with a backoff due time, and the pump
+   resubmits it as a fresh attempt — no pool lane ever sleeps. The server
+   itself never goes down from a request failure.
 
-   The admission window counts a request from accept to completion
-   (queued, staged in the batcher, or executing) — backpressure engages
-   whenever service lags offered load, not only when the ingress ring
-   itself is momentarily full, so total in-system memory is bounded by
-   [capacity] end to end.
+   The admission window is measured against actual in-flight work:
+   occupancy is [Pool.live_jobs] (DAGs live in the shared pool) plus
+   requests still travelling towards the pool (ingress/batcher/EDF heap).
+   A request waiting out a transient retry backoff holds no pool lane, so
+   it does not count against the window — admission keeps flowing while
+   retries sleep, and in-system memory is bounded by [capacity] plus the
+   (transient) backoff population.
 
-   In [Shared] mode the window is measured against actual in-flight work
-   instead of raw request counts: occupancy is [Pool.live_jobs] (DAGs
-   live in the shared pool) plus requests still travelling towards the
-   pool (ingress/batcher/EDF heap). A request waiting out a transient
-   retry backoff holds no pool lane, so it does not count against the
-   window — admission keeps flowing while retries sleep, and in-system
-   memory is bounded by [capacity] plus the (transient) backoff
-   population. *)
+   [Slot] dispatch, kept as the run-to-completion ablation, instead runs
+   [workers] domains that each claim a batch and execute its members as
+   independent result slots ([Batched.run_batch_results]), retrying
+   transient faults on the same worker; its window counts requests from
+   accept to completion. *)
 
 open Xsc_linalg
 module Clock = Xsc_obs.Clock
@@ -56,9 +61,10 @@ let m_queue_wait = Metrics.histogram "serve.queue_wait_s"
 let m_service = Metrics.histogram "serve.service_s"
 let m_total = Metrics.histogram "serve.total_s"
 
-(* per-request minor-heap allocation estimate (whole-batch delta on the
-   executing domain divided by batch size): ROADMAP item 6's
-   "zero-allocation steady state" as a benchmarked number *)
+(* per-request minor-heap allocation estimate (plan construction plus
+   solve-and-release in Shared mode; the whole-batch delta divided by
+   batch size in Slot mode): the "zero-allocation steady state" goal as a
+   benchmarked number *)
 let m_alloc = Metrics.histogram "serve.alloc_minor_words_per_req"
 
 (* Two dispatch modes share the whole admission -> batcher -> EDF front:
@@ -242,6 +248,13 @@ let run_attempt t worker (r : Request.t) ~attempt () =
       note ();
       raise e)
 
+(* A flight dump holds the newest records of the server's own collector:
+   enough for a storm's failing chains, small enough to write mid-storm. *)
+let flight_last = 4096
+
+let flight_records t =
+  match t.collector with None -> [] | Some col -> Span.records ~last:flight_last col
+
 let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
   let finish_ns = Clock.now_ns () in
   let queue_wait_s = Clock.ns_to_s (dispatch_ns - r.Request.submit_ns) in
@@ -287,7 +300,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
   Fun.protect ~finally:resolve (fun () ->
       (* causal span records: the wait segment and the root request segment
          (attempt segments were recorded as they ran). The root closes last,
-         so by the time a flight dump triggers below, the ring holds the
+         so by the time a flight dump triggers below, the collector holds the
          request's whole chain. *)
       (match t.collector with
       | None -> ()
@@ -336,14 +349,16 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
                  ~reason:
                    (Printf.sprintf "slo-breach: class %s (request %d)"
                       (Request.kind_name r.Request.payload)
-                      r.Request.id))
+                      r.Request.id)
+                 (fun () -> flight_records t))
           | None -> ());
       (* permanent request failure: first one dumps the flight recorder *)
       (match (outcome, t.cfg.flight_path) with
       | Error (Request.Failed _), Some path ->
         ignore
           (Flight.dump_once ~path
-             ~reason:(Printf.sprintf "permanent-failure: request %d after %d retries" r.Request.id retries))
+             ~reason:(Printf.sprintf "permanent-failure: request %d after %d retries" r.Request.id retries)
+             (fun () -> flight_records t))
       | _ -> ()))
 
 let execute t worker (batch : Request.t Batcher.batch) =
@@ -610,16 +625,7 @@ let start ?harness cfg =
       if kind = "" then invalid_arg "Server.start: class_caps kind must be non-empty";
       if cap < 1 then invalid_arg "Server.start: class_caps cap must be >= 1")
     cfg.class_caps;
-  let collector =
-    if cfg.spans then
-      (* tee into the flight recorder only when a dump could ever be
-         written; the collector itself always keeps the trace *)
-      Some
-        (match cfg.flight_path with
-        | Some _ -> Span.collector ~tee:Flight.note_span ()
-        | None -> Span.collector ())
-    else None
-  in
+  let collector = if cfg.spans then Some (Span.collector ()) else None in
   let pool =
     match cfg.dispatch with
     | Slot -> None
@@ -664,9 +670,6 @@ let start ?harness cfg =
       domains = [||];
     }
   in
-  (* install process-wide so layers below (executors, harness, ABFT)
-     can parent their segments onto whatever request is ambient *)
-  (match collector with Some _ -> Span.install collector | None -> ());
   (match pool with
   | None ->
     t.domains <- Array.init cfg.workers (fun w -> Domain.spawn (fun () -> worker_loop t w))
@@ -734,7 +737,7 @@ let submit t ?deadline_s payload =
           payload;
           submit_ns = now;
           deadline_ns = now + int_of_float (deadline_s *. 1e9);
-          span = Span.root ~request:id;
+          span = Span.root ~sink:t.collector ~request:id;
         }
       in
       let tk = { t_mu = Mutex.create (); t_cv = Condition.create (); result = None } in
@@ -781,18 +784,15 @@ let stop t =
     (* the pump exits only at in_system = 0, so shutdown finds the pool
        quiescent — this join is the worker domains, not a drain *)
     (match t.pool with Some p -> Pool.shutdown p | None -> ());
-    (* final post-mortem: workers have quiesced, so the ring now holds
-       every failing request's complete chain — overwrite any mid-storm
-       first-failure dump with the full picture *)
-    (match t.cfg.flight_path with
+    (* final post-mortem: workers have quiesced, so every chain among
+       the collector's newest records is complete — overwrite any
+       mid-storm first-failure dump with them *)
+    match t.cfg.flight_path with
     | Some path when Atomic.get t.c_failed > 0 ->
       ignore
         (Flight.dump ~path
-           ~reason:(Printf.sprintf "server-stop: %d request(s) failed" (Atomic.get t.c_failed)))
-    | _ -> ());
-    (* uninstall only if the process-wide collector is still ours *)
-    match (t.collector, Span.installed ()) with
-    | Some mine, Some cur when mine == cur -> Span.install None
+           ~reason:(Printf.sprintf "server-stop: %d request(s) failed" (Atomic.get t.c_failed))
+           (flight_records t))
     | _ -> ()
   end
 

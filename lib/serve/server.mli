@@ -35,12 +35,16 @@
     {!Xsc_obs.Span} tree per request: a root span minted at admission,
     wait and per-attempt child spans, plus whatever executor tasks,
     injected faults and ABFT replays run under the attempt's ambient
-    context. {!span_chrome_json} renders one contiguous lane per request
-    (pid 1) with flow-event parent arrows — retries included. [slos]
-    attaches per-class burn-rate monitors ({!Slo}); [flight_path] arms
-    the crash {!Xsc_resilience.Flight} recorder, dumped on the first
-    permanent request failure, on entering SLO breach, and at [stop] when
-    any request failed. *)
+    context. Every segment lands in this server's own span collector, a
+    lock-free ring that overwrites its oldest records once full (65,536
+    records), so a long-running server keeps tracing and concurrent
+    servers never mix their spans. {!span_chrome_json} renders one
+    contiguous lane per request (pid 1) with flow-event parent arrows —
+    retries included. [slos] attaches per-class burn-rate monitors
+    ({!Slo}); [flight_path] arms the crash {!Xsc_resilience.Flight}
+    recorder: the collector's newest 4,096 records are dumped on the
+    first permanent request failure, on entering SLO breach, and at
+    [stop] when any request failed. *)
 
 (** How claimed batches execute.
 
@@ -156,19 +160,22 @@ val occupancy : t -> int
 val trace : t -> Xsc_runtime.Trace.t
 (** The span collector's wait and attempt records as a worker-lane trace:
     attempts on the lanes that ran them ([0..workers-1]), queue waits on
-    lane [workers]. Bounded by the collector's capacity; empty when
-    [spans] is off. Feed to {!Xsc_runtime.Trace.to_chrome_json}, so a
+    lane [workers]. Covers the records still in the collector — the newest
+    ones once it has overwritten any ({!span_dropped}); empty when [spans]
+    is off. Feed to {!Xsc_runtime.Trace.to_chrome_json}, so a
     served run drops into the existing Chrome-trace pipeline. *)
 
 val origin_ns : t -> int
 (** Monotonic timestamp taken at [start]; span export rebases on it. *)
 
 val span_records : t -> Xsc_obs.Span.record list
-(** Causal span records of every completed request, in record order
-    ([[]] when [spans] is off). *)
+(** The causal span records still in the collector, oldest first in
+    record order: every record when {!span_dropped} is 0, else the newest
+    65,536 ([[]] when [spans] is off). *)
 
 val span_dropped : t -> int
-(** Span records shed by the bounded collector (0 = complete). *)
+(** Span records overwritten by the collector's ring (0 = {!span_records}
+    holds every record this server made). *)
 
 val span_chrome_events : t -> string list
 (** {!Xsc_obs.Span.chrome_events} over {!span_records} — merge into a

@@ -171,7 +171,7 @@ let span_rec ?(request = 1) ?(span = 10) ?(parent = -1) ?(phase = "request")
     start_ns; finish_ns }
 
 let test_span_ids_and_children () =
-  let a = Span.root ~request:7 in
+  let a = Span.root ~sink:None ~request:7 in
   let b = Span.child a in
   let c = Span.child b in
   Alcotest.(check int) "root has no parent" (-1) a.Span.parent;
@@ -186,7 +186,7 @@ let test_span_ids_and_children () =
 
 let test_span_ambient_restores () =
   Span.set_current None;
-  let ctx = Span.root ~request:3 in
+  let ctx = Span.root ~sink:None ~request:3 in
   Span.with_current (Some ctx) (fun () ->
       Alcotest.(check bool) "set inside" true (Span.current () = Some ctx));
   Alcotest.(check bool) "restored on return" true (Span.current () = None);
@@ -195,37 +195,61 @@ let test_span_ambient_restores () =
    with Failure _ -> ());
   Alcotest.(check bool) "restored on raise" true (Span.current () = None)
 
-let test_span_collector_bounded_tee () =
-  let teed = ref 0 in
-  let c = Span.collector ~capacity:4 ~tee:(fun _ -> incr teed) () in
+let test_span_collector_overwrites_oldest () =
+  let c = Span.collector ~capacity:4 () in
   for i = 0 to 9 do
     Span.record c (span_rec ~span:(100 + i) ())
   done;
-  Alcotest.(check int) "bounded" 4 (List.length (Span.records c));
-  Alcotest.(check int) "drop-newest counted" 6 (Span.dropped c);
-  (* the tee fires before the capacity check: a flight ring sees shed
-     records the collector itself never keeps *)
-  Alcotest.(check int) "tee saw every record" 10 !teed;
-  (* drop-newest: the oldest records survive *)
-  match Span.records c with
-  | first :: _ -> Alcotest.(check int) "oldest kept" 100 first.Span.span
-  | [] -> Alcotest.fail "empty collector"
+  (* overwrite-oldest: the newest four survive, in record order *)
+  Alcotest.(check (list int)) "newest four in order" [ 106; 107; 108; 109 ]
+    (List.map (fun (r : Span.record) -> r.span) (Span.records c));
+  Alcotest.(check int) "overwritten counted" 6 (Span.dropped c);
+  Alcotest.(check (list int)) "last two" [ 108; 109 ]
+    (List.map (fun (r : Span.record) -> r.span) (Span.records ~last:2 c))
+
+let test_span_collector_concurrent_writers () =
+  (* several domains lap a small ring many times over: once they are
+     quiescent every offered record is either a survivor or counted as
+     overwritten, no survivor appears twice, and each writer's survivors
+     keep that writer's order *)
+  let writers = 3 and per_writer = 5000 and capacity = 64 in
+  let c = Span.collector ~capacity () in
+  let ds =
+    List.init writers (fun w ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_writer - 1 do
+              Span.record c (span_rec ~request:w ~span:((w * per_writer) + i) ())
+            done))
+  in
+  List.iter Domain.join ds;
+  let rs = Span.records c in
+  Alcotest.(check int) "records + dropped = offered" (writers * per_writer)
+    (List.length rs + Span.dropped c);
+  Alcotest.(check int) "ring full" capacity (List.length rs);
+  let ids = List.map (fun (r : Span.record) -> r.span) rs in
+  Alcotest.(check int) "no duplicate span ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  for w = 0 to writers - 1 do
+    let mine = List.filter_map (fun (r : Span.record) -> if r.request = w then Some r.span else None) rs in
+    Alcotest.(check bool) (Printf.sprintf "writer %d in order" w) true
+      (mine = List.sort compare mine)
+  done
 
 let test_span_note_ambient () =
   let c = Span.collector () in
-  Span.install (Some c);
   Fun.protect
-    ~finally:(fun () ->
-      Span.install None;
-      Span.set_current None)
+    ~finally:(fun () -> Span.set_current None)
     (fun () ->
-      (* no ambient context: note must be a silent no-op *)
+      (* no ambient context, or one without a sink: note is a silent no-op *)
       Span.note ~phase:"task" ~name:"orphan" ~lane:0 ~attempt:0 ~start_ns:1 ~finish_ns:2;
-      Alcotest.(check int) "no ambient, no record" 0 (List.length (Span.records c));
       Alcotest.(check bool) "inactive without ambient" false (Span.active ());
-      let ctx = Span.root ~request:5 in
+      Span.with_current (Some (Span.root ~sink:None ~request:4)) (fun () ->
+          Alcotest.(check bool) "inactive without sink" false (Span.active ());
+          Span.note ~phase:"task" ~name:"off" ~lane:0 ~attempt:0 ~start_ns:1 ~finish_ns:2);
+      Alcotest.(check int) "no sink, no record" 0 (List.length (Span.records c));
+      let ctx = Span.root ~sink:(Some c) ~request:5 in
       Span.with_current (Some ctx) (fun () ->
-          Alcotest.(check bool) "active with both" true (Span.active ());
+          Alcotest.(check bool) "active with a sink" true (Span.active ());
           Span.note ~phase:"task" ~name:"k" ~lane:2 ~attempt:1 ~start_ns:10 ~finish_ns:20);
       match Span.records c with
       | [ r ] ->
@@ -325,8 +349,10 @@ let () =
         [
           Alcotest.test_case "ids and children" `Quick test_span_ids_and_children;
           Alcotest.test_case "ambient restores" `Quick test_span_ambient_restores;
-          Alcotest.test_case "collector bounded + tee" `Quick
-            test_span_collector_bounded_tee;
+          Alcotest.test_case "collector overwrites oldest" `Quick
+            test_span_collector_overwrites_oldest;
+          Alcotest.test_case "collector concurrent writers" `Quick
+            test_span_collector_concurrent_writers;
           Alcotest.test_case "note uses ambient context" `Quick test_span_note_ambient;
           Alcotest.test_case "chrome export" `Quick test_span_chrome_export;
         ] );

@@ -4,6 +4,7 @@
 open Xsc_linalg
 module Checkpoint = Xsc_resilience.Checkpoint
 module Flight = Xsc_resilience.Flight
+module Span = Xsc_obs.Span
 module Abft = Xsc_resilience.Abft
 module Inject = Xsc_resilience.Inject
 module Harness = Xsc_resilience.Harness
@@ -579,10 +580,10 @@ let test_save_overwrites_atomically () =
 
 (* ---- Flight recorder ---- *)
 
-let flight_entry ?(request = 0) ?(span = 1) ?(parent = -1) ?(t_ns = 1000) ?(domain = 0)
-    ?(phase = "attempt") () =
-  { Flight.t_ns; domain; request; span; parent; attempt = 0; phase;
-    name = "test"; dur_ns = 10 }
+let span_rec ?(request = 0) ?(span = 1) ?(parent = -1) ?(start_ns = 1000) ?(phase = "attempt")
+    () =
+  { Span.request; span; parent; phase; name = "test"; lane = 0; attempt = 0; start_ns;
+    finish_ns = start_ns + 10 }
 
 let check_flight_error name expected path =
   match Flight.read path with
@@ -594,50 +595,44 @@ let check_flight_error name expected path =
   | Ok _ -> Alcotest.failf "%s: damaged flight dump was accepted" name
 
 let test_flight_roundtrip () =
-  Flight.clear ();
-  for i = 0 to 9 do
-    Flight.record (flight_entry ~request:i ~span:(i + 1) ~t_ns:(1000 + i) ())
-  done;
+  let records =
+    List.init 10 (fun i -> span_rec ~request:i ~span:(i + 1) ~start_ns:(1000 + i) ())
+  in
   with_temp_ckpt (fun path ->
-      let _, dumped = Flight.dump ~path ~reason:"test" in
-      Alcotest.(check int) "all entries dumped" 10 dumped;
+      ignore (Flight.dump ~path ~reason:"test" records : int);
       match Flight.read path with
       | Error e -> Alcotest.failf "read: %s" (Checkpoint.describe_error e)
       | Ok d ->
         Alcotest.(check string) "reason survives" "test" d.Flight.reason;
-        Alcotest.(check int) "offered count" 10 d.Flight.recorded;
-        Alcotest.(check int) "entries" 10 (Array.length d.Flight.entries);
-        (* snapshot order: sorted by timestamp *)
-        Array.iteri
-          (fun i (e : Flight.entry) ->
-            Alcotest.(check int) "time-sorted" (1000 + i) e.Flight.t_ns)
-          d.Flight.entries)
+        Alcotest.(check int) "all records dumped" 10 (List.length d.Flight.records);
+        (* dump order is the caller's: oldest first *)
+        List.iteri
+          (fun i (r : Span.record) -> Alcotest.(check int) "time-sorted" (1000 + i) r.start_ns)
+          d.Flight.records)
 
 let test_flight_overwrites_oldest () =
-  (* the post-mortem bias: a full ring keeps the most recent entries,
-     the opposite of the span collector's drop-newest *)
-  Flight.configure ~capacity:8;
-  Fun.protect
-    ~finally:(fun () -> Flight.configure ~capacity:4096)
-    (fun () ->
-      (* capacity is total across the 8 domain shards: spread the writers
-         so every shard fills and wraps *)
-      for i = 0 to 99 do
-        Flight.record (flight_entry ~t_ns:i ~domain:(i land 7) ())
-      done;
-      let entries, recorded = Flight.snapshot () in
-      Alcotest.(check int) "all offered counted" 100 recorded;
-      Alcotest.(check int) "bounded" 8 (Array.length entries);
-      Array.iter
-        (fun (e : Flight.entry) ->
-          Alcotest.(check bool) "newest survive" true (e.Flight.t_ns >= 92))
-        entries)
+  (* the post-mortem bias: the server dumps its span collector, a full
+     ring of which keeps the most recent records *)
+  let c = Span.collector ~capacity:8 () in
+  for i = 0 to 99 do
+    Span.record c (span_rec ~span:i ~start_ns:i ())
+  done;
+  with_temp_ckpt (fun path ->
+      ignore (Flight.dump ~path ~reason:"ring" (Span.records c) : int);
+      match Flight.read path with
+      | Error e -> Alcotest.failf "read: %s" (Checkpoint.describe_error e)
+      | Ok d ->
+        Alcotest.(check int) "all offered counted" 100
+          (List.length d.Flight.records + Span.dropped c);
+        Alcotest.(check int) "bounded" 8 (List.length d.Flight.records);
+        List.iter
+          (fun (r : Span.record) ->
+            Alcotest.(check bool) "newest survive" true (r.start_ns >= 92))
+          d.Flight.records)
 
 let test_flight_torn_write () =
-  Flight.clear ();
-  Flight.record (flight_entry ());
   with_temp_ckpt (fun path ->
-      let bytes, _ = Flight.dump ~path ~reason:"torn" in
+      let bytes = Flight.dump ~path ~reason:"torn" [ span_rec () ] in
       let b = read_file path in
       write_file path (Bytes.sub b 0 (bytes - 5));
       check_flight_error "torn payload" Checkpoint.Truncated path;
@@ -645,10 +640,8 @@ let test_flight_torn_write () =
       check_flight_error "torn header" Checkpoint.Truncated path)
 
 let test_flight_bad_crc () =
-  Flight.clear ();
-  Flight.record (flight_entry ());
   with_temp_ckpt (fun path ->
-      ignore (Flight.dump ~path ~reason:"rot");
+      ignore (Flight.dump ~path ~reason:"rot" [ span_rec () ] : int);
       let b = read_file path in
       let pos = Bytes.length b - 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
@@ -661,10 +654,8 @@ let test_flight_magic_separation () =
   with_temp_ckpt (fun path ->
       ignore (Checkpoint.save_value path [ 1; 2; 3 ]);
       check_flight_error "checkpoint as flight" Checkpoint.Bad_magic path);
-  Flight.clear ();
-  Flight.record (flight_entry ());
   with_temp_ckpt (fun path ->
-      ignore (Flight.dump ~path ~reason:"magic" : int * int);
+      ignore (Flight.dump ~path ~reason:"magic" [ span_rec () ] : int);
       match Checkpoint.load_value path with
       | Error Checkpoint.Bad_magic -> ()
       | Error e ->
@@ -672,22 +663,29 @@ let test_flight_magic_separation () =
           (Checkpoint.describe_error e)
       | Ok (_ : int list) -> Alcotest.fail "flight dump loaded as a checkpoint")
 
+let test_flight_old_format_rejected () =
+  (* a dump in the first flight format (its own magic, an entry-array
+     payload) must fail typed on the magic, never be unmarshalled as the
+     record-list payload *)
+  with_temp_ckpt (fun path ->
+      ignore (Checkpoint.save_value_with ~magic:"XSCFLTR" path ("old", 0.0, 3, [| 1; 2 |]));
+      check_flight_error "first-format dump" Checkpoint.Bad_magic path)
+
 let test_flight_dump_once () =
-  Flight.clear ();
   Flight.reset_dump_guard ();
-  Flight.record (flight_entry ());
   with_temp_ckpt (fun path ->
       Alcotest.(check bool) "first dump writes" true
-        (Flight.dump_once ~path ~reason:"first" <> None);
-      Flight.record (flight_entry ~span:2 ~t_ns:2000 ());
+        (Flight.dump_once ~path ~reason:"first" (fun () -> [ span_rec () ]) <> None);
       Alcotest.(check bool) "second dump suppressed" true
-        (Flight.dump_once ~path ~reason:"second" = None);
+        (Flight.dump_once ~path ~reason:"second" (fun () ->
+             Alcotest.fail "a suppressed dump gathers no records")
+        = None);
       (match Flight.read path with
       | Ok d -> Alcotest.(check string) "first reason kept" "first" d.Flight.reason
       | Error e -> Alcotest.failf "read: %s" (Checkpoint.describe_error e));
       Flight.reset_dump_guard ();
       Alcotest.(check bool) "guard reset re-arms" true
-        (Flight.dump_once ~path ~reason:"third" <> None))
+        (Flight.dump_once ~path ~reason:"third" (fun () -> []) <> None))
 
 let () =
   Alcotest.run "xsc_resilience"
@@ -775,6 +773,8 @@ let () =
           Alcotest.test_case "torn write rejected" `Quick test_flight_torn_write;
           Alcotest.test_case "bad crc rejected" `Quick test_flight_bad_crc;
           Alcotest.test_case "magic separation" `Quick test_flight_magic_separation;
+          Alcotest.test_case "first-format dump rejected" `Quick
+            test_flight_old_format_rejected;
           Alcotest.test_case "dump-once guard" `Quick test_flight_dump_once;
         ] );
     ]

@@ -1124,22 +1124,21 @@ let test_pool_run_parents_ambient_spans () =
      body runs under it and records a task span parented onto it *)
   let module Span = Xsc_obs.Span in
   let col = Span.collector () in
-  let prev = Span.installed () in
-  let root = Span.root ~request:77 in
+  let root = Span.root ~sink:(Some col) ~request:77 in
   let under_root = Atomic.make 0 in
   let dag =
     Dag.build
       (List.init 8 (fun id ->
            Task.make ~id ~name:"t" ~flops:1.0
-             ~run:(fun () -> if Span.current () = Some root then Atomic.incr under_root)
+             ~run:(fun () ->
+               match Span.current () with
+               | Some c when c == root -> Atomic.incr under_root
+               | _ -> ())
              [ Task.Write id ]))
   in
   let pool = Pool.create ~workers:2 () in
-  Span.install (Some col);
   Fun.protect
-    ~finally:(fun () ->
-      Span.install prev;
-      Pool.shutdown pool)
+    ~finally:(fun () -> Pool.shutdown pool)
     (fun () -> Span.with_current (Some root) (fun () -> ignore (Pool.run pool dag)));
   Alcotest.(check int) "bodies run under the ambient context" 8 (Atomic.get under_root);
   let spans = List.filter (fun r -> r.Span.phase = "task") (Span.records col) in

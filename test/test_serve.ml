@@ -113,7 +113,7 @@ let req ~id ?(n = 4) ~submit_ns ~deadline_ns () =
     payload = Request.Spd_solve (Mat.random_spd rng n, Vec.random rng n);
     submit_ns;
     deadline_ns;
-    span = Xsc_obs.Span.root ~request:id;
+    span = Xsc_obs.Span.root ~sink:None ~request:id;
   }
 
 let test_batcher_size_flush () =
@@ -1110,6 +1110,64 @@ let test_server_span_chrome_lanes () =
   | _ -> Alcotest.fail "span trace is not a JSON array"
   | exception Failure m -> Alcotest.failf "span trace unparseable: %s" m
 
+(* A request's whole chain as its server recorded it: one root, one
+   wait, one attempt per execution, and task records under every attempt. *)
+let check_chain name srv id (c : Request.completion) =
+  let mine = List.filter (fun (r : Span.record) -> r.request = id) (Server.span_records srv) in
+  let phase p = List.filter (fun (r : Span.record) -> r.phase = p) mine in
+  Alcotest.(check int) (name ^ ": one root") 1 (List.length (phase "request"));
+  Alcotest.(check int) (name ^ ": one wait") 1 (List.length (phase "wait"));
+  let atts = phase "attempt" in
+  Alcotest.(check int) (name ^ ": one span per attempt") (c.Request.retries + 1)
+    (List.length atts);
+  List.iter
+    (fun (a : Span.record) ->
+      Alcotest.(check bool) (name ^ ": attempt has task records") true
+        (List.exists (fun (t : Span.record) -> t.parent = a.span) (phase "task")))
+    atts
+
+(* Each request context names its own server's collector: a second
+   spans-on server started later must not capture the first one's
+   executor task spans. *)
+let test_server_spans_two_servers () =
+  let rng = Rng.create 61 in
+  let a = Server.start { Server.default_config with workers = 2 } in
+  let b = Server.start { Server.default_config with workers = 2 } in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop a;
+      Server.stop b)
+    (fun () ->
+      let tickets =
+        Array.init 16 (fun _ ->
+            Result.get_ok
+              (Server.submit a (Request.Spd_solve (Mat.random_spd rng 24, Vec.random rng 24))))
+      in
+      Array.iteri (fun i tk -> check_chain "server A" a i (Server.await a tk)) tickets);
+  Alcotest.(check int) "server B holds none of A's records" 0
+    (List.length (Server.span_records b))
+
+(* A spans-on server keeps tracing past its collector's capacity: the
+   ring overwrites its oldest records, so the newest request's whole
+   chain is always present. Tiny requests, served in closed-loop chunks
+   until the default collector has overwritten records. *)
+let test_server_spans_past_capacity () =
+  let rng = Rng.create 67 in
+  let srv = Server.start { Server.default_config with workers = 1; capacity = 512 } in
+  let tiny () = Request.Spd_solve (Mat.random_spd rng 4, Vec.random rng 4) in
+  let served = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      while Server.span_dropped srv = 0 && !served < 100_000 do
+        let tickets = Array.init 128 (fun _ -> Result.get_ok (Server.submit srv (tiny ()))) in
+        Array.iter (fun tk -> ignore (Server.await srv tk)) tickets;
+        served := !served + 128
+      done;
+      Alcotest.(check bool) "collector overwrote records" true (Server.span_dropped srv > 0);
+      let tk = Result.get_ok (Server.submit srv (tiny ())) in
+      check_chain "newest request" srv !served (Server.await srv tk))
+
 (* ---- SLO monitors ---- *)
 
 let test_slo_burn_rate () =
@@ -1166,7 +1224,6 @@ let test_server_flight_dump_on_permanent_failure () =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Flight.clear ();
       Flight.reset_dump_guard ();
       let h =
         Harness.create { Harness.default with seed = 9; p_raise = 0.3; transient = false }
@@ -1205,16 +1262,12 @@ let test_server_flight_dump_on_permanent_failure () =
       | Error e -> Alcotest.failf "flight read: %s" (Checkpoint.describe_error e)
       | Ok d ->
         Alcotest.(check bool) "dump names a failure" true
-          (d.Flight.reason <> "" && d.Flight.entries <> [||]);
+          (d.Flight.reason <> "" && d.Flight.records <> []);
         List.iter
           (fun id ->
-            let mine =
-              Array.to_list d.Flight.entries
-              |> List.filter (fun (e : Flight.entry) -> e.Flight.request = id)
-            in
+            let mine = List.filter (fun (r : Span.record) -> r.request = id) d.Flight.records in
             let count phase =
-              List.length
-                (List.filter (fun (e : Flight.entry) -> e.Flight.phase = phase) mine)
+              List.length (List.filter (fun (r : Span.record) -> r.phase = phase) mine)
             in
             Alcotest.(check int)
               (Printf.sprintf "request %d root in dump" id)
@@ -1323,6 +1376,10 @@ let () =
           Alcotest.test_case "spans off keeps nothing" `Quick test_server_spans_off;
           Alcotest.test_case "one chrome lane per request" `Quick
             test_server_span_chrome_lanes;
+          Alcotest.test_case "two servers keep their own spans" `Quick
+            test_server_spans_two_servers;
+          Alcotest.test_case "past collector capacity" `Quick
+            test_server_spans_past_capacity;
         ] );
       ( "slo",
         [
