@@ -203,7 +203,7 @@ let sched_record ~nt ~nb ~workers =
    so the reported intensity is the kernels' own, then judged against
    the workstation roof. Both land near 0.2 flop/byte, an order of
    magnitude below the ridge point: the bandwidth-bound regime whose
-   serving-side consequences [--serve-mixed] measures. *)
+   serving-side consequences the mixed phases of [--serve] measure. *)
 let sparse_record ~n ~reps =
   let module Csr = Xsc_sparse.Csr in
   let module Stencil = Xsc_sparse.Stencil in
@@ -263,12 +263,8 @@ let gc_json (d : Gcstat.snap) =
     d.Gcstat.minor_collections d.Gcstat.major_collections d.Gcstat.compactions
     d.Gcstat.heap_words
 
-(* A failed gate points at its post-mortem: the serve phase's permanent
-   storm writes [<record>_flight.bin] on its first failure and at stop,
-   next to the record for CI to upload with the red run. *)
-let gate_fail ~file what =
-  let path = Filename.remove_extension file ^ "_flight.bin" in
-  Printf.eprintf "%s FAILED (flight dump: %s)\n" what path;
+let gate_fail what =
+  Printf.eprintf "%s FAILED\n" what;
   exit 1
 
 let write_json ~file lines =
@@ -282,7 +278,6 @@ let write_json ~file lines =
   print_newline ()
 
 let run ~file =
-  let base = Filename.remove_extension file in
   let gc0 = Gcstat.snap () in
   let gemm_sizes = [ (128, 20); (256, 5); (512, 3) ] in
   let gemms =
@@ -300,16 +295,8 @@ let run ~file =
   in
   let sparse = Gcstat.phase "sparse" (fun () -> sparse_record ~n:32 ~reps:10) in
   let resilience = Gcstat.phase "resilience" (fun () -> Faults_run.record ()) in
-  let serve, serve_ok, _ =
-    Gcstat.phase "serve" (fun () ->
-        Serve_run.record ~flight_file:(base ^ "_flight.bin")
-          ~span_trace_file:(base ^ "_trace.json") ())
-  in
   let autotune, autotune_ok =
     Gcstat.phase "autotune" (fun () -> Autotune_run.record ~quick:false ())
-  in
-  let isolation, isolation_ok, _ =
-    Gcstat.phase "isolation" (fun () -> Isolation_run.record ())
   in
   let gc = gc_json (Gcstat.delta ~before:gc0 ~after:(Gcstat.snap ())) in
   write_json ~file
@@ -322,8 +309,6 @@ let run ~file =
         "  \"sparse\": " ^ sparse ^ ",";
         "  \"autotune\": " ^ autotune ^ ",";
         "  \"resilience\": " ^ resilience ^ ",";
-        "  \"serve\": " ^ serve ^ ",";
-        "  \"serve_isolation\": " ^ isolation ^ ",";
         "  \"gc\": " ^ gc ^ ",";
         "  \"sched\": [";
       ]
@@ -331,29 +316,19 @@ let run ~file =
     @ [ "  ],"; "  \"metrics\": {"; "    \"per_kernel\": [" ]
     @ [ String.concat ",\n" (List.map (fun s -> "      " ^ s) per_kernel) ]
     @ [ "    ],"; "    \"registry\": " ^ Xsc_obs.Metrics.to_json (); "  }"; "}" ]);
-  (* hard-invariant gates: serve self-checks (typed rejects, storm
-     reconciliation, span chains, SLO edges, flight round-trip) and the
-     autotune roofline — a tuned kernel falling below its own freshly
-     measured default is a dispatch bug, not a perf datum *)
-  if not serve_ok then gate_fail ~file "bench: serve record self-checks";
-  if not autotune_ok then gate_fail ~file "bench: autotune roofline gate";
-  if not isolation_ok then gate_fail ~file "bench: serve-isolation self-checks"
+  (* hard-invariant gate: the autotune roofline — a tuned kernel falling
+     below its own freshly measured default is a dispatch bug, not a perf
+     datum *)
+  if not autotune_ok then gate_fail "bench: autotune roofline gate"
 
 (* CI perf-sanity subset: the n=432 Cholesky on 2 workers plus a reduced
    resilience record (fewer timing pairs and storm seeds), record-only. *)
 let smoke ~file =
-  let base = Filename.remove_extension file in
   let gc0 = Gcstat.snap () in
   let sched, _ = Gcstat.phase "sched" (fun () -> sched_record ~nt:6 ~nb:72 ~workers:2) in
   let sparse = Gcstat.phase "sparse" (fun () -> sparse_record ~n:20 ~reps:5) in
   let resilience =
     Gcstat.phase "resilience" (fun () -> Faults_run.record ~runs:3 ~storm_seeds:4 ())
-  in
-  let serve, serve_ok, _ =
-    Gcstat.phase "serve" (fun () ->
-        Serve_run.record ~nominal_count:60 ~burst_count:120 ~storm_count:40
-          ~flight_file:(base ^ "_flight.bin")
-          ~span_trace_file:(base ^ "_trace.json") ())
   in
   let autotune, autotune_ok =
     Gcstat.phase "autotune" (fun () -> Autotune_run.record ~quick:true ())
@@ -367,16 +342,11 @@ let smoke ~file =
       "  \"sparse\": " ^ sparse ^ ",";
       "  \"autotune\": " ^ autotune ^ ",";
       "  \"resilience\": " ^ resilience ^ ",";
-      "  \"serve\": " ^ serve ^ ",";
       "  \"gc\": " ^ gc ^ ",";
       "  \"registry\": " ^ Xsc_obs.Metrics.to_json ();
       "}";
     ];
-  (* the serve record self-checks (typed rejects at overload, storm
-     reconciliation, bitwise correctness, span chains, SLO edges, flight
-     round-trip) are hard invariants, not perf — gate on them even in the
-     record-only smoke *)
-  if not serve_ok then gate_fail ~file "smoke: serve record self-checks";
-  (* likewise the autotune gates: XSC_TUNE_CACHE (when set) must load, and
+  (* the autotune gates are hard invariants, not perf — gate on them even
+     in the record-only smoke: XSC_TUNE_CACHE (when set) must load, and
      tuned kernels must not regress below their freshly measured defaults *)
-  if not autotune_ok then gate_fail ~file "smoke: autotune cache/roofline gate"
+  if not autotune_ok then gate_fail "smoke: autotune cache/roofline gate"

@@ -11,10 +11,8 @@
      dune exec bench/main.exe -- --overhead [PCT]  # tracing cost (gate if PCT)
      dune exec bench/main.exe -- --serve-overhead [PCT] # spans-on serving cost
      dune exec bench/main.exe -- --faults [SEED]   # seeded fault storm + recovery
-     dune exec bench/main.exe -- --serve FILE # solver-service load/latency record
-     dune exec bench/main.exe -- --serve-isolation FILE # shared-pool latency isolation
-     dune exec bench/main.exe -- --serve-mixed FILE # dense+sparse class-aware dispatch
-     dune exec bench/main.exe -- --serve-mixed --smoke FILE # CI-sized mixed record
+     dune exec bench/main.exe -- --serve FILE # every serving phase: load, storms,
+                                              # isolation, mixed; latency gates
      dune exec bench/main.exe -- --fleet FILE # simulated-fleet failure-storm record
      dune exec bench/main.exe -- --fleet --smoke FILE # CI-sized fleet record *)
 
@@ -87,21 +85,6 @@ let () =
   | [ "--serve" ] ->
     Printf.eprintf "--serve requires an output file argument\n";
     exit 1
-  | [ "--serve-isolation"; file ] ->
-    writable file;
-    Isolation_run.run ~file
-  | [ "--serve-isolation" ] ->
-    Printf.eprintf "--serve-isolation requires an output file argument\n";
-    exit 1
-  | [ "--serve-mixed"; "--smoke"; file ] ->
-    writable file;
-    Mixed_run.smoke ~file
-  | [ "--serve-mixed"; "--smoke" ] | [ "--serve-mixed" ] ->
-    Printf.eprintf "--serve-mixed requires an output file argument\n";
-    exit 1
-  | [ "--serve-mixed"; file ] ->
-    writable file;
-    Mixed_run.run ~file
   | [ "--fleet"; "--smoke"; file ] ->
     writable file;
     Fleet_run.smoke ~file

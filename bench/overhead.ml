@@ -51,17 +51,20 @@ let run ~threshold =
 
 (* ---- spans-on serving overhead ---- *)
 
-(* One saturated closed-loop arm: back-to-back arrivals, 16 outstanding
-   against a 2-worker pool, so goodput is service-rate-bound and any span
-   bookkeeping on the hot path shows up directly. *)
+(* One saturated closed-loop arm: 16 outstanding against the default
+   two-lane pool, payloads generated before the clock starts, so goodput
+   is service-rate-bound and any span bookkeeping on the hot path shows up
+   directly. *)
 let serve_goodput ~spans ~count =
-  let srv =
-    Server.start { Server.default_config with workers = 2; capacity = 32; spans }
-  in
+  let srv = Server.start { Server.default_config with capacity = 32; spans } in
   let load =
     { Loadgen.default with seed = 77; rate_hz = 1.0e6; count; n = 32; deadline_s = 5.0 }
   in
-  let r = Loadgen.run_closed srv ~outstanding:16 load in
+  let r =
+    match Loadgen.run srv [ { Loadgen.load; loop = Loadgen.Closed 16 } ] with
+    | [ res ] -> res.Loadgen.report
+    | _ -> assert false
+  in
   Server.stop srv;
   if r.Loadgen.failed > 0 || r.Loadgen.rejected > 0 then
     failwith "serve overhead: unexpected failures/rejects in A/B arm";

@@ -1,339 +1,318 @@
-(* Serving-layer benchmark (`bench/main.exe --serve FILE`) and the serve
-   record for `--json` / `--smoke`.
+(* Serving benchmark (`bench/main.exe --serve FILE`): every serving phase in
+   one seeded record.
 
-   Three parts, every one seeded and reproducible:
+   Each phase is one row of [phases]: a server config, the client streams
+   Loadgen.run drives against it, and an optional fault harness.
 
-   - offered-load points: a nominal open-loop Poisson run the pool keeps up
-     with, and a pre-generated burst (Loadgen.run_burst) far beyond the
-     admission window, where backpressure must engage — reject rate > 0 is
-     part of the record's self-check, not just a reported number.
-   - a transient fault storm: every injected fault retried to success,
-     zero failures, every solution bitwise-identical to the direct kernel
-     call on the same seeded instance.
-   - a permanent fault storm: the injected set (predicted exactly by
-     Harness.targets_key, since request ids are submission-ordered) fails
-     typed with retries exhausted; everything else lands bitwise-correct.
+     nominal          open-loop Poisson n=48 solves the pool keeps up with
+     overload         a burst (1e6 req/s) against an 8-slot window on one
+                      lane: backpressure must engage on any host
+     storm_transient  transient injected faults, retried with backoff
+     storm_permanent  permanent injected faults, typed after exhausting
+                      retries; arms the flight recorder
+     isolation_*      small n=48 solves on one lane, alone, then beside a
+                      streaming n=512 solve under slot dispatch and under
+                      the shared deadline-aware task pool
+     mixed_*          dense n=48 solves on two lanes, alone, then beside
+                      bandwidth-bound CG grid-24 solves without and with a
+                      class cap of one lane
 
-   Every part also self-checks the new observability plumbing: the counter
-   reconciliation invariant (admitted = completed + failed, offered =
-   admitted + rejected, nothing left in flight), the causal span tree
-   (every completion has exactly one root span and one attempt span per
-   execution — retries and EDF/batcher reordering included — with zero
-   collector drops), and per-class SLO burn rates (the permanent storm
-   must breach, the clean parts must not). The permanent storm arms the
-   flight recorder and round-trips the dump through Flight.read, checking
-   the CRC and that a failed request's full span chain survived.
-   `run ~file` exits non-zero if any self-check fails, so the CI smoke
-   step gates on unexplained failures for free. *)
+   The gates below are the phases' own claims: latency bounds (SLO burn
+   rates, the isolation and mixed-dispatch p99 ratios) and that each phase
+   exercised what it names (rejects, injected faults, a readable flight
+   dump). Correctness — bitwise survivors, counter reconciliation, typed
+   failures, span chains — is asserted by the tier-1 tests in
+   test/test_serve.ml on the same client loop. `run ~file` exits 1 when
+   any gate fails. Alongside FILE it writes <base>_trace.json (the nominal
+   phase's per-request span lanes) and <base>_flight.bin (the permanent
+   storm's flight dump, readable with `xsc flight --read`). *)
 
 module Server = Xsc_serve.Server
 module Loadgen = Xsc_serve.Loadgen
-module Request = Xsc_serve.Request
 module Slo = Xsc_serve.Slo
 module Harness = Xsc_resilience.Harness
 module Flight = Xsc_resilience.Flight
-module Span = Xsc_obs.Span
 module Metrics = Xsc_obs.Metrics
+module Json = Xsc_util.Json
 
-let reconciles srv ~offered =
-  let c = Server.counters srv in
-  Server.in_flight srv = 0
-  && c.Server.admitted = c.Server.completed + c.Server.failed
-  && offered = c.Server.admitted + c.Server.rejected
+type phase = {
+  name : string;
+  server : Server.config;
+  harness : Harness.policy option;
+  streams : Loadgen.stream list;
+}
 
-(* Per-part metrics figures via the snapshot/delta helper — one call
-   around each part replaces the ad-hoc before/after counter reads. *)
-let metrics_delta_json before =
-  let d = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
-  let counter name =
-    match List.assoc_opt name d with Some (Metrics.Counter n) -> n | _ -> 0
+let load ~seed ~rate_hz ~count ~n ?(kinds = [| Loadgen.Spd |]) deadline_s =
+  { Loadgen.seed; rate_hz; count; n; kinds; deadline_s }
+
+let open_ l = { Loadgen.load = l; loop = Loadgen.Open }
+
+(* One catch-all SLO: target = the load's deadline, with this budget. *)
+let slo ~budget deadline_s =
+  [ { Slo.kind = "*"; latency_s = deadline_s; error_budget = budget } ]
+
+let nominal = load ~seed:42 ~rate_hz:300.0 ~count:150 ~n:48 0.05
+let burst = load ~seed:43 ~rate_hz:1.0e6 ~count:240 ~n:48 1.0
+let storm = load ~seed:31 ~rate_hz:5000.0 ~count:80 ~n:10 5.0
+let small = load ~seed:47 ~rate_hz:150.0 ~count:100 ~n:48 0.25
+
+(* one n=512 instance, resubmitted with one outstanding for the whole run *)
+let large = load ~seed:7 ~rate_hz:1.0 ~count:1 ~n:512 5.0
+let dense = load ~seed:47 ~rate_hz:150.0 ~count:60 ~n:48 0.25
+
+(* grid 24: a 13,824-row operator whose CG chunks stream for milliseconds,
+   long against a dense solve *)
+let sparse = load ~seed:61 ~rate_hz:75.0 ~count:30 ~n:24 ~kinds:[| Loadgen.Cg |] 5.0
+
+let storm_phase ~transient ~flight_file =
+  {
+    name = (if transient then "storm_transient" else "storm_permanent");
+    server =
+      { Server.default_config with
+        capacity = 2 * storm.Loadgen.count;
+        max_retries = (if transient then 4 else 2);
+        (* a tight 1% budget: typed failures breach it, retried faults
+           must not *)
+        slos = slo ~budget:0.01 storm.Loadgen.deadline_s;
+        flight_path = (if transient then None else Some flight_file);
+      };
+    harness = Some { Harness.default with seed = 9; p_raise = 0.25; transient };
+    streams = [ open_ storm ];
+  }
+
+let phases ~flight_file =
+  let iso dispatch = { Server.default_config with workers = 1; dispatch; capacity = 512 } in
+  let mixed caps =
+    { Server.default_config with dispatch = Server.Shared 2; capacity = 512; class_caps = caps }
   in
+  let with_large = [ open_ small; { Loadgen.load = large; loop = Loadgen.Closed 1 } ] in
+  let plain name server streams = { name; server; harness = None; streams } in
+  [
+    {
+      name = "nominal";
+      server =
+        { Server.default_config with
+          dispatch = Server.Shared 2;
+          capacity = 64;
+          slos = slo ~budget:0.1 nominal.Loadgen.deadline_s;
+        };
+      harness = None;
+      streams = [ open_ nominal ];
+    };
+    {
+      name = "overload";
+      server =
+        { Server.default_config with
+          dispatch = Server.Shared 1;
+          capacity = 8;
+          max_batch = 4;
+          slos = slo ~budget:0.1 burst.Loadgen.deadline_s;
+        };
+      harness = None;
+      streams = [ open_ burst ];
+    };
+    storm_phase ~transient:true ~flight_file;
+    storm_phase ~transient:false ~flight_file;
+    plain "isolation_alone" (iso (Server.Shared 1)) [ open_ small ];
+    plain "isolation_slot" (iso Server.Slot) with_large;
+    plain "isolation_shared" (iso (Server.Shared 1)) with_large;
+    plain "mixed_alone" (mixed []) [ open_ dense ];
+    plain "mixed_naive" (mixed []) [ open_ dense; open_ sparse ];
+    plain "mixed_capped" (mixed [ ("cg", 1) ]) [ open_ dense; open_ sparse ];
+  ]
+
+(* ---- running a phase ---- *)
+
+type outcome = {
+  phase : phase;
+  srv : Server.t;
+  results : Loadgen.result list;
+  raised : int;  (** injected raises; 0 without a harness *)
+  metrics : Json.t;
+}
+
+let lanes (c : Server.config) =
+  match c.Server.dispatch with Server.Shared n -> n | Server.Slot -> c.Server.workers
+
+let metrics_delta before =
+  let d = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
+  let counter name = match List.assoc_opt name d with Some (Metrics.Counter n) -> n | _ -> 0 in
   let alloc =
     match List.assoc_opt "serve.alloc_minor_words_per_req" d with
     | Some (Metrics.Histogram h) when h.Metrics.count > 0 ->
       h.Metrics.sum /. float_of_int h.Metrics.count
     | _ -> 0.0
   in
-  Printf.sprintf
-    "{\"completed\": %d, \"retried\": %d, \"batches\": %d, \
-     \"span_dropped\": %d, \
-     \"alloc_minor_words_per_req\": %.1f}"
-    (counter "serve.completed") (counter "serve.retried")
-    (counter "serve.batches")
-    (counter "obs.span.dropped")
-    alloc
+  Json.Obj
+    (List.map
+       (fun k -> (k, Json.Num (float_of_int (counter k))))
+       [ "serve.completed"; "serve.retried"; "serve.batches"; "obs.span.dropped" ]
+    @ [ ("serve.alloc_minor_words_per_req", Json.Num alloc) ])
 
-let slo_json srv =
-  match Server.slo_report_json srv with Some j -> j | None -> "null"
-
-(* Completion-independent span invariant (load points hand back aggregate
-   reports, not completions): every resolved request left exactly one root
-   span, and the bounded collector shed nothing. *)
-let span_roots_ok srv =
-  let c = Server.counters srv in
-  let roots =
-    List.length
-      (List.filter (fun s -> s.Span.phase = "request") (Server.span_records srv))
-  in
-  Server.span_dropped srv = 0 && roots = c.Server.completed + c.Server.failed
-
-(* Per-completion span invariant for the storms, where we hold every
-   completion: request id [i] owns exactly one root and one wait span, and
-   exactly one attempt span per execution with attempt numbers 0..k-1 —
-   i.e. the id survived batcher coalescing, EDF reordering and transient
-   re-execution, and each attempt appears exactly once. *)
-let span_chains_ok srv completions =
-  let by_key = Hashtbl.create 512 in
-  List.iter
-    (fun s -> Hashtbl.add by_key (s.Span.request, s.Span.phase) s)
-    (Server.span_records srv);
-  let chain_ok i (c : Request.completion) =
-    let executions =
-      match c.Request.outcome with
-      | Error (Request.Failed { attempts; _ }) -> attempts
-      | _ -> c.Request.retries + 1
-    in
-    let atts = Hashtbl.find_all by_key (i, "attempt") in
-    let attempt_nos =
-      List.sort_uniq compare (List.map (fun s -> s.Span.attempt) atts)
-    in
-    List.length (Hashtbl.find_all by_key (i, "request")) = 1
-    && List.length (Hashtbl.find_all by_key (i, "wait")) = 1
-    && List.length atts = executions
-    && attempt_nos = List.init executions Fun.id
-  in
-  Server.span_dropped srv = 0
-  && Array.for_all Fun.id (Array.mapi chain_ok completions)
-
-(* ---- offered-load points ---- *)
-
-type point = { label : string; burst : bool; server : Server.config; load : Loadgen.config }
-
-(* One catch-all SLO on the clean points: target = the load's deadline, a
-   10% budget. Both points must finish with the monitor unbreached (the
-   overload point sheds by typed reject, which is not an SLO violation —
-   rejected requests are never admitted, so never observed). *)
-let point_slos deadline_s =
-  [ { Slo.kind = "*"; latency_s = deadline_s; error_budget = 0.1 } ]
-
-let nominal ~count =
-  let load = { Loadgen.default with seed = 42; rate_hz = 300.0; count; n = 48 } in
-  {
-    label = "nominal";
-    burst = false;
-    server =
-      { Server.default_config with
-        workers = 2;
-        capacity = 64;
-        slos = point_slos load.Loadgen.deadline_s;
-      };
-    load;
-  }
-
-(* An instantaneous burst of [count] against an 8-slot window on one
-   worker: offered >> capacity by construction, so rejects are guaranteed
-   on any host — the demonstrably-engaged backpressure point. *)
-let overload ~count =
-  let load =
-    { Loadgen.default with seed = 43; rate_hz = 1.0e6; count; n = 48; deadline_s = 1.0 }
-  in
-  {
-    label = "overload";
-    burst = true;
-    server =
-      { Server.default_config with
-        workers = 1;
-        capacity = 8;
-        max_batch = 4;
-        slos = point_slos load.Loadgen.deadline_s;
-      };
-    load;
-  }
-
-let run_point p =
+let run_phase p =
   let before = Metrics.snapshot () in
-  let srv = Server.start p.server in
-  let r = (if p.burst then Loadgen.run_burst else Loadgen.run_open) srv p.load in
+  let h = Option.map Harness.create p.harness in
+  if p.server.Server.flight_path <> None then Flight.reset_dump_guard ();
+  let srv = Server.start ?harness:h p.server in
+  let results = Loadgen.run srv p.streams in
   Server.stop srv;
-  let recon = reconciles srv ~offered:p.load.Loadgen.count in
-  let spans_ok = span_roots_ok srv in
-  let ok =
-    recon && spans_ok && r.Loadgen.failed = 0
-    && (not (Server.slo_breached srv))
-    && (not p.burst || r.Loadgen.reject_rate > 0.0)
-  in
-  let json =
-    Printf.sprintf
-      "{\"label\": \"%s\", \"workers\": %d, \"capacity\": %d, \"max_batch\": %d, \
-       \"n\": %d, \"burst\": %b, \"report\": %s, \"counters_reconcile\": %b, \
-       \"spans_ok\": %b, \"slo\": %s, \"metrics\": %s}"
-      p.label p.server.Server.workers p.server.Server.capacity p.server.Server.max_batch
-      p.load.Loadgen.n p.burst (Loadgen.report_json r) recon spans_ok (slo_json srv)
-      (metrics_delta_json before)
-  in
-  (json, ok, r, srv)
+  { phase = p; srv; results; raised = Option.fold ~none:0 ~some:Harness.raised h;
+    metrics = metrics_delta before }
 
-(* ---- fault storms ---- *)
+(* ---- gates ---- *)
 
-let storm_load ~count =
-  { Loadgen.default with seed = 31; count; rate_hz = 5000.0; n = 10; deadline_s = 5.0 }
+type gate = { g_name : string; value : float; rel : string; bound : float; ok : bool }
 
-(* Round-trip the permanent storm's flight dump: the file must CRC-verify
-   through the typed loader, and the failing request's whole span chain —
-   root, every exhausted attempt, and the injected-fault markers recorded
-   under the attempts' ambient context — must be among the survivors. *)
-let flight_ok ~path ~max_retries completions =
-  let fail_id =
-    Array.to_list completions
-    |> List.mapi (fun i c -> (i, c))
-    |> List.find_map (fun (i, c) ->
-           match c.Request.outcome with
-           | Error (Request.Failed _) -> Some i
-           | _ -> None)
+let gate g_name value rel bound =
+  let cmp =
+    match rel with
+    | "<" -> ( < )
+    | "<=" -> ( <= )
+    | ">=" -> ( >= )
+    | ">" -> ( > )
+    | r -> invalid_arg ("Serve_run.gate: relation " ^ r)
   in
-  match (fail_id, Flight.read path) with
-  | None, _ | _, Error _ -> false
-  | Some id, Ok d ->
-    let mine = List.filter (fun (r : Span.record) -> r.request = id) d.Flight.records in
-    let count phase = List.length (List.filter (fun (r : Span.record) -> r.phase = phase) mine) in
-    count "request" = 1
-    && count "attempt" = max_retries + 1
-    && count "inject" = max_retries + 1
+  { g_name; value; rel; bound; ok = cmp value bound }
 
-(* Submit the whole seeded schedule, await every ticket, and check each
-   completion against the direct kernel call on the same instance. Request
-   ids are assigned in submission order (0..count-1), so the harness's
-   per-key decision predicts exactly which requests were injected. *)
-let run_storm ~transient ~count ?flight_path () =
-  let before = Metrics.snapshot () in
-  let cfg = storm_load ~count in
-  let h = Harness.create { Harness.default with seed = 9; p_raise = 0.25; transient } in
-  let max_retries = if transient then 4 else 2 in
-  (* A tight 1% error budget: the clean transient storm must never breach
-     it; the permanent storm must (its typed failures are violations),
-     tripping the breach-edge flight dump on the way. *)
-  let slos = [ { Slo.kind = "*"; latency_s = cfg.Loadgen.deadline_s; error_budget = 0.01 } ] in
-  if flight_path <> None then Flight.reset_dump_guard ();
-  let srv =
-    Server.start ~harness:h
-      { Server.default_config with
-        workers = 2;
-        capacity = 2 * count;
-        max_retries;
-        slos;
-        flight_path;
-      }
+(* The shared pool must keep the small class within this multiple of its
+   alone-on-the-lane p99 while the large streams, and the class cap must
+   bring dense p99 back within it: task-granularity preemption bounds the
+   added wait to ~one tile kernel plus one batcher linger; the slack on
+   top covers shared-CI jitter. Naive co-scheduling must inflate dense p99
+   by at least [degrade_floor] (observed: far above it). *)
+let bound_multiple = 8.0
+let degrade_floor = 1.25
+
+let gates ~flight_file outs =
+  let find name = List.find (fun o -> o.phase.name = name) outs in
+  let report name i = (List.nth (find name).results i).Loadgen.report in
+  let p99 name = (report name 0).Loadgen.p99_ms in
+  let ratio a b = p99 a /. p99 b in
+  let bool b = if b then 1.0 else 0.0 in
+  let slo_unbreached name =
+    gate (name ^ ".slo_breached") (bool (Server.slo_breached (find name).srv)) "<" 1.0
   in
-  let arrivals = Loadgen.schedule cfg in
-  let tickets =
-    Array.map
-      (fun a ->
-        match Server.submit srv ~deadline_s:cfg.Loadgen.deadline_s (Loadgen.payload_of cfg a) with
-        | Ok tk -> tk
-        | Error e -> failwith ("storm submit rejected: " ^ Request.error_message e))
-      arrivals
+  let flight_records =
+    match Flight.read flight_file with Ok d -> List.length d.Flight.records | Error _ -> 0
   in
-  let completions = Array.map (Server.await srv) tickets in
-  Server.stop srv;
-  let injected_requests = ref 0
-  and typed_failures = ref 0
-  and wrong = ref 0
-  and completed = ref 0
-  and retried = ref 0 in
-  Array.iteri
-    (fun i c ->
-      retried := !retried + c.Request.retries;
-      let should_fail = (not transient) && Harness.targets_key h i in
-      if should_fail then incr injected_requests;
-      match c.Request.outcome with
-      | Ok sol ->
-        incr completed;
-        if should_fail
-           || not (Loadgen.solutions_bitwise_equal sol (Loadgen.reference cfg arrivals.(i)))
-        then incr wrong
-      | Error (Request.Failed { attempts; _ }) ->
-        incr typed_failures;
-        if (not should_fail) || attempts <> max_retries + 1 then incr wrong
-      | Error _ -> incr wrong)
-    completions;
-  let recon = reconciles srv ~offered:count in
-  let spans_ok = span_chains_ok srv completions in
-  let slo_ok = Server.slo_breached srv = not transient in
-  let fl_ok =
-    match flight_path with
-    | None -> true
-    | Some path -> flight_ok ~path ~max_retries completions
-  in
-  let ok =
-    recon && spans_ok && slo_ok && fl_ok && !wrong = 0 && Harness.raised h > 0
-    && (if transient then !typed_failures = 0 && !retried = Harness.raised h
-        else !injected_requests > 0 && !typed_failures = !injected_requests)
-  in
-  let json =
-    Printf.sprintf
-      "{\"mode\": \"%s\", \"count\": %d, \"p_raise\": 0.25, \"seed\": 9, \
-       \"max_retries\": %d, \"injected_raises\": %d, \"injected_requests\": %d, \
-       \"completed\": %d, \"typed_failures\": %d, \"retried\": %d, \
-       \"mismatches\": %d, \"counters_reconcile\": %b, \"spans_ok\": %b, \
-       \"slo_breached_as_expected\": %b, \"flight_roundtrip_ok\": %b, \
-       \"slo\": %s, \"metrics\": %s}"
-      (if transient then "transient" else "permanent")
-      count max_retries (Harness.raised h) !injected_requests !completed !typed_failures
-      !retried !wrong recon spans_ok slo_ok fl_ok (slo_json srv)
-      (metrics_delta_json before)
-  in
-  (json, ok)
+  [
+    slo_unbreached "nominal";
+    slo_unbreached "overload";
+    gate "overload.reject_rate" (report "overload" 0).Loadgen.reject_rate ">" 0.0;
+    gate "storm_transient.injected_raises" (float_of_int (find "storm_transient").raised) ">" 0.0;
+    slo_unbreached "storm_transient";
+    gate "storm_permanent.injected_raises" (float_of_int (find "storm_permanent").raised) ">" 0.0;
+    gate "storm_permanent.flight_records" (float_of_int flight_records) ">" 0.0;
+    gate "isolation.shared_over_slot_p99" (ratio "isolation_shared" "isolation_slot") "<" 1.0;
+    gate "isolation.shared_over_alone_p99" (ratio "isolation_shared" "isolation_alone") "<="
+      bound_multiple;
+    gate "mixed.naive_over_alone_p99" (ratio "mixed_naive" "mixed_alone") ">=" degrade_floor;
+    gate "mixed.capped_over_alone_p99" (ratio "mixed_capped" "mixed_alone") "<=" bound_multiple;
+    gate "mixed.capped_sparse_goodput_hz" (report "mixed_capped" 1).Loadgen.goodput ">" 0.0;
+  ]
 
 (* ---- the record ---- *)
 
-let default_flight_file =
-  Filename.concat (Filename.get_temp_dir_name ()) "xsc_serve_flight.bin"
+let kind_name = function
+  | Loadgen.Spd -> "spd"
+  | Loadgen.General -> "lu"
+  | Loadgen.Product -> "gemm"
+  | Loadgen.Cg -> "cg"
+  | Loadgen.Mg -> "mg"
 
-let record ?(nominal_count = 150) ?(burst_count = 240) ?(storm_count = 80)
-    ?(flight_file = default_flight_file) ?span_trace_file () =
-  let pts = [ nominal ~count:nominal_count; overload ~count:burst_count ] in
-  let loads = List.map run_point pts in
-  (* Per-request span lanes of the nominal point, exported as a standalone
-     Chrome trace (pid 1, one tid per request, retries inlined). *)
-  (match (span_trace_file, loads) with
-  | Some path, (_, _, _, srv) :: _ ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Server.span_chrome_json srv))
-  | _ -> ());
-  let st_json, st_ok = run_storm ~transient:true ~count:storm_count () in
-  let sp_json, sp_ok =
-    run_storm ~transient:false ~count:storm_count ~flight_path:flight_file ()
-  in
-  let ok = List.for_all (fun (_, ok, _, _) -> ok) loads && st_ok && sp_ok in
-  let json =
-    Printf.sprintf
-      "{\"loads\": [%s],\n\
-      \    \"storm_transient\": %s,\n\
-      \    \"storm_permanent\": %s,\n\
-      \    \"flight_file\": \"%s\",\n\
-      \    \"checks_passed\": %b}"
-      (String.concat ",\n    " (List.map (fun (j, _, _, _) -> j) loads))
-      st_json sp_json (String.escaped flight_file) ok
-  in
-  (json, ok, List.map (fun (_, _, r, _) -> r) loads)
+let num_i n = Json.Num (float_of_int n)
+
+let stream_json (s : Loadgen.stream) (r : Loadgen.result) =
+  let l = s.Loadgen.load in
+  Json.Obj
+    [
+      ("kinds", Json.List (List.map (fun k -> Json.Str (kind_name k)) (Array.to_list l.Loadgen.kinds)));
+      ("n", num_i l.Loadgen.n);
+      ("seed", num_i l.Loadgen.seed);
+      ("count", num_i l.Loadgen.count);
+      ("rate_hz", Json.Num l.Loadgen.rate_hz);
+      ("deadline_s", Json.Num l.Loadgen.deadline_s);
+      ( "closed_window",
+        match s.Loadgen.loop with Loadgen.Closed k -> num_i k | Loadgen.Open -> Json.Null );
+      ("report", Loadgen.json_of_report r.Loadgen.report);
+    ]
+
+let phase_json o =
+  let c = o.phase.server in
+  let sc = Server.counters o.srv in
+  Json.Obj
+    [
+      ("name", Json.Str o.phase.name);
+      ( "dispatch",
+        Json.Str (match c.Server.dispatch with Server.Slot -> "slot" | Server.Shared _ -> "shared") );
+      ("lanes", num_i (lanes c));
+      ("capacity", num_i c.Server.capacity);
+      ("max_batch", num_i c.Server.max_batch);
+      ("max_retries", num_i c.Server.max_retries);
+      ("class_caps", Json.Obj (List.map (fun (k, cap) -> (k, num_i cap)) c.Server.class_caps));
+      ( "harness",
+        match o.phase.harness with
+        | None -> Json.Null
+        | Some h ->
+          Json.Obj
+            [
+              ("seed", num_i h.Harness.seed);
+              ("p_raise", Json.Num h.Harness.p_raise);
+              ("transient", Json.Bool h.Harness.transient);
+              ("injected_raises", num_i o.raised);
+            ] );
+      ("streams", Json.List (List.map2 stream_json o.phase.streams o.results));
+      ("cap_deferred", num_i sc.Server.cap_deferred);
+      ( "slo",
+        match Server.slo_report_json o.srv with Some j -> Json.parse j | None -> Json.Null );
+      ("metrics", o.metrics);
+    ]
+
+let gate_json g =
+  Json.Obj
+    [
+      ("name", Json.Str g.g_name);
+      ("value", Json.Num g.value);
+      ("rel", Json.Str g.rel);
+      ("bound", Json.Num g.bound);
+      ("passed", Json.Bool g.ok);
+    ]
 
 let run ~file =
   let base = Filename.remove_extension file in
-  let flight_file = base ^ "_flight.bin" in
-  let span_trace_file = base ^ "_trace.json" in
-  let json, ok, reports = record ~flight_file ~span_trace_file () in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc ("{\n  \"serve\": " ^ json ^ "\n}\n"));
-  Printf.printf "wrote %s (span lanes: %s, flight dump: %s)\n" file span_trace_file
-    flight_file;
-  List.iter2
-    (fun label r -> Printf.printf "-- %s --\n%s\n" label (Loadgen.report_human r))
-    [ "nominal (open loop, 300 req/s)"; "overload (burst vs 8-slot window)" ]
-    reports;
+  let flight_file = base ^ "_flight.bin" and span_trace_file = base ^ "_trace.json" in
+  let outs = List.map run_phase (phases ~flight_file) in
+  Out_channel.with_open_text span_trace_file (fun oc ->
+      output_string oc (Server.span_chrome_json (List.hd outs).srv));
+  let gs = gates ~flight_file outs in
+  let ok = List.for_all (fun g -> g.ok) gs in
+  let record =
+    Json.Obj
+      [
+        ("schema", Json.Str "xsc-serve/1");
+        ("phases", Json.List (List.map phase_json outs));
+        ("gates", Json.List (List.map gate_json gs));
+        ("flight_file", Json.Str flight_file);
+        ("checks_passed", Json.Bool ok);
+      ]
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_string record);
+      output_char oc '\n');
+  Printf.printf "wrote %s (span lanes: %s, flight dump: %s)\n" file span_trace_file flight_file;
+  List.iter
+    (fun o ->
+      List.iteri
+        (fun i (r : Loadgen.result) ->
+          Printf.printf "-- %s, stream %d (%d lanes) --\n%s\n" o.phase.name i
+            (lanes o.phase.server) (Loadgen.report_human r.Loadgen.report))
+        o.results)
+    outs;
+  List.iter
+    (fun g ->
+      Printf.printf "gate %-34s %10.4g %-2s %g  %s\n" g.g_name g.value g.rel g.bound
+        (if g.ok then "ok" else "FAILED"))
+    gs;
   if not ok then begin
     Printf.eprintf "serve record self-checks FAILED (see %s, flight dump: %s)\n" file flight_file;
     exit 1

@@ -521,11 +521,10 @@ let serve_demo_cmd =
   in
   let isolation_arg =
     Arg.(value & flag & info [ "isolation" ]
-           ~doc:"Multi-tenant isolation mix: dispatch through the shared \
-                 deadline-aware task pool and keep one large solve streaming \
-                 (closed-loop) under the Poisson small load. With \
-                 $(b,--trace-json) the trace shows task spans of multiple \
-                 requests interleaved on one worker lane.")
+           ~doc:"Multi-tenant isolation mix: keep one large solve streaming \
+                 (closed-loop, one outstanding) beside the Poisson small \
+                 load. With $(b,--trace-json) the trace shows task spans of \
+                 multiple requests interleaved on one worker lane.")
   in
   let large_n_arg =
     Arg.(value & opt int 512 & info [ "large-n" ] ~docv:"N"
@@ -535,9 +534,9 @@ let serve_demo_cmd =
     Arg.(value & flag & info [ "mixed" ]
            ~doc:"Mixed dense+sparse workload: overlay a bandwidth-bound CG \
                  class (7-pt stencil solves, half the dense rate and count) \
-                 on the dense load and dispatch through the shared pool with \
-                 a per-class concurrency cap — the HPL-vs-HPCG contrast as a \
-                 serving phenomenon. Pairs with $(b,--sparse-grid) and \
+                 on the dense load, with a per-class concurrency cap — the \
+                 HPL-vs-HPCG contrast as a serving phenomenon. Pairs with \
+                 $(b,--sparse-grid) and \
                  $(b,--sparse-cap).")
   in
   let sparse_grid_arg =
@@ -570,29 +569,46 @@ let serve_demo_cmd =
       | Some latency_s -> [ { Slo.kind = "*"; latency_s; error_budget = slo_budget } ]
       | None -> []
     in
-    let dispatch =
-      if isolation || mixed then Server.Shared workers else Server.Slot
-    in
     let class_caps =
       if mixed && sparse_cap > 0 then [ ("cg", sparse_cap) ] else []
     in
     let srv =
       Server.start ?harness
-        { Server.default_config with workers; capacity; slos; flight_path = flight;
-          dispatch; class_caps;
-          default_deadline_s = (if isolation || mixed then 5.0 else
-                                  Server.default_config.Server.default_deadline_s) }
+        { Server.default_config with capacity; slos; flight_path = flight;
+          dispatch = Server.Shared workers; class_caps }
     in
     let cfg =
       { Loadgen.seed; count; rate_hz = rate; n;
         kinds = [| Loadgen.Spd; Loadgen.General; Loadgen.Product |];
         deadline_s = deadline }
     in
+    (* --isolation and --mixed each add one stream beside the dense load *)
+    let large =
+      { Loadgen.default with seed = 7; count = 1; n = large_n; deadline_s = 5.0 }
+    in
+    let sparse =
+      { Loadgen.seed = seed + 19; count = (count + 1) / 2; rate_hz = rate /. 2.0;
+        n = sparse_grid; kinds = [| Loadgen.Cg |]; deadline_s = 5.0 }
+    in
+    let streams =
+      List.concat
+        [
+          [ ("dense classes", { Loadgen.load = cfg; loop = Loadgen.Open }) ];
+          (if isolation then
+             [ ( Printf.sprintf "large stream (n=%d, one outstanding)" large_n,
+                 { Loadgen.load = large; loop = Loadgen.Closed 1 } ) ]
+           else []);
+          (if mixed then
+             [ ( Printf.sprintf "sparse cg class (%d^3 grid, %d iters max, cap %s)"
+                   sparse_grid (30 * sparse_grid)
+                   (if sparse_cap > 0 then string_of_int sparse_cap else "off"),
+                 { Loadgen.load = sparse; loop = Loadgen.Open } ) ]
+           else []);
+        ]
+    in
     Printf.printf
-      "serving %d mixed requests (n=%d) at %.0f req/s on %d %s, window %d:\n" count n
-      rate workers
-      (if isolation || mixed then "shared-pool lanes" else "slot workers")
-      capacity;
+      "serving %d mixed requests (n=%d) at %.0f req/s on %d shared-pool lanes, window %d:\n"
+      count n rate workers capacity;
     (* The trace is written in a [finally] so a run cut short — every
        request typed-rejected by a saturated window, a storm exhausting its
        retries, Ctrl-C'd load — still flushes and closes a complete JSON
@@ -618,36 +634,11 @@ let serve_demo_cmd =
         Server.stop srv;
         write_trace ())
       (fun () ->
-        if mixed then begin
-          let sparse =
-            { Loadgen.seed = seed + 19; count = (count + 1) / 2;
-              rate_hz = rate /. 2.0; n = sparse_grid;
-              kinds = [| Loadgen.Cg |]; deadline_s = 5.0 }
-          in
-          let m = Loadgen.run_mixed srv ~dense:cfg ~sparse in
-          Printf.printf "dense classes (cap %s on \"cg\"):\n"
-            (if sparse_cap > 0 then string_of_int sparse_cap else "off");
-          print_endline (Loadgen.report_human m.Loadgen.m_dense);
-          Printf.printf "sparse cg class (%d^3 grid, %d iters max):\n" sparse_grid
-            (30 * sparse_grid);
-          print_endline (Loadgen.report_human m.Loadgen.m_sparse)
-        end
-        else if isolation then begin
-          let iso =
-            Loadgen.run_isolation srv
-              ~large:{ Loadgen.l_n = large_n; l_deadline_s = 5.0; l_seed = 7 }
-              cfg
-          in
-          print_endline (Loadgen.report_human iso.Loadgen.smalls);
-          Printf.printf
-            "large stream (n=%d, one outstanding): %d completed, %d failed, \
-             mean %.1f ms\n"
-            large_n iso.Loadgen.larges_done iso.Loadgen.larges_failed
-            (1e3 *. iso.Loadgen.large_mean_s)
-        end
-        else
-          let r = Loadgen.run_open srv cfg in
-          print_endline (Loadgen.report_human r));
+        List.iter2
+          (fun (label, _) (r : Loadgen.result) ->
+            Printf.printf "%s:\n%s\n" label (Loadgen.report_human r.Loadgen.report))
+          streams
+          (Loadgen.run srv (List.map snd streams)));
     (match harness with
     | Some h ->
       Printf.printf "fault storm: %d injected raises (%s)\n"

@@ -3,11 +3,13 @@
    repeatable — the property the fault-storm acceptance test leans on
    (same seed => same request ids => same injected set).
 
-   Open loop: requests arrive at Poisson times regardless of completions —
-   the honest overload model (offered load does not politely slow down when
-   the server falls behind), which is what makes reject rates meaningful.
-   Closed loop: a fixed number of outstanding requests, the classical
-   concurrency-limited client.
+   One client loop ([run]) drives every traffic shape as a list of
+   streams. Open: requests arrive at Poisson times regardless of
+   completions — the honest overload model (offered load does not politely
+   slow down when the server falls behind), which is what makes reject
+   rates meaningful. Closed: a fixed number of outstanding requests, the
+   classical concurrency-limited client, or background load beside open
+   streams.
 
    The report's latency quantiles are exact sample percentiles over the
    completed requests (Stats.percentile), not the log2-bucket estimates the
@@ -166,7 +168,7 @@ type report = {
 let percentile_ms samples p =
   if Array.length samples = 0 then 0.0 else Stats.percentile samples p *. 1e3
 
-let report_of ~offered ~rejected ~wall_s ~batches (completions : Request.completion list) =
+let report_of ~offered ~rejected ~wall_s ~mean_batch (completions : Request.completion list) =
   let completed = List.length (List.filter (fun c -> Result.is_ok c.Request.outcome) completions) in
   let failed = List.length completions - completed in
   let retried = List.fold_left (fun acc c -> acc + c.Request.retries) 0 completions in
@@ -180,278 +182,178 @@ let report_of ~offered ~rejected ~wall_s ~batches (completions : Request.complet
     completions |> List.map (fun c -> c.Request.total_s) |> Array.of_list
   in
   Array.sort compare latencies;
-  let admitted = List.length completions in
+  let per_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0 in
   {
     offered;
-    admitted;
+    admitted = List.length completions;
     rejected;
     completed;
     failed;
     retried;
     wall_s;
-    offered_rate = (if wall_s > 0.0 then float_of_int offered /. wall_s else 0.0);
-    throughput = (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
-    goodput = (if wall_s > 0.0 then float_of_int on_time /. wall_s else 0.0);
+    offered_rate = per_s offered;
+    throughput = per_s completed;
+    goodput = per_s on_time;
     reject_rate = (if offered > 0 then float_of_int rejected /. float_of_int offered else 0.0);
     p50_ms = percentile_ms latencies 50.0;
     p99_ms = percentile_ms latencies 99.0;
     p999_ms = percentile_ms latencies 99.9;
-    mean_batch =
-      (if batches > 0 then float_of_int admitted /. float_of_int batches else 0.0);
+    mean_batch;
   }
 
-let rec wait_until target_s =
-  let now = Clock.now_s () in
-  if now < target_s then begin
-    Unix.sleepf (Float.min 0.001 (target_s -. now));
-    wait_until target_s
+(* ---- one client loop for every traffic shape ---- *)
+
+type loop = Open | Closed of int
+type stream = { load : config; loop : loop }
+type result = { report : report; pairs : (arrival * Request.completion) list }
+
+(* A stream's client-side state. [live] holds the outstanding tickets,
+   newest first, keyed by submission number; [resolved] collects their
+   completions in any order (sorted back into submission order at the
+   end). Submission [i] offers instance [i mod count]: an open stream
+   offers each instance once, a closed stream beside open ones cycles
+   them. *)
+type lane = {
+  stream : stream;
+  arrivals : arrival array;
+  payloads : Request.payload array;
+  mutable sent : int;
+  mutable rejected : int;
+  mutable live : (int * Server.ticket) list;
+  mutable resolved : (int * Request.completion) list;
+}
+
+(* Client sleep granularity while waiting for the next open arrival
+   beside closed streams: they are refilled at least this often. *)
+let client_poll_s = 0.0005
+
+let lane_of stream =
+  (match stream.loop with
+  | Closed k when k <= 0 -> invalid_arg "Loadgen.run: Closed window must be positive"
+  | _ -> ());
+  let arrivals = schedule stream.load in
+  { stream; arrivals; payloads = Array.map (payload_of stream.load) arrivals; sent = 0;
+    rejected = 0; live = []; resolved = [] }
+
+let submit srv l =
+  let i = l.sent in
+  l.sent <- i + 1;
+  match
+    Server.submit srv ~deadline_s:l.stream.load.deadline_s
+      l.payloads.(i mod Array.length l.payloads)
+  with
+  | Ok tk -> l.live <- (i, tk) :: l.live
+  | Error _ -> l.rejected <- l.rejected + 1
+
+(* Collect every resolved ticket of a closed stream, then top its window
+   back up while [more] allows another submission. *)
+let refill srv ~more l =
+  match l.stream.loop with
+  | Open -> ()
+  | Closed window ->
+    l.live <-
+      List.filter
+        (fun (i, tk) ->
+          match Server.poll srv tk with
+          | Some c ->
+            l.resolved <- (i, c) :: l.resolved;
+            false
+          | None -> true)
+        l.live;
+    while List.length l.live < window && more l do
+      submit srv l
+    done
+
+let run srv streams =
+  let lanes = Array.of_list (List.map lane_of streams) in
+  let closed = List.filter (fun l -> l.stream.loop <> Open) (Array.to_list lanes) in
+  (* every open arrival of every stream, merged in time order *)
+  let opens =
+    Array.to_list lanes
+    |> List.concat_map (fun l ->
+           if l.stream.loop = Open then Array.to_list (Array.map (fun a -> (a.at_s, l)) l.arrivals)
+           else [])
+    |> List.stable_sort (fun (x, _) (y, _) -> compare x y)
+  in
+  let batches0 = (Server.counters srv).Server.batches in
+  let t0 = Clock.now_s () in
+  if opens = [] then begin
+    (* Closed streams alone: each offers exactly [count] requests. When no
+       window can grow, block on the oldest outstanding ticket. *)
+    let more l = l.sent < l.stream.load.count in
+    let rec go () =
+      List.iter (refill srv ~more) closed;
+      match List.find_opt (fun l -> l.live <> []) closed with
+      | None -> ()
+      | Some l ->
+        let i, tk = List.nth l.live (List.length l.live - 1) in
+        l.resolved <- (i, Server.await srv tk) :: l.resolved;
+        l.live <- List.filter (fun (j, _) -> j <> i) l.live;
+        go ()
+    in
+    go ()
   end
-
-let await_and_report srv cfg ~batches0 ~t0 tickets =
-  let completions =
-    Array.to_list tickets
-    |> List.filter_map (function Ok tk -> Some (Server.await srv tk) | Error _ -> None)
-  in
-  let wall_s = Clock.now_s () -. t0 in
-  let rejected =
-    Array.fold_left (fun acc t -> if Result.is_error t then acc + 1 else acc) 0 tickets
-  in
-  let batches = (Server.counters srv).Server.batches - batches0 in
-  report_of ~offered:cfg.count ~rejected ~wall_s ~batches completions
-
-let run_open srv cfg =
-  let arrivals = schedule cfg in
-  let batches0 = (Server.counters srv).Server.batches in
-  let t0 = Clock.now_s () in
-  let tickets =
-    Array.map
-      (fun a ->
-        wait_until (t0 +. a.at_s);
-        Server.submit srv ~deadline_s:cfg.deadline_s (payload_of cfg a))
-      arrivals
-  in
-  await_and_report srv cfg ~batches0 ~t0 tickets
-
-let run_burst srv cfg =
-  (* Payloads are generated up front: problem generation is O(n^3), pricier
-     than the solve itself, so generating inline would pace the offered
-     load below the service rate and overload could never be observed. *)
-  let payloads = Array.map (payload_of cfg) (schedule cfg) in
-  let batches0 = (Server.counters srv).Server.batches in
-  let t0 = Clock.now_s () in
-  let tickets =
-    Array.map (fun p -> Server.submit srv ~deadline_s:cfg.deadline_s p) payloads
-  in
-  await_and_report srv cfg ~batches0 ~t0 tickets
-
-let run_closed srv ~outstanding cfg =
-  if outstanding <= 0 then invalid_arg "Loadgen.run_closed: outstanding must be positive";
-  let arrivals = schedule cfg in
-  let batches0 = (Server.counters srv).Server.batches in
-  let t0 = Clock.now_s () in
-  let completions = ref [] in
-  let rejected = ref 0 in
-  let window = Stdlib.Queue.create () in
-  let submit a =
-    match Server.submit srv ~deadline_s:cfg.deadline_s (payload_of cfg a) with
-    | Ok tk -> Stdlib.Queue.add tk window
-    | Error _ -> incr rejected
-  in
-  let drain_one () =
-    if not (Stdlib.Queue.is_empty window) then
-      completions := Server.await srv (Stdlib.Queue.pop window) :: !completions
-  in
-  Array.iter
-    (fun a ->
-      if Stdlib.Queue.length window >= outstanding then drain_one ();
-      submit a)
-    arrivals;
-  while not (Stdlib.Queue.is_empty window) do
-    drain_one ()
-  done;
-  let wall_s = Clock.now_s () -. t0 in
-  let batches = (Server.counters srv).Server.batches - batches0 in
-  report_of ~offered:cfg.count ~rejected:!rejected ~wall_s ~batches !completions
-
-(* ---- the latency-isolation mix: Poisson smalls + a streaming large ---- *)
-
-type large = {
-  l_n : int;
-  l_deadline_s : float;
-  l_seed : int;
-}
-
-let default_large = { l_n = 768; l_deadline_s = 5.0; l_seed = 7 }
-
-type isolation = {
-  smalls : report;
-  pairs : (arrival * Request.completion) list;
-  larges_done : int;
-  larges_failed : int;
-  large_mean_s : float;
-}
-
-(* One client thread drives both loads: smalls open-loop at their Poisson
-   times (offered load does not slow down for the large), the large
-   closed-loop with exactly one outstanding — the moment one completes the
-   next is submitted, so large work streams through the server for the
-   whole run. The large instance is generated once and resubmitted
-   (generation is O(n^3), pricier than the solve; regenerating would
-   starve the stream). *)
-let run_isolation srv ?large cfg =
-  let arrivals = schedule cfg in
-  let payloads = Array.map (payload_of cfg) arrivals in
-  let large_payload =
-    Option.map
-      (fun l ->
-        let rng = Rng.create l.l_seed in
-        (l, Request.Spd_solve (Mat.random_spd rng l.l_n, Vec.random rng l.l_n)))
-      large
-  in
-  let batches0 = (Server.counters srv).Server.batches in
-  let large_tk = ref None in
-  let larges = ref [] in
-  let pump_large () =
-    match large_payload with
-    | None -> ()
-    | Some (l, p) ->
-      (match !large_tk with
-      | Some tk -> (
-        match Server.poll srv tk with
-        | Some c ->
-          larges := c :: !larges;
-          large_tk := None
-        | None -> ())
-      | None -> ());
-      if !large_tk = None then
-        match Server.submit srv ~deadline_s:l.l_deadline_s p with
-        | Ok tk -> large_tk := Some tk
-        | Error _ -> ()
-  in
-  let t0 = Clock.now_s () in
-  let tickets =
-    Array.mapi
-      (fun i a ->
+  else begin
+    (* Open arrivals at their scheduled times; closed streams cycle their
+       instances in the gaps until the last open arrival is offered. *)
+    let nap = if closed = [] then Float.infinity else client_poll_s in
+    List.iter
+      (fun (at_s, l) ->
         let rec wait () =
-          pump_large ();
+          List.iter (refill srv ~more:(fun _ -> true)) closed;
           let now = Clock.now_s () in
-          if now < t0 +. a.at_s then begin
-            Unix.sleepf (Float.min 0.0005 (t0 +. a.at_s -. now));
+          if now < t0 +. at_s then begin
+            Unix.sleepf (Float.min nap (t0 +. at_s -. now));
             wait ()
           end
         in
         wait ();
-        Server.submit srv ~deadline_s:cfg.deadline_s payloads.(i))
-      arrivals
-  in
-  let pairs =
-    Array.to_list
-      (Array.map2
-         (fun a t ->
-           match t with Ok tk -> Some (a, Server.await srv tk) | Error _ -> None)
-         arrivals tickets)
-    |> List.filter_map Fun.id
-  in
-  (match !large_tk with
-  | Some tk ->
-    larges := Server.await srv tk :: !larges;
-    large_tk := None
-  | None -> ());
-  let wall_s = Clock.now_s () -. t0 in
-  let rejected =
-    Array.fold_left (fun acc t -> if Result.is_error t then acc + 1 else acc) 0 tickets
-  in
-  let batches = (Server.counters srv).Server.batches - batches0 in
-  let larges_ok = List.filter (fun c -> Result.is_ok c.Request.outcome) !larges in
-  {
-    smalls = report_of ~offered:cfg.count ~rejected ~wall_s ~batches (List.map snd pairs);
-    pairs;
-    larges_done = List.length larges_ok;
-    larges_failed = List.length !larges - List.length larges_ok;
-    large_mean_s =
-      (match larges_ok with
-      | [] -> 0.0
-      | l ->
-        List.fold_left (fun acc c -> acc +. c.Request.total_s) 0.0 l
-        /. float_of_int (List.length l));
-  }
-
-(* ---- the mixed-workload run: dense + sparse open-loop streams ---- *)
-
-type mixed = {
-  m_dense : report;
-  m_sparse : report;
-  m_dense_pairs : (arrival * Request.completion) list;
-  m_sparse_pairs : (arrival * Request.completion) list;
-}
-
-(* One client thread drives both classes open-loop, arrivals merged in time
-   order. Generation is asymmetric by design: dense instances are
-   pre-generated before the clock starts (O(n^3) per instance, pricier than
-   the solve itself — inline generation would pace offered load below the
-   service rate), while sparse instances are generated inline at submit
-   time (stencil assembly + rhs are O(rows), cheaper than a single solve
-   chunk, so inline generation cannot distort the offered timing). Both
-   reports share the run's batch count — [mean_batch] is run-wide, not
-   per-class. *)
-let run_mixed srv ~dense ~sparse =
-  let da = schedule dense and sa = schedule sparse in
-  let dense_payloads = Array.map (payload_of dense) da in
-  let tagged =
-    Array.append
-      (Array.mapi (fun i a -> (a.at_s, `Dense, i, a)) da)
-      (Array.mapi (fun i a -> (a.at_s, `Sparse, i, a)) sa)
-  in
-  Array.sort (fun (x, _, _, _) (y, _, _, _) -> compare x y) tagged;
-  let placeholder = Error (Request.Rejected Request.Queue_full) in
-  let dt = Array.make (Array.length da) placeholder in
-  let st = Array.make (Array.length sa) placeholder in
-  let batches0 = (Server.counters srv).Server.batches in
-  let t0 = Clock.now_s () in
+        submit srv l)
+      opens
+  end;
   Array.iter
-    (fun (at, cls, i, a) ->
-      wait_until (t0 +. at);
-      match cls with
-      | `Dense ->
-        dt.(i) <- Server.submit srv ~deadline_s:dense.deadline_s dense_payloads.(i)
-      | `Sparse ->
-        st.(i) <- Server.submit srv ~deadline_s:sparse.deadline_s (payload_of sparse a))
-    tagged;
-  let pairs arrivals tickets =
-    Array.to_list
-      (Array.map2
-         (fun a t ->
-           match t with Ok tk -> Some (a, Server.await srv tk) | Error _ -> None)
-         arrivals tickets)
-    |> List.filter_map Fun.id
-  in
-  let dense_pairs = pairs da dt in
-  let sparse_pairs = pairs sa st in
+    (fun l ->
+      List.iter (fun (i, tk) -> l.resolved <- (i, Server.await srv tk) :: l.resolved) l.live;
+      l.live <- [])
+    lanes;
   let wall_s = Clock.now_s () -. t0 in
   let batches = (Server.counters srv).Server.batches - batches0 in
-  let rejected ts =
-    Array.fold_left (fun acc t -> if Result.is_error t then acc + 1 else acc) 0 ts
-  in
-  {
-    m_dense =
-      report_of ~offered:dense.count ~rejected:(rejected dt) ~wall_s ~batches
-        (List.map snd dense_pairs);
-    m_sparse =
-      report_of ~offered:sparse.count ~rejected:(rejected st) ~wall_s ~batches
-        (List.map snd sparse_pairs);
-    m_dense_pairs = dense_pairs;
-    m_sparse_pairs = sparse_pairs;
-  }
+  let admitted = Array.fold_left (fun acc l -> acc + List.length l.resolved) 0 lanes in
+  let mean_batch = if batches > 0 then float_of_int admitted /. float_of_int batches else 0.0 in
+  Array.to_list lanes
+  |> List.map (fun l ->
+         let pairs =
+           List.sort (fun (i, _) (j, _) -> compare i j) l.resolved
+           |> List.map (fun (i, c) -> (l.arrivals.(i mod Array.length l.arrivals), c))
+         in
+         {
+           report =
+             report_of ~offered:l.sent ~rejected:l.rejected ~wall_s ~mean_batch
+               (List.map snd pairs);
+           pairs;
+         })
 
-let report_json r =
-  Printf.sprintf
-    "{\"offered\": %d, \"admitted\": %d, \"rejected\": %d, \"completed\": %d, \
-     \"failed\": %d, \"retried\": %d, \"wall_s\": %.4f, \"offered_rate_hz\": %.1f, \
-     \"throughput_hz\": %.1f, \"goodput_hz\": %.1f, \"reject_rate\": %.4f, \
-     \"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f, \"mean_batch\": %.2f}"
-    r.offered r.admitted r.rejected r.completed r.failed r.retried r.wall_s
-    r.offered_rate r.throughput r.goodput r.reject_rate r.p50_ms r.p99_ms r.p999_ms
-    r.mean_batch
+let json_of_report r =
+  let module J = Xsc_util.Json in
+  let int n = J.Num (float_of_int n) in
+  J.Obj
+    [
+      ("offered", int r.offered);
+      ("admitted", int r.admitted);
+      ("rejected", int r.rejected);
+      ("completed", int r.completed);
+      ("failed", int r.failed);
+      ("retried", int r.retried);
+      ("wall_s", J.Num r.wall_s);
+      ("offered_rate_hz", J.Num r.offered_rate);
+      ("throughput_hz", J.Num r.throughput);
+      ("goodput_hz", J.Num r.goodput);
+      ("reject_rate", J.Num r.reject_rate);
+      ("p50_ms", J.Num r.p50_ms);
+      ("p99_ms", J.Num r.p99_ms);
+      ("p999_ms", J.Num r.p999_ms);
+      ("mean_batch", J.Num r.mean_batch);
+    ]
 
 let report_human r =
   Printf.sprintf

@@ -77,73 +77,47 @@ type report = {
   p50_ms : float;  (** exact sample percentiles of total latency *)
   p99_ms : float;
   p999_ms : float;
-  mean_batch : float;  (** admitted / batches dispatched during the run *)
+  mean_batch : float;
+      (** requests admitted during the run, over all its streams, per
+          batch dispatched during it *)
 }
 
-val run_open : Server.t -> config -> report
-(** Open loop: submit at the scheduled arrival times whether or not the
-    server keeps up (the honest overload model), await everything
-    admitted. *)
+type loop =
+  | Open  (** offer each instance at its scheduled Poisson arrival time *)
+  | Closed of int
+      (** keep this many requests outstanding; refill as soon as any
+          resolves *)
 
-val run_burst : Server.t -> config -> report
-(** Every payload pre-generated, then offered back-to-back with no pacing:
-    an effectively infinite arrival rate against the admission window. The
-    deterministic overload point — backpressure must engage whenever
-    [count] well exceeds the server's capacity, regardless of host
-    speed. *)
+type stream = { load : config; loop : loop }
 
-val run_closed : Server.t -> outstanding:int -> config -> report
-(** Closed loop: at most [outstanding] requests in flight; arrival times
-    are ignored. Raises [Invalid_argument] if [outstanding <= 0]. *)
-
-type large = {
-  l_n : int;  (** large problem size *)
-  l_deadline_s : float;
-  l_seed : int;
-}
-
-val default_large : large
-(** n=768 SPD, 5 s deadline, seed 7. *)
-
-type isolation = {
-  smalls : report;  (** the small class — what isolation gates on *)
+type result = {
+  report : report;
   pairs : (arrival * Request.completion) list;
-      (** every admitted small with its completion, for bitwise checks
-          against {!reference_routed} *)
-  larges_done : int;  (** large solves completed [Ok] during the run *)
-  larges_failed : int;
-  large_mean_s : float;  (** mean large total latency, 0 if none *)
+      (** every admitted request with its completion, in submission
+          order — for bitwise checks against {!reference_routed} *)
 }
 
-val run_isolation : Server.t -> ?large:large -> config -> isolation
-(** The multi-tenant latency-isolation mix. Smalls are offered open-loop
-    at their Poisson times; the large (when given) streams closed-loop
-    with exactly one outstanding — as soon as one completes the next is
-    submitted, so large work occupies the server for the whole run.
-    Without [large] this is the small class alone: the baseline point of
-    the three-point isolation comparison. *)
+val run : Server.t -> stream list -> result list
+(** Drive every stream from one client thread; one result per stream, in
+    order. Every payload is generated before the clock starts (dense
+    generation is O(n{^3}), pricier than the solve, so inline generation
+    would pace the offered load).
 
-type mixed = {
-  m_dense : report;
-  m_sparse : report;
-  m_dense_pairs : (arrival * Request.completion) list;
-      (** every admitted dense request with its completion *)
-  m_sparse_pairs : (arrival * Request.completion) list;
-      (** every admitted sparse request with its completion, for bitwise
-          checks against {!reference_routed} *)
-}
+    - Open arrivals of all streams are merged in time order and submitted
+      whether or not the server keeps up (the honest overload model). A
+      burst is an open stream with a rate far above service.
+    - A closed stream run beside open ones cycles its [count] instances
+      until every open arrival has been offered: background load for the
+      whole run. Its report's [offered] is what it actually submitted.
+    - Closed streams alone each offer exactly [count] requests; the client
+      blocks in {!Server.await} on the oldest ticket whenever no window
+      can grow, so a saturated run spends no time polling.
 
-val run_mixed : Server.t -> dense:config -> sparse:config -> mixed
-(** The mixed-workload run: both classes offered open-loop from one client
-    thread, arrivals merged in time order, each submitted with its own
-    config's deadline. Generation is deliberately asymmetric: dense
-    instances are pre-generated before the clock starts (O(n^3) per
-    instance — pricier than the solve, so inline generation would pace
-    offered load below the service rate), while sparse instances are
-    generated inline at submit time (stencil assembly and rhs are
-    O(rows) — cheaper than a single solve chunk, and pre-generating
-    hundreds of operators would dwarf the run's memory). Both reports
-    share the run's batch total, so [mean_batch] is run-wide. *)
+    Every admitted request is awaited before the run returns. [wall_s] is
+    the run's, shared by all streams, and so is [mean_batch]: all admitted
+    requests over the batches dispatched during the run. Raises
+    [Invalid_argument] on a non-positive [Closed] window or an invalid
+    config (see {!schedule}). *)
 
-val report_json : report -> string
+val json_of_report : report -> Xsc_util.Json.t
 val report_human : report -> string

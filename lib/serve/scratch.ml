@@ -10,21 +10,13 @@
    on until a major GC finalizes them). A shared list has neither leak.
    The lock is held for a hashtable lookup and a cons, four times per
    dense request (a buffer and a vector, each acquired and released) —
-   far off any per-element loop.
-
-   [set_enabled false] turns both pools into plain allocators — the A/B
-   switch the isolation bench uses to demonstrate the steady-state
-   allocation difference. *)
+   far off any per-element loop. *)
 
 module PD = Xsc_tile.Packed.D
 module Metrics = Xsc_obs.Metrics
 
 let m_hits = Metrics.counter "serve.scratch.hits"
 let m_misses = Metrics.counter "serve.scratch.misses"
-
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 (* Per-class freelist bound. A list only grows to the largest number of
    same-class requests ever in flight at once; the bound caps what an idle
@@ -37,27 +29,22 @@ let packed : (int * int, PD.t list) Hashtbl.t = Hashtbl.create 8 (* (n, nb) *)
 let vecs : (int, float array list) Hashtbl.t = Hashtbl.create 8 (* length *)
 
 let take tbl key =
-  if not (is_enabled ()) then None
-  else begin
-    Mutex.lock mu;
-    let r =
-      match Hashtbl.find_opt tbl key with
-      | Some (x :: rest) ->
-        Hashtbl.replace tbl key rest;
-        Some x
-      | Some [] | None -> None
-    in
-    Mutex.unlock mu;
-    r
-  end
+  Mutex.lock mu;
+  let r =
+    match Hashtbl.find_opt tbl key with
+    | Some (x :: rest) ->
+      Hashtbl.replace tbl key rest;
+      Some x
+    | Some [] | None -> None
+  in
+  Mutex.unlock mu;
+  r
 
 let give tbl key x =
-  if is_enabled () then begin
-    Mutex.lock mu;
-    let fl = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-    if List.length fl < max_per_class then Hashtbl.replace tbl key (x :: fl);
-    Mutex.unlock mu
-  end
+  Mutex.lock mu;
+  let fl = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
+  if List.length fl < max_per_class then Hashtbl.replace tbl key (x :: fl);
+  Mutex.unlock mu
 
 let acquire_packed ~n ~nb =
   match take packed (n, nb) with

@@ -15,21 +15,14 @@ val acquire_packed : n:int -> nb:int -> Xsc_tile.Packed.D.t
     undefined. *)
 
 val release_packed : Xsc_tile.Packed.D.t -> unit
-(** Return a buffer to the pool (dropped when the class list is full or
-    pooling is disabled). The caller must not touch it again. *)
+(** Return a buffer to the pool (dropped when the class list is full).
+    The caller must not touch it again. *)
 
 val acquire_vec : int -> float array
 (** Pooled or fresh [float array] of exactly the given length; contents
     undefined. *)
 
 val release_vec : float array -> unit
-
-val set_enabled : bool -> unit
-(** [false] turns both pools into plain allocators (acquire always
-    allocates, release drops) — the A/B switch for allocation benches.
-    Default [true]. *)
-
-val is_enabled : unit -> bool
 
 val hits : unit -> int
 (** Pool hits so far (also the [serve.scratch.hits] counter). *)

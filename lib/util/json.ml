@@ -21,6 +21,50 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* ---- printer ---- *)
+
+(* Integral values print without a fraction; every other finite float
+   prints with 17 significant digits, which parses back to the same bits.
+   JSON has no NaN or infinity: they print as null. *)
+let number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  let str s =
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (escape s);
+    Buffer.add_char buf '"'
+  in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Num x -> Buffer.add_string buf (number x)
+    | Str s -> str s
+    | List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string buf ", ";
+          go x)
+        l;
+      Buffer.add_char buf ']'
+    | Obj kv ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, x) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          str k;
+          Buffer.add_string buf ": ";
+          go x)
+        kv;
+      Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf
+
 (* ---- parser ---- *)
 
 type state = { src : string; mutable pos : int }

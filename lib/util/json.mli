@@ -1,6 +1,7 @@
-(** Minimal JSON: escaping for emitters and a strict recursive-descent
-    parser for validating what we emit (Chrome traces, bench records,
-    metrics snapshots) without an external dependency.
+(** Minimal JSON: a printer, escaping for hand-built emitters, and a
+    strict recursive-descent parser for validating what we emit (Chrome
+    traces, bench records, metrics snapshots) without an external
+    dependency.
 
     Numbers are parsed as [float]; strings must be valid JSON strings
     (the [\uXXXX] escapes we never emit above the ASCII range decode only
@@ -13,6 +14,10 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+val to_string : t -> string
+(** Compact one-line JSON. Finite numbers round-trip exactly
+    ([parse (to_string v) = v]); NaN and infinities print as [null]. *)
 
 val parse : string -> t
 (** Raises [Failure] with a position message on malformed input, including

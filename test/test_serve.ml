@@ -235,6 +235,12 @@ let check_counters_reconcile name srv ~offered =
     (c.Server.admitted + c.Server.rejected);
   Alcotest.(check int) (name ^ ": drained") 0 (Server.in_flight srv)
 
+(* A single open stream through the one client loop. *)
+let serve_open srv load =
+  match Loadgen.run srv [ { Loadgen.load; loop = Loadgen.Open } ] with
+  | [ r ] -> r.Loadgen.report
+  | _ -> Alcotest.fail "one stream, one result"
+
 let test_server_serves_bitwise () =
   let cfg = { Loadgen.default with seed = 5; count = 40; rate_hz = 4000.0; n = 12;
               kinds = [| Loadgen.Spd; Loadgen.General; Loadgen.Product |] } in
@@ -354,7 +360,7 @@ let test_server_fault_storm_transient () =
     Server.start ~harness:h
       { Server.default_config with workers = 2; capacity = 128; max_retries = 3 }
   in
-  let r = Loadgen.run_open srv storm_cfg in
+  let r = serve_open srv storm_cfg in
   Server.stop srv;
   Alcotest.(check int) "no rejects at this window" 0 r.Loadgen.rejected;
   Alcotest.(check int) "every transient fault retried to success" 0 r.Loadgen.failed;
@@ -643,6 +649,68 @@ let test_shared_soak () =
     true
     (second < first *. 1.5)
 
+(* The isolation mix, scaled down: an open Poisson stream of small solves
+   with a closed stream of larger ones refilled beside it by the same
+   client loop, under both dispatch modes. The closed stream must finish
+   work and refill while the open one is still being offered; each
+   stream's lattice reconciles on its own, and every survivor of both is
+   bitwise-equal to its dispatch mode's oracle. *)
+let test_open_beside_closed () =
+  let small =
+    { Loadgen.default with seed = 5; count = 40; rate_hz = 400.0; n = 12; deadline_s = 5.0 }
+  in
+  let large = { Loadgen.default with seed = 7; count = 2; n = 64; deadline_s = 5.0 } in
+  List.iter
+    (fun (mode, dispatch, oracle) ->
+      let srv = Server.start { (shared_cfg 1) with Server.dispatch } in
+      let o, c =
+        match
+          Loadgen.run srv
+            [
+              { Loadgen.load = small; loop = Loadgen.Open };
+              { Loadgen.load = large; loop = Loadgen.Closed 1 };
+            ]
+        with
+        | [ o; c ] -> (o, c)
+        | _ -> Alcotest.fail "two streams, two results"
+      in
+      Server.stop srv;
+      let ro = o.Loadgen.report and rc = c.Loadgen.report in
+      Alcotest.(check int) (mode ^ ": open stream offers its count") small.Loadgen.count
+        ro.Loadgen.offered;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: closed stream refilled during the open phase (offered %d)" mode
+           rc.Loadgen.offered)
+        true (rc.Loadgen.offered >= 2);
+      Alcotest.(check bool) (mode ^ ": closed stream completed work") true
+        (rc.Loadgen.completed >= 1);
+      List.iter
+        (fun (what, (r : Loadgen.report)) ->
+          Alcotest.(check int) (what ^ ": offered = admitted + rejected") r.Loadgen.offered
+            (r.Loadgen.admitted + r.Loadgen.rejected);
+          Alcotest.(check int) (what ^ ": admitted = completed + failed") r.Loadgen.admitted
+            (r.Loadgen.completed + r.Loadgen.failed))
+        [ (mode ^ " open", ro); (mode ^ " closed", rc) ];
+      List.iter
+        (fun (cfg, (res : Loadgen.result)) ->
+          Alcotest.(check int) "one pair per admitted request" res.Loadgen.report.Loadgen.admitted
+            (List.length res.Loadgen.pairs);
+          List.iter
+            (fun (a, (comp : Request.completion)) ->
+              match comp.Request.outcome with
+              | Ok sol ->
+                Alcotest.(check bool) (mode ^ ": survivor bitwise vs its oracle") true
+                  (Loadgen.solutions_bitwise_equal sol (oracle cfg a))
+              | Error e -> Alcotest.fail ("fault-free request failed: " ^ Request.error_message e))
+            res.Loadgen.pairs)
+        [ (small, o); (large, c) ];
+      check_counters_reconcile (mode ^ " open beside closed") srv
+        ~offered:(ro.Loadgen.offered + rc.Loadgen.offered))
+    [
+      ("shared", Server.Shared 1, fun cfg a -> Loadgen.reference_routed cfg a);
+      ("slot", Server.Slot, Loadgen.reference);
+    ]
+
 (* ---- sparse request classes ---- *)
 
 module Stencil = Xsc_sparse.Stencil
@@ -774,10 +842,11 @@ let test_sparse_class_cap () =
     (c.Server.cap_deferred <= c.Server.batches);
   check_counters_reconcile "class cap" srv ~offered:6
 
-(* run_mixed merges two seeded streams and reports them per class; each
-   class's lattice must reconcile on its own and the survivors must match
-   their own oracles. *)
-let test_run_mixed_reconciles () =
+(* Two open streams merged by the one client loop and reported per class;
+   each class's lattice must reconcile on its own, the server's totals
+   must be the class-wise sums, and the survivors must match their own
+   oracles. *)
+let test_streams_reconcile_per_class () =
   let srv =
     Server.start { (shared_cfg 2) with Server.class_caps = [ ("cg", 1) ] }
   in
@@ -788,7 +857,17 @@ let test_run_mixed_reconciles () =
     { Loadgen.seed = 67; count = 10; rate_hz = 1000.0; n = 8;
       kinds = [| Loadgen.Cg |]; deadline_s = 10.0 }
   in
-  let m = Loadgen.run_mixed srv ~dense ~sparse in
+  let d, sp =
+    match
+      Loadgen.run srv
+        [
+          { Loadgen.load = dense; loop = Loadgen.Open };
+          { Loadgen.load = sparse; loop = Loadgen.Open };
+        ]
+    with
+    | [ d; sp ] -> (d, sp)
+    | _ -> Alcotest.fail "two streams, two results"
+  in
   Server.stop srv;
   let class_ok what (r : Loadgen.report) ~count =
     Alcotest.(check int) (what ^ ": offered all") count r.Loadgen.offered;
@@ -801,8 +880,18 @@ let test_run_mixed_reconciles () =
       r.Loadgen.admitted
       (r.Loadgen.completed + r.Loadgen.failed)
   in
-  class_ok "dense" m.Loadgen.m_dense ~count:dense.Loadgen.count;
-  class_ok "sparse" m.Loadgen.m_sparse ~count:sparse.Loadgen.count;
+  class_ok "dense" d.Loadgen.report ~count:dense.Loadgen.count;
+  class_ok "sparse" sp.Loadgen.report ~count:sparse.Loadgen.count;
+  let c = Server.counters srv in
+  let sum f = f d.Loadgen.report + f sp.Loadgen.report in
+  Alcotest.(check int) "server admitted = class sum" c.Server.admitted
+    (sum (fun r -> r.Loadgen.admitted));
+  Alcotest.(check int) "server rejected = class sum" c.Server.rejected
+    (sum (fun r -> r.Loadgen.rejected));
+  Alcotest.(check int) "server completed = class sum" c.Server.completed
+    (sum (fun r -> r.Loadgen.completed));
+  Alcotest.(check int) "server failed = class sum" c.Server.failed
+    (sum (fun r -> r.Loadgen.failed));
   let bitwise cfg pairs =
     List.for_all
       (fun (a, (c : Request.completion)) ->
@@ -813,16 +902,16 @@ let test_run_mixed_reconciles () =
       pairs
   in
   Alcotest.(check bool) "dense survivors bitwise" true
-    (bitwise dense m.Loadgen.m_dense_pairs);
+    (bitwise dense d.Loadgen.pairs);
   Alcotest.(check bool) "sparse survivors bitwise" true
-    (bitwise sparse m.Loadgen.m_sparse_pairs);
+    (bitwise sparse sp.Loadgen.pairs);
   (* every capped batch holds at least one of the sparse requests *)
-  let deferred = (Server.counters srv).Server.cap_deferred in
+  let deferred = c.Server.cap_deferred in
   Alcotest.(check bool)
     (Printf.sprintf "cap_deferred %d <= sparse requests" deferred)
     true
     (deferred <= sparse.Loadgen.count);
-  check_counters_reconcile "run_mixed" srv
+  check_counters_reconcile "two streams" srv
     ~offered:(dense.Loadgen.count + sparse.Loadgen.count)
 
 (* ---- sparse fault storms (CG / GMRES / MG) ---- *)
@@ -940,7 +1029,6 @@ let test_route_direct_vs_lapack () =
     (Route.strictly_diag_dominant (Mat.init n n (fun _ _ -> 1.0)))
 
 let test_scratch_reuse () =
-  Scratch.set_enabled true;
   let h0 = Scratch.hits () in
   let a = Scratch.acquire_packed ~n:32 ~nb:16 in
   Scratch.release_packed a;
@@ -950,22 +1038,37 @@ let test_scratch_reuse () =
   Scratch.release_packed b;
   let v = Scratch.acquire_vec 33 in
   Scratch.release_vec v;
-  Alcotest.(check bool) "vector reused" true (Scratch.acquire_vec 33 == v);
-  Scratch.set_enabled false;
-  let c = Scratch.acquire_packed ~n:32 ~nb:16 in
-  Alcotest.(check bool) "disabled pool allocates fresh" true (c != b);
-  Scratch.set_enabled true
+  Alcotest.(check bool) "vector reused" true (Scratch.acquire_vec 33 == v)
 
 (* A buffer packed on one lane and released by a completion on another
    returns to the one shared list, and outlives the domain that released
    it (pool domains exit at every Server.stop). *)
 let test_scratch_crosses_domains () =
-  Scratch.set_enabled true;
   let a = Scratch.acquire_packed ~n:48 ~nb:16 in
   Domain.join (Domain.spawn (fun () -> Scratch.release_packed a));
   Alcotest.(check bool) "released elsewhere, reused here" true
     (Scratch.acquire_packed ~n:48 ~nb:16 == a);
   Scratch.release_packed a
+
+(* Steady-state serving recycles its buffers: a closed loop of n=48 solves
+   takes more buffers from the pools than it allocates fresh. A closed
+   stream on its own offers exactly its count. *)
+let test_scratch_reuse_serving () =
+  let h0 = Scratch.hits () and m0 = Scratch.misses () in
+  let srv = Server.start (shared_cfg 1) in
+  let load = { Loadgen.default with seed = 53; count = 40; n = 48; deadline_s = 5.0 } in
+  let r =
+    match Loadgen.run srv [ { Loadgen.load; loop = Loadgen.Closed 4 } ] with
+    | [ r ] -> r.Loadgen.report
+    | _ -> Alcotest.fail "one stream, one result"
+  in
+  Server.stop srv;
+  Alcotest.(check int) "closed stream offers exactly its count" 40 r.Loadgen.offered;
+  Alcotest.(check int) "all served" 40 r.Loadgen.completed;
+  let hits = Scratch.hits () - h0 and misses = Scratch.misses () - m0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "scratch hits %d > misses %d" hits misses)
+    true (hits > misses)
 
 (* ---- batched results satellite ---- *)
 
@@ -1075,7 +1178,7 @@ let test_server_spans_off () =
   let srv =
     Server.start { Server.default_config with workers = 1; spans = false }
   in
-  let r = Loadgen.run_open srv { storm_cfg with Loadgen.count = 8 } in
+  let r = serve_open srv { storm_cfg with Loadgen.count = 8 } in
   Server.stop srv;
   Alcotest.(check int) "all served" 8 r.Loadgen.completed;
   Alcotest.(check int) "no span records kept" 0
@@ -1084,7 +1187,7 @@ let test_server_spans_off () =
 let test_server_span_chrome_lanes () =
   let srv = Server.start { Server.default_config with workers = 2 } in
   let count = 12 in
-  let r = Loadgen.run_open srv { storm_cfg with Loadgen.count } in
+  let r = serve_open srv { storm_cfg with Loadgen.count } in
   Server.stop srv;
   Alcotest.(check int) "all served" count r.Loadgen.completed;
   match Json.parse (Server.span_chrome_json srv) with
@@ -1336,6 +1439,7 @@ let () =
             test_shared_permanent_storm;
           Alcotest.test_case "isolates a singular job" `Quick
             test_shared_isolates_singular;
+          Alcotest.test_case "open stream beside a closed one" `Quick test_open_beside_closed;
           Alcotest.test_case "admits while a retry sleeps" `Quick
             test_shared_admission_while_retry_sleeps;
           Alcotest.test_case "soak: thousands of requests" `Slow test_shared_soak;
@@ -1350,8 +1454,8 @@ let () =
             test_sparse_validation;
           Alcotest.test_case "class cap bounds live cg batches" `Quick
             test_sparse_class_cap;
-          Alcotest.test_case "run_mixed reconciles per class" `Quick
-            test_run_mixed_reconciles;
+          Alcotest.test_case "two streams reconcile per class" `Quick
+            test_streams_reconcile_per_class;
           Alcotest.test_case "transient storm converges bitwise" `Quick
             test_sparse_transient_storm;
           Alcotest.test_case "permanent storm fails typed" `Quick
@@ -1368,6 +1472,7 @@ let () =
           Alcotest.test_case "route direct vs lapack" `Quick test_route_direct_vs_lapack;
           Alcotest.test_case "scratch buffer reuse" `Quick test_scratch_reuse;
           Alcotest.test_case "scratch crosses domains" `Quick test_scratch_crosses_domains;
+          Alcotest.test_case "scratch reused while serving" `Quick test_scratch_reuse_serving;
         ] );
       ( "spans",
         [

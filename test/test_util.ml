@@ -243,6 +243,48 @@ let test_json_escape_roundtrip () =
   | Json.Str s' -> Alcotest.(check string) "escape then parse is identity" s s'
   | _ -> Alcotest.fail "escaped string did not parse as a string"
 
+(* Generated documents: finite numbers (integral, tiny, huge, negative
+   zero) and strings full of characters the printer must escape. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\b'; '\012'; '\001'; '/' ] ])
+      (0 -- 12)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map (fun x -> if Float.is_finite x then x else 0.5) float;
+        oneofl [ -0.0; 1e-300; 1e300; 0.1; 1e15; 123456789.125 ];
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun x -> Json.Num x) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 3))));
+               (1, map (fun kv -> Json.Obj kv) (list_size (0 -- 4) (pair str (self (n / 3)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
 let () =
   Alcotest.run "xsc_util"
     [
@@ -283,6 +325,7 @@ let () =
           Alcotest.test_case "member" `Quick test_json_member;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
           Alcotest.test_case "escape round-trip" `Quick test_json_escape_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "units",
         [
