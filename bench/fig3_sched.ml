@@ -17,8 +17,7 @@ module Rng = Xsc_util.Rng
 
 let simulated () =
   let nt = 16 and nb = 256 in
-  let t = Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt ~nb in
   Printf.printf "tiled Cholesky: nt=%d (%d tasks, %d edges, depth %d, parallelism %.1f)\n\n"
     nt (Dag.n_tasks dag) (Dag.n_edges dag) (Dag.depth dag)
     (Dag.total_flops dag /. Dag.critical_path_flops dag);
@@ -55,14 +54,14 @@ let real_host () =
   let a = Mat.random_spd rng n in
   let workers = max 2 (Real_exec.default_workers ()) in
   let run exec =
-    let tiles = Tile.of_mat ~nb a in
-    let dag = Cholesky.dag tiles in
+    let interp = Cholesky.tile_interp (Tile.of_mat ~nb a) in
+    let dag = Cholesky.dag_ops ~nt ~nb in
     match exec with
-    | `Seq -> Real_exec.run_sequential dag
-    | `Forkjoin -> Real_exec.run_forkjoin ~workers dag
+    | `Seq -> Real_exec.run_sequential ~interp dag
+    | `Forkjoin -> Real_exec.run_forkjoin ~interp ~workers dag
     | `Dataflow ->
       (* work stealing, critical path first (the pool's bottom-level key) *)
-      Pool.run_once ~workers dag
+      Pool.run_once ~interp ~workers dag
   in
   (* median of 3 to tame noise *)
   let timed name exec =

@@ -3,7 +3,6 @@
    run each level at the pace of the slowest busy worker; dynamic schedules
    keep the fast cores saturated. *)
 
-module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Hetero = Xsc_runtime.Hetero
 module Dag = Xsc_runtime.Dag
@@ -13,8 +12,7 @@ module Units = Xsc_util.Units
 let run () =
   Bk.header "FIG-7 (extension): heterogeneous workers, BSP vs DAG";
   let nt = 12 and nb = 256 in
-  let t = Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt ~nb in
   Printf.printf "tiled Cholesky nt=%d (%d tasks); every row has 16 Gflop/s aggregate:\n\n" nt
     (Dag.n_tasks dag);
   let table =

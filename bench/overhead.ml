@@ -24,8 +24,8 @@ let median_elapsed ~trace ~workers ~nt ~nb ~reps =
   let rng = Xsc_util.Rng.create 7 in
   let a = Mat.random_spd rng n in
   let once () =
-    let tiles = Tile.of_mat ~nb a in
-    (Pool.run_once ~trace ~workers (Cholesky.dag tiles)).Real_exec.elapsed
+    let interp = Cholesky.tile_interp (Tile.of_mat ~nb a) in
+    (Pool.run_once ~interp ~trace ~workers (Cholesky.dag_ops ~nt ~nb)).Real_exec.elapsed
   in
   ignore (once ());
   (* warm-up *)

@@ -77,8 +77,7 @@ let simulated_sweep () =
     List.map
       (fun nb ->
         let nt = n / nb in
-        let t = Tile.create ~rows:n ~cols:n ~nb in
-        let dag = Cholesky.dag ~with_closures:false t in
+        let dag = Cholesky.dag_ops ~nt ~nb in
         let cfg = Sim_exec.config ~task_overhead:5e-6 ~workers:64 ~rate:1e9 () in
         let r = Sim_exec.run cfg Sim_exec.List_critical_path dag in
         (nb, nt, Xsc_runtime.Dag.n_tasks dag, r))

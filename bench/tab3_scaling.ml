@@ -2,7 +2,6 @@
    BSP vs DAG across worker counts with a real communication model, and the
    network-topology ablation. *)
 
-module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Sim_exec = Xsc_runtime.Sim_exec
 module Dag = Xsc_runtime.Dag
@@ -18,8 +17,7 @@ let comm_cost_of_topology kind nodes =
 let run () =
   Bk.header "TAB-3: strong scaling on the simulated machine (tiled Cholesky)";
   let nt = 24 and nb = 512 in
-  let t = Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt ~nb in
   Printf.printf "n = %d (nt = %d, nb = %d): %d tasks, parallelism %.1f\n\n" (nt * nb) nt nb
     (Dag.n_tasks dag)
     (Dag.total_flops dag /. Dag.critical_path_flops dag);

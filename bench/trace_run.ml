@@ -30,9 +30,9 @@ let run ~file =
   let n = nt * nb in
   let rng = Xsc_util.Rng.create 7 in
   let a = Mat.random_spd rng n in
-  let tiles = Tile.of_mat ~nb a in
-  let dag = Cholesky.dag tiles in
-  let stats = Pool.run_once ~trace:true ~workers dag in
+  let interp = Cholesky.tile_interp (Tile.of_mat ~nb a) in
+  let dag = Cholesky.dag_ops ~nt ~nb in
+  let stats = Pool.run_once ~interp ~trace:true ~workers dag in
   let tr =
     match stats.Real_exec.trace with
     | Some tr -> tr

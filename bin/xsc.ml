@@ -165,8 +165,7 @@ let simulate_cmd =
       (match policy with
       | Error e -> `Error (false, e)
       | Ok policy ->
-        let t = Xsc_tile.Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-        let dag = Xsc_core.Cholesky.dag ~with_closures:false t in
+        let dag = Xsc_core.Cholesky.dag_ops ~nt ~nb in
         let cfg =
           Xsc_runtime.Sim_exec.config
             ~comm_cost:(fun ~bytes ->

@@ -5,7 +5,6 @@
 
    Run with: dune exec examples/exascale_scaling_study.exe *)
 
-module Tile = Xsc_tile.Tile
 module Cholesky = Xsc_core.Cholesky
 module Sim_exec = Xsc_runtime.Sim_exec
 module Dag = Xsc_runtime.Dag
@@ -17,8 +16,7 @@ module Units = Xsc_util.Units
 
 let gantt_comparison () =
   (* small DAG so the chart stays readable *)
-  let t = Tile.create ~rows:(6 * 64) ~cols:(6 * 64) ~nb:64 in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt:6 ~nb:64 in
   let cfg = Sim_exec.config ~workers:6 ~rate:1e9 () in
   let bsp = Sim_exec.run cfg Sim_exec.Bsp dag in
   let dyn = Sim_exec.run cfg Sim_exec.List_critical_path dag in
@@ -29,8 +27,7 @@ let gantt_comparison () =
 
 let machine_study () =
   let nt = 20 and nb = 512 in
-  let t = Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt ~nb in
   Printf.printf
     "one tiled Cholesky (n = %d) on the machine presets (dataflow schedule,\none worker per core, fp64):\n\n"
     (nt * nb);

@@ -7,7 +7,6 @@
 open Xsc_linalg
 module Solver = Xsc_core.Solver
 module Cholesky = Xsc_core.Cholesky
-module Tile = Xsc_tile.Tile
 module Dag = Xsc_runtime.Dag
 
 let () =
@@ -33,8 +32,8 @@ let () =
     (x = x_par);
 
   (* 4. look under the hood: the task DAG of the tiled factorization *)
-  let t = Tile.of_mat ~nb:50 (fst (Tile.pad_to ~nb:50 a)) in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let nb = 50 in
+  let dag = Cholesky.dag_ops ~nt:((n + nb - 1) / nb) ~nb in
   Printf.printf "tiled Cholesky DAG (nb=50): %d tasks, %d edges, depth %d\n"
     (Dag.n_tasks dag) (Dag.n_edges dag) (Dag.depth dag);
   Printf.printf "average parallelism (total flops / critical path): %.1f\n"

@@ -11,97 +11,65 @@ let kernel_flops nb =
   let gemm = 2.0 *. fnb *. fnb *. fnb in
   (potrf, trsm, syrk, gemm)
 
-let tasks ?(with_closures = true) (t : Tile.t) =
-  if t.Tile.mt <> t.Tile.nt then invalid_arg "Cholesky.tasks: matrix not square";
-  let nt = t.Tile.nt and nb = t.Tile.nb in
-  let potrf_f, trsm_f, syrk_f, gemm_f = kernel_flops nb in
-  let bytes = Runtime_api.tile_bytes ~nb in
+(* Step k of the program, split where the fault-tolerant driver verifies:
+   the panel (potrf, then the trsm column) and the trailing update (the
+   syrk/gemm rows). [emit] receives each task's op, flops and accesses in
+   program order; every runner of the factorization — strided, packed,
+   fault-tolerant, simulated — builds from these two. *)
+let panel ~nt ~nb k emit =
+  let potrf_f, trsm_f, _, _ = kernel_flops nb in
   let datum i j = Task.datum i j ~stride:nt in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  let emit name flops accesses run =
-    let id = !next_id in
-    incr next_id;
-    let run = if with_closures then Some run else None in
-    acc := Task.make ~id ~name ~flops ~bytes ?run accesses :: !acc
-  in
-  for k = 0 to nt - 1 do
-    let akk = Tile.tile t k k in
-    emit
-      (Printf.sprintf "potrf(%d,%d)" k k)
-      potrf_f
-      [ Task.Read_write (datum k k) ]
-      (fun () -> Lapack.potrf akk);
-    for i = k + 1 to nt - 1 do
-      let aik = Tile.tile t i k in
+  emit (Task.Potrf k) potrf_f [ Task.Read_write (datum k k) ];
+  for i = k + 1 to nt - 1 do
+    emit (Task.Trsm (k, i)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum i k) ]
+  done
+
+let update ~nt ~nb k emit =
+  let _, _, syrk_f, gemm_f = kernel_flops nb in
+  let datum i j = Task.datum i j ~stride:nt in
+  for i = k + 1 to nt - 1 do
+    emit (Task.Syrk (i, k)) syrk_f [ Task.Read (datum i k); Task.Read_write (datum i i) ];
+    for j = k + 1 to i - 1 do
       emit
-        (Printf.sprintf "trsm(%d,%d)" i k)
-        trsm_f
-        [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-        (fun () ->
-          (* A_ik <- A_ik L_kk^-T *)
-          Blas.trsm ~side:Blas.Right ~uplo:Blas.Lower ~trans:Blas.Trans ~alpha:1.0 akk aik)
-    done;
-    for i = k + 1 to nt - 1 do
-      let aik = Tile.tile t i k in
-      let aii = Tile.tile t i i in
-      emit
-        (Printf.sprintf "syrk(%d,%d)" i k)
-        syrk_f
-        [ Task.Read (datum i k); Task.Read_write (datum i i) ]
-        (fun () -> Blas.syrk ~uplo:Blas.Lower ~alpha:(-1.0) aik ~beta:1.0 aii);
-      for j = k + 1 to i - 1 do
-        let ajk = Tile.tile t j k in
-        let aij = Tile.tile t i j in
-        emit
-          (Printf.sprintf "gemm(%d,%d,%d)" i j k)
-          gemm_f
-          [ Task.Read (datum i k); Task.Read (datum j k); Task.Read_write (datum i j) ]
-          (fun () -> Blas.gemm ~transb:Blas.Trans ~alpha:(-1.0) aik ajk ~beta:1.0 aij)
-      done
+        (Task.Gemm (i, j, k))
+        gemm_f
+        [ Task.Read (datum i k); Task.Read (datum j k); Task.Read_write (datum i j) ]
     done
-  done;
-  List.rev !acc
+  done
 
-let dag ?with_closures t = Dag.build (tasks ?with_closures t)
-
-let factor ?(exec = Runtime_api.Sequential) t =
-  ignore (Runtime_api.execute_exn exec (dag t))
-
-(* Closure-free task list: same program order, accesses and weights as
-   [tasks], but each body is a Task.op variant — one immediate-tagged word
-   instead of a closure capturing tile views. Storage is bound only at
-   execution time by the interpreter, so one DAG shape serves any backing
-   layout. *)
+(* Op-encoded bodies: one immediate-tagged word per task instead of a
+   closure capturing tile views. Storage is bound only at execution time
+   by an interpreter, so one DAG shape serves any backing layout. *)
 let tasks_ops ~nt ~nb =
-  let potrf_f, trsm_f, syrk_f, gemm_f = kernel_flops nb in
-  let bytes = Runtime_api.tile_bytes ~nb in
-  let datum i j = Task.datum i j ~stride:nt in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  let emit op flops accesses =
-    let id = !next_id in
-    incr next_id;
-    acc := Task.make ~id ~name:(Task.op_name op) ~flops ~bytes ~op accesses :: !acc
-  in
-  for k = 0 to nt - 1 do
-    emit (Task.Potrf k) potrf_f [ Task.Read_write (datum k k) ];
-    for i = k + 1 to nt - 1 do
-      emit (Task.Trsm (k, i)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-    done;
-    for i = k + 1 to nt - 1 do
-      emit (Task.Syrk (i, k)) syrk_f [ Task.Read (datum i k); Task.Read_write (datum i i) ];
-      for j = k + 1 to i - 1 do
-        emit
-          (Task.Gemm (i, j, k))
-          gemm_f
-          [ Task.Read (datum i k); Task.Read (datum j k); Task.Read_write (datum i j) ]
-      done
-    done
-  done;
-  List.rev !acc
+  Runtime_api.program ~nb (fun emit ->
+      let emit = Runtime_api.emit_op emit in
+      for k = 0 to nt - 1 do
+        panel ~nt ~nb k emit;
+        update ~nt ~nb k emit
+      done)
 
 let dag_ops ~nt ~nb = Dag.build (tasks_ops ~nt ~nb)
+
+(* Interpreter binding the op coordinates to strided tiles: the Blas/Lapack
+   reference kernels. *)
+let tile_interp (t : Tile.t) =
+  if t.Tile.mt <> t.Tile.nt then invalid_arg "Cholesky.tile_interp: matrix not square";
+  let tile = Tile.tile t in
+  fun (op : Task.op) ->
+    match op with
+    | Task.Potrf k -> Lapack.potrf (tile k k)
+    | Task.Trsm (k, i) ->
+      (* A_ik <- A_ik L_kk^-T *)
+      Blas.trsm ~side:Blas.Right ~uplo:Blas.Lower ~trans:Blas.Trans ~alpha:1.0 (tile k k)
+        (tile i k)
+    | Task.Syrk (i, k) -> Blas.syrk ~uplo:Blas.Lower ~alpha:(-1.0) (tile i k) ~beta:1.0 (tile i i)
+    | Task.Gemm (i, j, k) ->
+      Blas.gemm ~transb:Blas.Trans ~alpha:(-1.0) (tile i k) (tile j k) ~beta:1.0 (tile i j)
+    | op -> invalid_arg ("Cholesky.tile_interp: unexpected op " ^ Task.op_name op)
+
+let factor ?(exec = Runtime_api.Sequential) (t : Tile.t) =
+  let interp = tile_interp t in
+  ignore (Runtime_api.execute_exn ~interp exec (dag_ops ~nt:t.Tile.nt ~nb:t.Tile.nb))
 
 (* Interpreter binding the op coordinates to packed tile storage: the
    kernels are the Pblas C microkernels, whose operation order matches the

@@ -2,23 +2,49 @@
 
     The algorithm of the PLASMA story: [POTRF]/[TRSM]/[SYRK]/[GEMM] kernels
     on [nb x nb] tiles, with dependences inferred from tile accesses. The
-    same task list drives (a) real execution on domains — closures mutate
-    the tiles in place — and (b) the schedule simulator, which only needs
-    the weights. *)
+    program is written once, as {!panel} and {!update}; its tasks carry
+    closure-free {!Xsc_runtime.Task.op} bodies. Each storage layout is an
+    interpreter of it — {!tile_interp} for strided tiles, {!packed_interp}
+    for packed storage — and the schedule simulator needs only its
+    weights. *)
 
 open Xsc_linalg
 
-val tasks : ?with_closures:bool -> Xsc_tile.Tile.t -> Runtime_api.task list
-(** Task list in program order for the lower-Cholesky of a square tiled
-    matrix. With [with_closures] (default true) each task carries the kernel
-    closure. *)
+val kernel_flops : int -> float * float * float * float
+(** [(potrf, trsm, syrk, gemm)] flops of one [nb x nb] tile kernel. *)
 
-val dag : ?with_closures:bool -> Xsc_tile.Tile.t -> Runtime_api.dag
+val panel :
+  nt:int -> nb:int -> int ->
+  (Xsc_runtime.Task.op -> float -> Xsc_runtime.Task.access list -> unit) -> unit
+(** [panel ~nt ~nb k emit] emits step [k]'s panel in program order:
+    [Potrf k], then [Trsm (k, i)] for [i > k]. [emit] receives each task's
+    op, flops and tile accesses (datum [i * nt + j]). *)
+
+val update :
+  nt:int -> nb:int -> int ->
+  (Xsc_runtime.Task.op -> float -> Xsc_runtime.Task.access list -> unit) -> unit
+(** [update ~nt ~nb k emit] emits step [k]'s trailing update: for each
+    [i > k], [Syrk (i, k)] then [Gemm (i, j, k)] for [k < j < i]. Emits
+    nothing at [k = nt - 1]. *)
+
+val tasks_ops : nt:int -> nb:int -> Runtime_api.task list
+(** The whole program: {!panel} then {!update} for each [k], with
+    {!Xsc_runtime.Task.op} bodies and no closures. Storage-independent —
+    bind it with an interpreter. *)
+
+val dag_ops : nt:int -> nb:int -> Runtime_api.dag
+
+val tile_interp : Xsc_tile.Tile.t -> Xsc_runtime.Task.op -> unit
+(** Interpreter binding op coordinates to strided tiles via the
+    {!Xsc_linalg.Blas}/{!Xsc_linalg.Lapack} reference kernels. Raises
+    [Invalid_argument "Cholesky.tile_interp: matrix not square"] on a
+    non-square tiling. *)
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> unit
-(** Factor in place ([L] in the lower tiles; strictly-upper tiles are left
-    stale, as in LAPACK). Default execution is sequential. Raises
-    [Lapack.Singular] if the matrix is not positive definite. *)
+(** Factor in place by running {!dag_ops} through {!tile_interp} ([L] in
+    the lower tiles; strictly-upper tiles are left stale, as in LAPACK).
+    Default execution is sequential. Raises [Lapack.Singular] if the
+    matrix is not positive definite. *)
 
 val solve : Xsc_tile.Tile.t -> Vec.t -> Vec.t
 (** Given the factored tiles, solve [A x = b] by tiled forward/backward
@@ -26,13 +52,6 @@ val solve : Xsc_tile.Tile.t -> Vec.t -> Vec.t
 
 val factor_mat : ?exec:Runtime_api.exec -> nb:int -> Mat.t -> Xsc_tile.Tile.t
 (** Convenience: tile a dense SPD matrix and factor it. *)
-
-val tasks_ops : nt:int -> nb:int -> Runtime_api.task list
-(** Closure-free task list: same program order, accesses and flop/byte
-    weights as {!tasks}, with {!Xsc_runtime.Task.op} bodies instead of
-    closures. Storage-independent — bind it with an interpreter. *)
-
-val dag_ops : nt:int -> nb:int -> Runtime_api.dag
 
 val packed_interp : Xsc_tile.Packed.D.t -> Xsc_runtime.Task.op -> unit
 (** Interpreter binding op coordinates to packed tile storage via the
@@ -47,5 +66,5 @@ val flops : nt:int -> nb:int -> float
 (** Total flops of the tiled algorithm (matches [n³/3] to leading order). *)
 
 val task_count : nt:int -> int
-(** [nt + nt(nt-1) + nt(nt-1)(nt+1)/6 ...] — closed-form count used by
-    tests. *)
+(** [nt + nt(nt-1) + nt(nt-1)(nt-2)/6]: [nt] potrf, [nt(nt-1)/2] each of
+    trsm and syrk, and [nt(nt-1)(nt-2)/6] gemm. *)

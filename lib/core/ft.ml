@@ -9,6 +9,10 @@
    only once they become the panel), so damage is always detected before it
    can propagate — the verification point doubles as the propagation fence.
 
+   The plain tasks of each step are the factorization's own program
+   (Cholesky.panel/update, Lu.panel/update, run through its packed
+   interpreter); this module adds only the checksum tasks that ride them.
+
    Checksum scheme (Cholesky): one extra row of tiles C with
    C0(j) = sum_bi A(bi,j) over the full symmetric matrix. The row rides the
    factorization as two extra task kinds — C(k) <- C(k) L(k,k)^-T at panel k
@@ -129,44 +133,102 @@ let auto_every ~step_seconds ~checkpoint_seconds ~mtbf =
 
 (* ---- shared step-synchronised driver ---- *)
 
-let drive ~kind ~n ~nb ~nt ~fp ~(buf : Pblas.f64) ~(sums : Pblas.f64 array)
-    ~(pristine : Pblas.f64 * Pblas.f64 array) ~panel ~update ~verify ~repair ~exec_dag
-    ~checkpoint ~max_restarts =
+let copy_of (b : Pblas.f64) =
+  let c = f64_create (Bigarray.Array1.dim b) in
+  Bigarray.Array1.blit b c;
+  c
+
+let copy_tile ~tsz src so dst dso =
+  Bigarray.Array1.blit (Bigarray.Array1.sub src so tsz) (Bigarray.Array1.sub dst dso tsz)
+
+let tiles_equal ~tsz (a : Pblas.f64) ao (b : Pblas.f64) bo =
+  let rec go e =
+    e >= tsz
+    || (Int64.equal (Int64.bits_of_float a.{ao + e}) (Int64.bits_of_float b.{bo + e})
+        && go (e + 1))
+  in
+  go 0
+
+(* Checksum tile [cb] at [base] against the recomputed sum [s]: max
+   absolute mismatch within [tol] of the larger magnitude (at least 1). *)
+let within_tol ~tol ~tsz (cb : Pblas.f64) base (s : float array) =
+  let err = ref 0.0 and scale = ref 1.0 in
+  for e = 0 to tsz - 1 do
+    let cv = A1.unsafe_get cb (base + e) and sv = Array.unsafe_get s e in
+    let ac = abs_float cv and asv = abs_float sv in
+    if ac > !scale then scale := ac;
+    if asv > !scale then scale := asv;
+    let d = abs_float (cv -. sv) in
+    if d > !err then err := d
+  done;
+  !err <= tol *. !scale
+
+(* Cone replay recomputes one tile at a time into [scratch], then
+   [restore]s it over the stored tile when the two differ bitwise. *)
+type replay = { tsz : int; scratch : Pblas.f64; mutable repaired : int; mutable replayed : int }
+
+let kernel r f =
+  f ();
+  r.replayed <- r.replayed + 1;
+  Metrics.incr m_replayed
+
+let restore r buf o =
+  if not (tiles_equal ~tsz:r.tsz buf o r.scratch 0) then begin
+    copy_tile ~tsz:r.tsz r.scratch 0 buf o;
+    r.repaired <- r.repaired + 1;
+    Metrics.incr m_repaired
+  end
+
+(* One sub-DAG of step k: the plain program's half, then the checksum
+   tasks that ride it. *)
+let step_tasks ~nb plain checksum =
+  Runtime_api.program ~nb (fun emit ->
+      plain (Runtime_api.emit_op emit);
+      checksum emit)
+
+let drive ~kind ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~interp ~buf0
+    ~sums ~sums0 ~panel ~update ~verify ~replay =
   (match checkpoint with
   | Some { every; _ } when every < 1 -> invalid_arg "Ft: checkpoint every must be >= 1"
   | _ -> ());
-  (* Until the first checkpoint, rollback restores the caller's pristine
-     copies directly (they already exist for replay), so the fault-free fast
-     path allocates and copies nothing extra; [fp] is likewise forced only
-     when a checkpoint file is read or written. *)
-  let pristine_buf, pristine_sums = pristine in
+  let n = p.PD.n and nb = p.PD.nb and nt = p.PD.nt and buf = p.PD.buf in
+  let fp = lazy (fingerprint buf0) in
+  let interp = match harness with Some h -> Harness.wrap_packed h p interp | None -> interp in
+  let exec_dag tasks = ignore (Runtime_api.execute ~interp exec (Dag.build tasks)) in
+  let verify = if abft then verify else fun _ -> true in
+  let detected = ref 0 in
+  let r = { tsz = nb * nb; scratch = f64_create (nb * nb); repaired = 0; replayed = 0 } in
+  let repair k =
+    incr detected;
+    Metrics.incr m_detected;
+    Metrics.incr m_faults_detected;
+    let t0 = if Span.active () then Xsc_obs.Clock.now_ns () else 0 in
+    replay r k;
+    note_replay ~t0 k;
+    if not (verify k) then raise (Unrecoverable k)
+  in
+  (* Until the first checkpoint, rollback restores the pristine copies
+     directly (they already exist for replay), so the fault-free fast path
+     allocates and copies nothing extra; [fp] is likewise forced only when
+     a checkpoint file is read or written. *)
   let snap = ref None in
   let snap_step = ref 0 in
   let save_mem step =
-    let snap_buf, snap_sums =
-      match !snap with
-      | Some s -> s
-      | None ->
-        let s =
-          ( f64_create (Bigarray.Array1.dim buf),
-            Array.map (fun s -> f64_create (Bigarray.Array1.dim s)) sums )
-        in
-        snap := Some s;
-        s
-    in
     snap_step := step;
-    Bigarray.Array1.blit buf snap_buf;
-    Array.iteri (fun i s -> Bigarray.Array1.blit s snap_sums.(i)) sums;
-    (snap_buf, snap_sums)
+    match !snap with
+    | Some ((snap_buf, snap_sums) as s) ->
+      Bigarray.Array1.blit buf snap_buf;
+      Array.iteri (fun i s -> Bigarray.Array1.blit s snap_sums.(i)) sums;
+      s
+    | None ->
+      let s = (copy_of buf, Array.map copy_of sums) in
+      snap := Some s;
+      s
   in
   let rollback () =
-    match !snap with
-    | Some (snap_buf, snap_sums) ->
-      Bigarray.Array1.blit snap_buf buf;
-      Array.iteri (fun i s -> Bigarray.Array1.blit snap_sums.(i) s) sums
-    | None ->
-      Bigarray.Array1.blit pristine_buf buf;
-      Array.iteri (fun i s -> Bigarray.Array1.blit pristine_sums.(i) s) sums
+    let from_buf, from_sums = match !snap with Some s -> s | None -> (buf0, sums0) in
+    Bigarray.Array1.blit from_buf buf;
+    Array.iteri (fun i s -> Bigarray.Array1.blit from_sums.(i) s) sums
   in
   let resumed = ref false in
   (match checkpoint with
@@ -225,19 +287,25 @@ let drive ~kind ~n ~nb ~nt ~fp ~(buf : Pblas.f64) ~(sums : Pblas.f64 array)
   (match checkpoint with
   | Some { path = Some path; _ } when Sys.file_exists path -> Sys.remove path
   | _ -> ());
-  (!restarts, !written, !resumed)
+  {
+    steps = nt;
+    detected = !detected;
+    repaired_tiles = r.repaired;
+    replayed_kernels = r.replayed;
+    restarts = !restarts;
+    checkpoints_written = !written;
+    resumed = !resumed;
+  }
 
 (* ---- Cholesky ---- *)
 
 let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e-6)
     ?checkpoint ?(max_restarts = 64) (p : PD.t) =
-  let nt = p.PD.nt and nb = p.PD.nb and n = p.PD.n in
+  let nt = p.PD.nt and nb = p.PD.nb in
   let buf = p.PD.buf in
   let off = PD.off p in
   let tsz = nb * nb in
-  let p0 = PD.copy p in
-  let buf0 = p0.PD.buf in
-  let fp = lazy (fingerprint buf0) in
+  let buf0 = copy_of buf in
   (* checksum row over the full symmetric matrix, built from the lower
      triangle (the only part the kernels ever read); skipped entirely in
      restart-only mode (abft = false) *)
@@ -281,39 +349,12 @@ let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
         end
       done
     done;
-  let c0 = f64_create (nt * tsz) in
-  Bigarray.Array1.blit cbuf c0;
-  let interp0 = Cholesky.packed_interp p in
-  let interp =
-    match harness with Some h -> Harness.wrap_packed h p interp0 | None -> interp0
-  in
-  let exec_dag tasks = ignore (Runtime_api.execute ~interp exec (Dag.build tasks)) in
-  let fnb = float_of_int nb in
-  let potrf_f = fnb *. fnb *. fnb /. 3.0 in
-  let trsm_f = fnb *. fnb *. fnb in
-  let syrk_f = fnb *. fnb *. (fnb +. 1.0) in
-  let gemm_f = 2.0 *. fnb *. fnb *. fnb in
-  let bytes = Runtime_api.tile_bytes ~nb in
+  let c0 = copy_of cbuf in
+  let _, trsm_f, _, gemm_f = Cholesky.kernel_flops nb in
   let datum i j = Task.datum i j ~stride:nt in
   let cdatum k = (nt * nt) + k in
-  let make_tasks build =
-    let acc = ref [] and next = ref 0 in
-    let emit ?run ?op name flops accesses =
-      let id = !next in
-      incr next;
-      acc := Task.make ~id ~name ~flops ~bytes ?run ?op accesses :: !acc
-    in
-    build emit;
-    List.rev !acc
-  in
   let panel k =
-    make_tasks (fun emit ->
-        emit ~op:(Task.Potrf k) (Task.op_name (Task.Potrf k)) potrf_f
-          [ Task.Read_write (datum k k) ];
-        for i = k + 1 to nt - 1 do
-          emit ~op:(Task.Trsm (k, i)) (Task.op_name (Task.Trsm (k, i))) trsm_f
-            [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-        done;
+    step_tasks ~nb (Cholesky.panel ~nt ~nb k) (fun emit ->
         if abft then
           emit
             ~run:(fun () -> Pblas.D.trsm_rlt buf (off k k) cbuf (k * tsz) ~nb)
@@ -322,26 +363,16 @@ let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
             [ Task.Read (datum k k); Task.Read_write (cdatum k) ])
   in
   let update k =
-    if k = nt - 1 then []
-    else
-      make_tasks (fun emit ->
-          for i = k + 1 to nt - 1 do
-            emit ~op:(Task.Syrk (i, k)) (Task.op_name (Task.Syrk (i, k))) syrk_f
-              [ Task.Read (datum i k); Task.Read_write (datum i i) ];
-            for j = k + 1 to i - 1 do
-              emit ~op:(Task.Gemm (i, j, k)) (Task.op_name (Task.Gemm (i, j, k))) gemm_f
-                [ Task.Read (datum i k); Task.Read (datum j k); Task.Read_write (datum i j) ]
-            done
-          done;
-          if abft then
-            for j = k + 1 to nt - 1 do
-              emit
-                ~run:(fun () ->
-                  Pblas.D.gemm_nt ~alpha:(-1.0) cbuf (k * tsz) buf (off j k) cbuf (j * tsz) ~nb)
-                (Printf.sprintf "csum_gemm(%d,%d)" k j)
-                gemm_f
-                [ Task.Read (datum j k); Task.Read (cdatum k); Task.Read_write (cdatum j) ]
-            done)
+    step_tasks ~nb (Cholesky.update ~nt ~nb k) (fun emit ->
+        if abft then
+          for j = k + 1 to nt - 1 do
+            emit
+              ~run:(fun () ->
+                Pblas.D.gemm_nt ~alpha:(-1.0) cbuf (k * tsz) buf (off j k) cbuf (j * tsz) ~nb)
+              (Printf.sprintf "csum_gemm(%d,%d)" k j)
+              gemm_f
+              [ Task.Read (datum j k); Task.Read (cdatum k); Task.Read_write (cdatum j) ]
+          done)
   in
   let vsum = Array.make tsz 0.0 in
   let verify k =
@@ -360,108 +391,52 @@ let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
           Array.unsafe_set vsum e (Array.unsafe_get vsum e +. A1.unsafe_get buf (o + e))
         done
     done;
-    let base = k * tsz in
-    let err = ref 0.0 and scale = ref 1.0 in
-    for e = 0 to tsz - 1 do
-      let cv = A1.unsafe_get cbuf (base + e) and sv = Array.unsafe_get vsum e in
-      let ac = abs_float cv and asv = abs_float sv in
-      if ac > !scale then scale := ac;
-      if asv > !scale then scale := asv;
-      let d = abs_float (cv -. sv) in
-      if d > !err then err := d
-    done;
-    !err <= tol *. !scale
-  in
-  let verify = if abft then verify else fun _ -> true in
-  let detected = ref 0 and repaired = ref 0 and replayed = ref 0 in
-  let scratch = f64_create tsz in
-  let sub b o = Bigarray.Array1.sub b o tsz in
-  let copy_tile src so dst dst_off = Bigarray.Array1.blit (sub src so) (sub dst dst_off) in
-  let tiles_equal (a : Pblas.f64) ao (b : Pblas.f64) bo =
-    let rec go e =
-      e >= tsz
-      || (Int64.equal (Int64.bits_of_float a.{ao + e}) (Int64.bits_of_float b.{bo + e})
-          && go (e + 1))
-    in
-    go 0
+    within_tol ~tol ~tsz cbuf (k * tsz) vsum
   in
   (* Replay the dependence cone of column k — pristine input tiles plus the
      verified final panels < k, applied in original program order, so every
      recomputed tile is bitwise what a fault-free run produced. Bitwise
      comparison locates the damaged tiles; only those are overwritten. *)
-  let replay k =
-    let kernel f =
-      f ();
-      incr replayed;
-      Metrics.incr m_replayed
-    in
-    copy_tile buf0 (off k k) scratch 0;
+  let replay r k =
+    let scratch = r.scratch in
+    copy_tile ~tsz buf0 (off k k) scratch 0;
     for k' = 0 to k - 1 do
-      kernel (fun () -> Pblas.D.syrk_ln ~alpha:(-1.0) buf (off k k') ~beta:1.0 scratch 0 ~nb)
+      kernel r (fun () -> Pblas.D.syrk_ln ~alpha:(-1.0) buf (off k k') ~beta:1.0 scratch 0 ~nb)
     done;
-    kernel (fun () -> Pblas.D.potrf scratch 0 ~nb);
-    if not (tiles_equal buf (off k k) scratch 0) then begin
-      copy_tile scratch 0 buf (off k k);
-      incr repaired;
-      Metrics.incr m_repaired
-    end;
+    kernel r (fun () -> Pblas.D.potrf scratch 0 ~nb);
+    restore r buf (off k k);
     for i = k + 1 to nt - 1 do
-      copy_tile buf0 (off i k) scratch 0;
+      copy_tile ~tsz buf0 (off i k) scratch 0;
       for k' = 0 to k - 1 do
-        kernel (fun () ->
+        kernel r (fun () ->
             Pblas.D.gemm_nt ~alpha:(-1.0) buf (off i k') buf (off k k') scratch 0 ~nb)
       done;
-      kernel (fun () -> Pblas.D.trsm_rlt buf (off k k) scratch 0 ~nb);
-      if not (tiles_equal buf (off i k) scratch 0) then begin
-        copy_tile scratch 0 buf (off i k);
-        incr repaired;
-        Metrics.incr m_repaired
-      end
+      kernel r (fun () -> Pblas.D.trsm_rlt buf (off k k) scratch 0 ~nb);
+      restore r buf (off i k)
     done;
     (* rebuild the checksum tile along the same clean trajectory (its inputs
        C(k') are stationary after their own panel steps) *)
-    copy_tile c0 (k * tsz) scratch 0;
+    copy_tile ~tsz c0 (k * tsz) scratch 0;
     for k' = 0 to k - 1 do
-      kernel (fun () ->
+      kernel r (fun () ->
           Pblas.D.gemm_nt ~alpha:(-1.0) cbuf (k' * tsz) buf (off k k') scratch 0 ~nb)
     done;
-    kernel (fun () -> Pblas.D.trsm_rlt buf (off k k) scratch 0 ~nb);
-    copy_tile scratch 0 cbuf (k * tsz)
+    kernel r (fun () -> Pblas.D.trsm_rlt buf (off k k) scratch 0 ~nb);
+    copy_tile ~tsz scratch 0 cbuf (k * tsz)
   in
-  let repair k =
-    incr detected;
-    Metrics.incr m_detected;
-    Metrics.incr m_faults_detected;
-    let t0 = if Span.active () then Xsc_obs.Clock.now_ns () else 0 in
-    replay k;
-    note_replay ~t0 k;
-    if not (verify k) then raise (Unrecoverable k)
-  in
-  let restarts, written, resumed =
-    drive ~kind:0 ~n ~nb ~nt ~fp ~buf ~sums:[| cbuf |] ~pristine:(buf0, [| c0 |]) ~panel
-      ~update ~verify ~repair ~exec_dag ~checkpoint ~max_restarts
-  in
-  {
-    steps = nt;
-    detected = !detected;
-    repaired_tiles = !repaired;
-    replayed_kernels = !replayed;
-    restarts;
-    checkpoints_written = written;
-    resumed;
-  }
+  drive ~kind:0 ~exec ~harness ~abft ~checkpoint ~max_restarts ~p
+    ~interp:(Cholesky.packed_interp p) ~buf0 ~sums:[| cbuf |] ~sums0:[| c0 |] ~panel ~update
+    ~verify ~replay
 
 (* ---- LU (no pivoting) ---- *)
 
 let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e-6)
     ?checkpoint ?(max_restarts = 64) (p : PD.t) =
-  let nt = p.PD.nt and nb = p.PD.nb and n = p.PD.n in
+  let nt = p.PD.nt and nb = p.PD.nb in
   let buf = p.PD.buf in
   let off = PD.off p in
   let tsz = nb * nb in
-  let p0 = PD.copy p in
-  let buf0 = p0.PD.buf in
-  let fp = lazy (fingerprint buf0) in
+  let buf0 = copy_of buf in
   (* row border R protects L (tile-column sums), column border C protects U
      (tile-row sums) — LU needs both because the two factors live on
      opposite sides of the diagonal *)
@@ -482,45 +457,13 @@ let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
         done
       done
     done;
-  let r0 = f64_create (nt * tsz) in
-  let u0 = f64_create (nt * tsz) in
-  Bigarray.Array1.blit rbuf r0;
-  Bigarray.Array1.blit ubuf u0;
-  let interp0 = Lu.packed_interp p in
-  let interp =
-    match harness with Some h -> Harness.wrap_packed h p interp0 | None -> interp0
-  in
-  let exec_dag tasks = ignore (Runtime_api.execute ~interp exec (Dag.build tasks)) in
-  let fnb = float_of_int nb in
-  let getrf_f = 2.0 *. fnb *. fnb *. fnb /. 3.0 in
-  let trsm_f = fnb *. fnb *. fnb in
-  let gemm_f = 2.0 *. fnb *. fnb *. fnb in
-  let bytes = Runtime_api.tile_bytes ~nb in
+  let r0 = copy_of rbuf and u0 = copy_of ubuf in
+  let _, trsm_f, gemm_f = Lu.kernel_flops nb in
   let datum i j = Task.datum i j ~stride:nt in
   let rdatum k = (nt * nt) + k in
   let udatum k = (nt * nt) + nt + k in
-  let make_tasks build =
-    let acc = ref [] and next = ref 0 in
-    let emit ?run ?op name flops accesses =
-      let id = !next in
-      incr next;
-      acc := Task.make ~id ~name ~flops ~bytes ?run ?op accesses :: !acc
-    in
-    build emit;
-    List.rev !acc
-  in
   let panel k =
-    make_tasks (fun emit ->
-        emit ~op:(Task.Getrf k) (Task.op_name (Task.Getrf k)) getrf_f
-          [ Task.Read_write (datum k k) ];
-        for j = k + 1 to nt - 1 do
-          emit ~op:(Task.Trsm_l (k, j)) (Task.op_name (Task.Trsm_l (k, j))) trsm_f
-            [ Task.Read (datum k k); Task.Read_write (datum k j) ]
-        done;
-        for i = k + 1 to nt - 1 do
-          emit ~op:(Task.Trsm_u (i, k)) (Task.op_name (Task.Trsm_u (i, k))) trsm_f
-            [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-        done;
+    step_tasks ~nb (Lu.panel ~nt ~nb k) (fun emit ->
         if abft then begin
           emit
             ~run:(fun () -> Pblas.D.trsm_ru buf (off k k) rbuf (k * tsz) ~nb)
@@ -535,47 +478,25 @@ let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
         end)
   in
   let update k =
-    if k = nt - 1 then []
-    else
-      make_tasks (fun emit ->
-          for i = k + 1 to nt - 1 do
-            for j = k + 1 to nt - 1 do
-              emit ~op:(Task.Gemm (i, j, k)) (Task.op_name (Task.Gemm (i, j, k))) gemm_f
-                [ Task.Read (datum i k); Task.Read (datum k j); Task.Read_write (datum i j) ]
-            done
+    step_tasks ~nb (Lu.update ~nt ~nb k) (fun emit ->
+        if abft then begin
+          for j = k + 1 to nt - 1 do
+            emit
+              ~run:(fun () ->
+                Pblas.D.gemm_nn ~alpha:(-1.0) rbuf (k * tsz) buf (off k j) rbuf (j * tsz) ~nb)
+              (Printf.sprintf "csum_r_gemm(%d,%d)" k j)
+              gemm_f
+              [ Task.Read (datum k j); Task.Read (rdatum k); Task.Read_write (rdatum j) ]
           done;
-          if abft then begin
-            for j = k + 1 to nt - 1 do
-              emit
-                ~run:(fun () ->
-                  Pblas.D.gemm_nn ~alpha:(-1.0) rbuf (k * tsz) buf (off k j) rbuf (j * tsz)
-                    ~nb)
-                (Printf.sprintf "csum_r_gemm(%d,%d)" k j)
-                gemm_f
-                [ Task.Read (datum k j); Task.Read (rdatum k); Task.Read_write (rdatum j) ]
-            done;
-            for i = k + 1 to nt - 1 do
-              emit
-                ~run:(fun () ->
-                  Pblas.D.gemm_nn ~alpha:(-1.0) buf (off i k) ubuf (k * tsz) ubuf (i * tsz)
-                    ~nb)
-                (Printf.sprintf "csum_u_gemm(%d,%d)" k i)
-                gemm_f
-                [ Task.Read (datum i k); Task.Read (udatum k); Task.Read_write (udatum i) ]
-            done
-          end)
-  in
-  let check (cb : Pblas.f64) base (s : float array) =
-    let err = ref 0.0 and scale = ref 1.0 in
-    for e = 0 to tsz - 1 do
-      let cv = A1.unsafe_get cb (base + e) and sv = Array.unsafe_get s e in
-      let ac = abs_float cv and asv = abs_float sv in
-      if ac > !scale then scale := ac;
-      if asv > !scale then scale := asv;
-      let d = abs_float (cv -. sv) in
-      if d > !err then err := d
-    done;
-    !err <= tol *. !scale
+          for i = k + 1 to nt - 1 do
+            emit
+              ~run:(fun () ->
+                Pblas.D.gemm_nn ~alpha:(-1.0) buf (off i k) ubuf (k * tsz) ubuf (i * tsz) ~nb)
+              (Printf.sprintf "csum_u_gemm(%d,%d)" k i)
+              gemm_f
+              [ Task.Read (datum i k); Task.Read (udatum k); Task.Read_write (udatum i) ]
+          done
+        end)
   in
   let vsum = Array.make tsz 0.0 in
   let verify k =
@@ -596,7 +517,7 @@ let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
         Array.unsafe_set s e (Array.unsafe_get s e +. A1.unsafe_get buf (ob + e))
       done
     done;
-    let r_ok = check rbuf (k * tsz) s in
+    let r_ok = within_tol ~tol ~tsz rbuf (k * tsz) s in
     (* C(k) = sum_bj U(k,bj): upper-including-diagonal contribution *)
     Array.fill s 0 tsz 0.0;
     for r = 0 to nb - 1 do
@@ -611,98 +532,55 @@ let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
         Array.unsafe_set s e (Array.unsafe_get s e +. A1.unsafe_get buf (ob + e))
       done
     done;
-    let u_ok = check ubuf (k * tsz) s in
+    let u_ok = within_tol ~tol ~tsz ubuf (k * tsz) s in
     r_ok && u_ok
   in
-  let verify = if abft then verify else fun _ -> true in
-  let detected = ref 0 and repaired = ref 0 and replayed = ref 0 in
-  let scratch = f64_create tsz in
-  let sub b o = Bigarray.Array1.sub b o tsz in
-  let copy_tile src so dst dst_off = Bigarray.Array1.blit (sub src so) (sub dst dst_off) in
-  let tiles_equal (a : Pblas.f64) ao (b : Pblas.f64) bo =
-    let rec go e =
-      e >= tsz
-      || (Int64.equal (Int64.bits_of_float a.{ao + e}) (Int64.bits_of_float b.{bo + e})
-          && go (e + 1))
-    in
-    go 0
-  in
-  let replay k =
-    let kernel f =
-      f ();
-      incr replayed;
-      Metrics.incr m_replayed
-    in
-    let repair_if_differs o =
-      if not (tiles_equal buf o scratch 0) then begin
-        copy_tile scratch 0 buf o;
-        incr repaired;
-        Metrics.incr m_repaired
-      end
-    in
+  let replay r k =
+    let scratch = r.scratch in
     (* diagonal first: the whole cross depends on it *)
-    copy_tile buf0 (off k k) scratch 0;
+    copy_tile ~tsz buf0 (off k k) scratch 0;
     for k' = 0 to k - 1 do
-      kernel (fun () ->
+      kernel r (fun () ->
           Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') buf (off k' k) scratch 0 ~nb)
     done;
-    kernel (fun () -> Pblas.D.getrf_nopiv scratch 0 ~nb);
-    repair_if_differs (off k k);
+    kernel r (fun () -> Pblas.D.getrf_nopiv scratch 0 ~nb);
+    restore r buf (off k k);
     (* column panel: L(i,k) *)
     for i = k + 1 to nt - 1 do
-      copy_tile buf0 (off i k) scratch 0;
+      copy_tile ~tsz buf0 (off i k) scratch 0;
       for k' = 0 to k - 1 do
-        kernel (fun () ->
+        kernel r (fun () ->
             Pblas.D.gemm_nn ~alpha:(-1.0) buf (off i k') buf (off k' k) scratch 0 ~nb)
       done;
-      kernel (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
-      repair_if_differs (off i k)
+      kernel r (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
+      restore r buf (off i k)
     done;
     (* row panel: U(k,j) *)
     for j = k + 1 to nt - 1 do
-      copy_tile buf0 (off k j) scratch 0;
+      copy_tile ~tsz buf0 (off k j) scratch 0;
       for k' = 0 to k - 1 do
-        kernel (fun () ->
+        kernel r (fun () ->
             Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') buf (off k' j) scratch 0 ~nb)
       done;
-      kernel (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
-      repair_if_differs (off k j)
+      kernel r (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
+      restore r buf (off k j)
     done;
     (* rebuild both border tiles along the clean trajectory *)
-    copy_tile r0 (k * tsz) scratch 0;
+    copy_tile ~tsz r0 (k * tsz) scratch 0;
     for k' = 0 to k - 1 do
-      kernel (fun () ->
+      kernel r (fun () ->
           Pblas.D.gemm_nn ~alpha:(-1.0) rbuf (k' * tsz) buf (off k' k) scratch 0 ~nb)
     done;
-    kernel (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
-    copy_tile scratch 0 rbuf (k * tsz);
-    copy_tile u0 (k * tsz) scratch 0;
+    kernel r (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
+    copy_tile ~tsz scratch 0 rbuf (k * tsz);
+    copy_tile ~tsz u0 (k * tsz) scratch 0;
     for k' = 0 to k - 1 do
-      kernel (fun () ->
+      kernel r (fun () ->
           Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') ubuf (k' * tsz) scratch 0 ~nb)
     done;
-    kernel (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
-    copy_tile scratch 0 ubuf (k * tsz)
+    kernel r (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
+    copy_tile ~tsz scratch 0 ubuf (k * tsz)
   in
-  let repair k =
-    incr detected;
-    Metrics.incr m_detected;
-    Metrics.incr m_faults_detected;
-    let t0 = if Span.active () then Xsc_obs.Clock.now_ns () else 0 in
-    replay k;
-    note_replay ~t0 k;
-    if not (verify k) then raise (Unrecoverable k)
-  in
-  let restarts, written, resumed =
-    drive ~kind:1 ~n ~nb ~nt ~fp ~buf ~sums:[| rbuf; ubuf |] ~pristine:(buf0, [| r0; u0 |])
-      ~panel ~update ~verify ~repair ~exec_dag ~checkpoint ~max_restarts
-  in
-  {
-    steps = nt;
-    detected = !detected;
-    repaired_tiles = !repaired;
-    replayed_kernels = !replayed;
-    restarts;
-    checkpoints_written = written;
-    resumed;
-  }
+  drive ~kind:1 ~exec ~harness ~abft ~checkpoint ~max_restarts ~p
+    ~interp:(Lu.packed_interp p) ~buf0 ~sums:[| rbuf; ubuf |] ~sums0:[| r0; u0 |] ~panel
+    ~update ~verify ~replay

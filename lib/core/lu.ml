@@ -10,99 +10,59 @@ let kernel_flops nb =
   let gemm = 2.0 *. fnb *. fnb *. fnb in
   (getrf, trsm, gemm)
 
-let tasks ?(with_closures = true) (t : Tile.t) =
-  if t.Tile.mt <> t.Tile.nt then invalid_arg "Lu.tasks: matrix not square";
-  let nt = t.Tile.nt and nb = t.Tile.nb in
-  let getrf_f, trsm_f, gemm_f = kernel_flops nb in
-  let bytes = Runtime_api.tile_bytes ~nb in
+(* Step k of the program: the panel (getrf, the trsm_l row, the trsm_u
+   column) and the trailing gemm update; see Cholesky.panel. *)
+let panel ~nt ~nb k emit =
+  let getrf_f, trsm_f, _ = kernel_flops nb in
   let datum i j = Task.datum i j ~stride:nt in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  let emit name flops accesses run =
-    let id = !next_id in
-    incr next_id;
-    let run = if with_closures then Some run else None in
-    acc := Task.make ~id ~name ~flops ~bytes ?run accesses :: !acc
-  in
-  for k = 0 to nt - 1 do
-    let akk = Tile.tile t k k in
-    emit
-      (Printf.sprintf "getrf(%d,%d)" k k)
-      getrf_f
-      [ Task.Read_write (datum k k) ]
-      (fun () -> Lapack.getrf_nopiv akk);
-    for j = k + 1 to nt - 1 do
-      let akj = Tile.tile t k j in
-      emit
-        (Printf.sprintf "trsm_l(%d,%d)" k j)
-        trsm_f
-        [ Task.Read (datum k k); Task.Read_write (datum k j) ]
-        (fun () ->
-          (* A_kj <- L_kk^-1 A_kj *)
-          Blas.trsm ~side:Blas.Left ~uplo:Blas.Lower ~diag:Blas.Unit ~alpha:1.0 akk akj)
-    done;
-    for i = k + 1 to nt - 1 do
-      let aik = Tile.tile t i k in
-      emit
-        (Printf.sprintf "trsm_u(%d,%d)" i k)
-        trsm_f
-        [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-        (fun () ->
-          (* A_ik <- A_ik U_kk^-1 *)
-          Blas.trsm ~side:Blas.Right ~uplo:Blas.Upper ~alpha:1.0 akk aik)
-    done;
-    for i = k + 1 to nt - 1 do
-      let aik = Tile.tile t i k in
-      for j = k + 1 to nt - 1 do
-        let akj = Tile.tile t k j in
-        let aij = Tile.tile t i j in
-        emit
-          (Printf.sprintf "gemm(%d,%d,%d)" i j k)
-          gemm_f
-          [ Task.Read (datum i k); Task.Read (datum k j); Task.Read_write (datum i j) ]
-          (fun () -> Blas.gemm ~alpha:(-1.0) aik akj ~beta:1.0 aij)
-      done
-    done
+  emit (Task.Getrf k) getrf_f [ Task.Read_write (datum k k) ];
+  for j = k + 1 to nt - 1 do
+    emit (Task.Trsm_l (k, j)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum k j) ]
   done;
-  List.rev !acc
+  for i = k + 1 to nt - 1 do
+    emit (Task.Trsm_u (i, k)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum i k) ]
+  done
 
-let dag ?with_closures t = Dag.build (tasks ?with_closures t)
+let update ~nt ~nb k emit =
+  let _, _, gemm_f = kernel_flops nb in
+  let datum i j = Task.datum i j ~stride:nt in
+  for i = k + 1 to nt - 1 do
+    for j = k + 1 to nt - 1 do
+      emit
+        (Task.Gemm (i, j, k))
+        gemm_f
+        [ Task.Read (datum i k); Task.Read (datum k j); Task.Read_write (datum i j) ]
+    done
+  done
 
-let factor ?(exec = Runtime_api.Sequential) t =
-  ignore (Runtime_api.execute_exn exec (dag t))
-
-(* Closure-free op-encoded task list; see Cholesky.tasks_ops. *)
 let tasks_ops ~nt ~nb =
-  let getrf_f, trsm_f, gemm_f = kernel_flops nb in
-  let bytes = Runtime_api.tile_bytes ~nb in
-  let datum i j = Task.datum i j ~stride:nt in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  let emit op flops accesses =
-    let id = !next_id in
-    incr next_id;
-    acc := Task.make ~id ~name:(Task.op_name op) ~flops ~bytes ~op accesses :: !acc
-  in
-  for k = 0 to nt - 1 do
-    emit (Task.Getrf k) getrf_f [ Task.Read_write (datum k k) ];
-    for j = k + 1 to nt - 1 do
-      emit (Task.Trsm_l (k, j)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum k j) ]
-    done;
-    for i = k + 1 to nt - 1 do
-      emit (Task.Trsm_u (i, k)) trsm_f [ Task.Read (datum k k); Task.Read_write (datum i k) ]
-    done;
-    for i = k + 1 to nt - 1 do
-      for j = k + 1 to nt - 1 do
-        emit
-          (Task.Gemm (i, j, k))
-          gemm_f
-          [ Task.Read (datum i k); Task.Read (datum k j); Task.Read_write (datum i j) ]
-      done
-    done
-  done;
-  List.rev !acc
+  Runtime_api.program ~nb (fun emit ->
+      let emit = Runtime_api.emit_op emit in
+      for k = 0 to nt - 1 do
+        panel ~nt ~nb k emit;
+        update ~nt ~nb k emit
+      done)
 
 let dag_ops ~nt ~nb = Dag.build (tasks_ops ~nt ~nb)
+
+let tile_interp (t : Tile.t) =
+  if t.Tile.mt <> t.Tile.nt then invalid_arg "Lu.tile_interp: matrix not square";
+  let tile = Tile.tile t in
+  fun (op : Task.op) ->
+    match op with
+    | Task.Getrf k -> Lapack.getrf_nopiv (tile k k)
+    | Task.Trsm_l (k, j) ->
+      (* A_kj <- L_kk^-1 A_kj *)
+      Blas.trsm ~side:Blas.Left ~uplo:Blas.Lower ~diag:Blas.Unit ~alpha:1.0 (tile k k) (tile k j)
+    | Task.Trsm_u (i, k) ->
+      (* A_ik <- A_ik U_kk^-1 *)
+      Blas.trsm ~side:Blas.Right ~uplo:Blas.Upper ~alpha:1.0 (tile k k) (tile i k)
+    | Task.Gemm (i, j, k) -> Blas.gemm ~alpha:(-1.0) (tile i k) (tile k j) ~beta:1.0 (tile i j)
+    | op -> invalid_arg ("Lu.tile_interp: unexpected op " ^ Task.op_name op)
+
+let factor ?(exec = Runtime_api.Sequential) (t : Tile.t) =
+  let interp = tile_interp t in
+  ignore (Runtime_api.execute_exn ~interp exec (dag_ops ~nt:t.Tile.nt ~nb:t.Tile.nb))
 
 let packed_interp (p : Xsc_tile.Packed.D.t) =
   let module P = Xsc_tile.Packed.D in

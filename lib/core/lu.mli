@@ -6,26 +6,47 @@
     random-SPD-shifted) matrices; this is the standard trade the tile
     algorithms make (PLASMA offers incremental pivoting for the general
     case — here the partial-pivoting LAPACK path is the general fallback,
-    see {!Xsc_linalg.Lapack.getrf}). *)
+    see {!Xsc_linalg.Lapack.getrf}).
+
+    As for {!Cholesky}, the program is written once ({!panel},
+    {!update}) with op bodies, and strided and packed tiles are
+    interpreters of it. *)
 
 open Xsc_linalg
 
-val tasks : ?with_closures:bool -> Xsc_tile.Tile.t -> Runtime_api.task list
-val dag : ?with_closures:bool -> Xsc_tile.Tile.t -> Runtime_api.dag
+val kernel_flops : int -> float * float * float
+(** [(getrf, trsm, gemm)] flops of one [nb x nb] tile kernel. *)
+
+val panel :
+  nt:int -> nb:int -> int ->
+  (Xsc_runtime.Task.op -> float -> Xsc_runtime.Task.access list -> unit) -> unit
+(** Step [k]'s panel in program order: [Getrf k], [Trsm_l (k, j)] for
+    [j > k], then [Trsm_u (i, k)] for [i > k]; see {!Cholesky.panel}. *)
+
+val update :
+  nt:int -> nb:int -> int ->
+  (Xsc_runtime.Task.op -> float -> Xsc_runtime.Task.access list -> unit) -> unit
+(** Step [k]'s trailing update: [Gemm (i, j, k)] for [i, j > k], row-major.
+    Emits nothing at [k = nt - 1]. *)
+
+val tasks_ops : nt:int -> nb:int -> Runtime_api.task list
+(** The whole program, op bodies only; see {!Cholesky.tasks_ops}. *)
+
+val dag_ops : nt:int -> nb:int -> Runtime_api.dag
+
+val tile_interp : Xsc_tile.Tile.t -> Xsc_runtime.Task.op -> unit
+(** Interpreter binding op coordinates to strided tiles. Raises
+    [Invalid_argument "Lu.tile_interp: matrix not square"] on a non-square
+    tiling. *)
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> unit
-(** In place: unit-lower [L] below the diagonal, [U] on and above. Raises
-    [Lapack.Singular] on a zero pivot. *)
+(** In place, through {!tile_interp}: unit-lower [L] below the diagonal,
+    [U] on and above. Raises [Lapack.Singular] on a zero pivot. *)
 
 val solve : Xsc_tile.Tile.t -> Vec.t -> Vec.t
 (** Solve from factored tiles (forward unit-lower, backward upper). *)
 
 val factor_mat : ?exec:Runtime_api.exec -> nb:int -> Mat.t -> Xsc_tile.Tile.t
-
-val tasks_ops : nt:int -> nb:int -> Runtime_api.task list
-(** Closure-free task list (op bodies); see {!Cholesky.tasks_ops}. *)
-
-val dag_ops : nt:int -> nb:int -> Runtime_api.dag
 
 val packed_interp : Xsc_tile.Packed.D.t -> Xsc_runtime.Task.op -> unit
 (** Interpreter binding op coordinates to packed tile storage. *)

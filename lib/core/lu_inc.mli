@@ -19,8 +19,8 @@ type factorization = {
 }
 
 val create : Xsc_tile.Tile.t -> factorization
-val tasks : ?with_closures:bool -> factorization -> Runtime_api.task list
-val dag : ?with_closures:bool -> factorization -> Runtime_api.dag
+val tasks : factorization -> Runtime_api.task list
+val dag : factorization -> Runtime_api.dag
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> factorization
 (** Factor a square tiled matrix in place. Raises [Lapack.Singular] on an

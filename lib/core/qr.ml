@@ -65,20 +65,13 @@ let kernel_flops nb =
   let tsmqr = 4.0 *. fnb *. fnb *. fnb in
   (geqrt, unmqr, tsqrt, tsmqr)
 
-let tasks ?(with_closures = true) f =
+let tasks f =
   let t = f.tiles in
   let mt = t.Tile.mt and nt = t.Tile.nt and nb = t.Tile.nb in
   let geqrt_f, unmqr_f, tsqrt_f, tsmqr_f = kernel_flops nb in
-  let bytes = Runtime_api.tile_bytes ~nb in
   let datum i j = Task.datum i j ~stride:nt in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  let emit name flops accesses run =
-    let id = !next_id in
-    incr next_id;
-    let run = if with_closures then Some run else None in
-    acc := Task.make ~id ~name ~flops ~bytes ?run accesses :: !acc
-  in
+  Runtime_api.program ~nb @@ fun emit ->
+  let emit name flops accesses run = emit ~run name flops accesses in
   for k = 0 to nt - 1 do
     let akk = Tile.tile t k k in
     let tau_k = f.tau_diag.(k) in
@@ -117,10 +110,9 @@ let tasks ?(with_closures = true) f =
             | None -> failwith "Qr: tsmqr before tsqrt")
       done
     done
-  done;
-  List.rev !acc
+  done
 
-let dag ?with_closures f = Dag.build (tasks ?with_closures f)
+let dag f = Dag.build (tasks f)
 
 let factor ?(exec = Runtime_api.Sequential) t =
   let f = create t in

@@ -19,8 +19,8 @@ type factorization = {
 val create : Xsc_tile.Tile.t -> factorization
 (** Wrap tiles (copied reference, mutated in place by {!factor}). *)
 
-val tasks : ?with_closures:bool -> factorization -> Runtime_api.task list
-val dag : ?with_closures:bool -> factorization -> Runtime_api.dag
+val tasks : factorization -> Runtime_api.task list
+val dag : factorization -> Runtime_api.dag
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> factorization
 (** Factor in place; returns the handle holding the reflector store. *)

@@ -24,4 +24,21 @@ let execute_exn ?interp exec dag =
 
 let tile_bytes ~nb = 8.0 *. float_of_int (nb * nb)
 
+type emit =
+  ?run:(unit -> unit) -> ?op:Xsc_runtime.Task.op -> string -> float ->
+  Xsc_runtime.Task.access list -> unit
+
+let program ~nb (build : emit -> unit) =
+  let bytes = tile_bytes ~nb in
+  let acc = ref [] and next_id = ref 0 in
+  let emit ?run ?op name flops accesses =
+    acc := Xsc_runtime.Task.make ~id:!next_id ~name ~flops ~bytes ?run ?op accesses :: !acc;
+    incr next_id
+  in
+  build emit;
+  List.rev !acc
+
+let emit_op (emit : emit) op flops accesses =
+  emit ~op (Xsc_runtime.Task.op_name op) flops accesses
+
 let datum = Xsc_runtime.Task.datum

@@ -33,4 +33,17 @@ val execute_exn :
 val tile_bytes : nb:int -> float
 (** Footprint of one tile, for task byte weights. *)
 
+type emit =
+  ?run:(unit -> unit) -> ?op:Xsc_runtime.Task.op -> string -> float ->
+  Xsc_runtime.Task.access list -> unit
+(** [emit ?run ?op name flops accesses] appends one task to a program. *)
+
+val program : nb:int -> (emit -> unit) -> task list
+(** [program ~nb build] collects the tasks [build] emits, in emission
+    order, with ids [0, 1, ...] in that order and byte weight
+    {!tile_bytes}. One pass, no intermediate lists. *)
+
+val emit_op : emit -> Xsc_runtime.Task.op -> float -> Xsc_runtime.Task.access list -> unit
+(** Emit an op-encoded task named {!Xsc_runtime.Task.op_name}. *)
+
 val datum : int -> int -> stride:int -> int

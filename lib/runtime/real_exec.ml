@@ -41,11 +41,11 @@ let closure_of (task : Task.t) =
   | None -> invalid_arg ("Real_exec: task without closure: " ^ task.Task.name)
 
 (* Task bodies come in two forms: a [run] closure, or a closure-free
-   [Task.op] dispatched through the caller's interpreter. With an
-   interpreter present the op wins (the DAG may carry closures too, e.g.
-   for an oracle comparison); without one, only closures are runnable. The
-   dispatch is one branch on an immediate tag — no allocation, nothing for
-   the GC to scan in the steal loop. *)
+   [Task.op] dispatched through the caller's interpreter. A task carries
+   one or the other; a DAG may mix them (a fault-tolerant step runs op
+   tasks beside closure checksum tasks). Without an interpreter only
+   closures are runnable. The dispatch is one branch on an immediate tag —
+   no allocation, nothing for the GC to scan in the steal loop. *)
 let[@inline] exec_body interp (task : Task.t) =
   match interp with
   | Some f -> (

@@ -15,8 +15,8 @@
     {!failure} types, task-body dispatch, task spans and trace stamps.
 
     Tasks must carry a body: a [run] closure, or a closure-free {!Task.op}
-    when the caller passes an [interp] interpreter (the op wins if both are
-    present, so an op-encoded DAG can also carry oracle closures). Bodies of
+    when the caller passes an [interp] interpreter (the op wins if a task
+    carries both). Bodies of
     independent tasks must be safe to run from different domains — the tile
     kernels are, as they write disjoint tiles. Op dispatch is one branch on
     an immediate tag: no per-task closure allocation.

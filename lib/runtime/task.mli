@@ -53,8 +53,7 @@ val make :
   ?op:op -> access list -> t
 
 val op_name : op -> string
-(** Canonical display name, matching the closure task naming convention
-    (["potrf(2,2)"], ["gemm(3,1,0)"], ...). *)
+(** Canonical display name (["potrf(2,2)"], ["gemm(3,1,0)"], ...). *)
 
 val reads : t -> int list
 (** Data read (including read-write). *)

@@ -23,19 +23,6 @@ let utilization t =
 
 let workers t = t.workers
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json_with ?(extra = []) t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
@@ -45,7 +32,7 @@ let to_chrome_json_with ?(extra = []) t =
       Buffer.add_string buf
         (Printf.sprintf
            {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":0,"tid":%d,"args":{"task":%d}}|}
-           (json_escape e.name) (e.start *. 1e6)
+           (Xsc_util.Json.escape e.name) (e.start *. 1e6)
            ((e.finish -. e.start) *. 1e6)
            e.worker e.task))
     (entries t);

@@ -131,10 +131,11 @@ module D = struct
     done;
     tl
 
-  (* Sequential packed Cholesky: identical program order to
-     Cholesky.tasks (k: potrf; i-loop of trsm; i-loop of syrk with inner
-     j-loop of gemm), so sequential packed == sequential strided bitwise,
-     and any DAG-consistent parallel interleaving == both. *)
+  (* Sequential packed Cholesky, written out independently of the task
+     program (Cholesky.panel/update) in its program order (k: potrf; i-loop
+     of trsm; i-loop of syrk with inner j-loop of gemm), so it is an oracle
+     for every interpreter of that program: sequential packed == sequential
+     strided bitwise, and any DAG-consistent parallel interleaving == both. *)
   let potrf t =
     let nb = t.nb in
     for k = 0 to t.nt - 1 do
@@ -222,7 +223,8 @@ module D = struct
       bwd_row t y i
     done
 
-  (* Sequential packed unpivoted LU, mirroring Lu.tasks program order. *)
+  (* Sequential packed unpivoted LU, an oracle written out in the program
+     order of Lu.panel/update. *)
   let getrf_nopiv t =
     let nb = t.nb in
     for k = 0 to t.nt - 1 do

@@ -49,8 +49,10 @@ module D : sig
   val to_tiled : t -> Tile.t
 
   val potrf : t -> unit
-  (** Sequential packed tiled Cholesky (lower), bitwise identical to the
-      strided [Cholesky.factor] reference. Raises
+  (** Sequential packed tiled Cholesky (lower), written out independently
+      of the [Cholesky] task program and bitwise identical to every
+      interpreter of it ([Cholesky.factor], [Cholesky.factor_packed]).
+      Raises
       {!Xsc_linalg.Pblas.Singular} on a non-positive pivot. *)
 
   val potrs : t -> Xsc_linalg.Vec.t -> unit
@@ -61,9 +63,10 @@ module D : sig
       [Lapack.potrs (to_mat l) y]. Allocates nothing. *)
 
   val getrf_nopiv : t -> unit
-  (** Sequential packed tiled unpivoted LU, bitwise identical to the
-      strided [Lu.factor] reference. Raises {!Xsc_linalg.Pblas.Singular}
-      on a zero pivot. *)
+  (** Sequential packed tiled unpivoted LU, written out independently of
+      the [Lu] task program and bitwise identical to every interpreter of
+      it ([Lu.factor], [Lu.factor_packed]). Raises
+      {!Xsc_linalg.Pblas.Singular} on a zero pivot. *)
 
   val getrs_nopiv : t -> Xsc_linalg.Vec.t -> unit
   (** [getrs_nopiv lu y] overwrites [y] with the solution of [L U x = y]

@@ -63,11 +63,10 @@ let test_cholesky_exec_modes_agree () =
 let test_cholesky_task_count () =
   List.iter
     (fun nt ->
-      let t = Tile.create ~rows:(nt * 4) ~cols:(nt * 4) ~nb:4 in
       Alcotest.(check int)
         (Printf.sprintf "count for nt=%d" nt)
         (Cholesky.task_count ~nt)
-        (List.length (Cholesky.tasks ~with_closures:false t)))
+        (List.length (Cholesky.tasks_ops ~nt ~nb:4)))
     [ 1; 2; 3; 5; 8 ]
 
 let test_cholesky_flops_leading_order () =
@@ -77,8 +76,7 @@ let test_cholesky_flops_leading_order () =
   Alcotest.(check bool) "within 15% of n^3/3" true (ratio > 0.85 && ratio < 1.15)
 
 let test_cholesky_dag_shape () =
-  let t = Tile.create ~rows:32 ~cols:32 ~nb:8 in
-  let dag = Cholesky.dag ~with_closures:false t in
+  let dag = Cholesky.dag_ops ~nt:4 ~nb:8 in
   (* nt = 4: depth of the tile Cholesky DAG is 3 nt - 2 = 10 *)
   Alcotest.(check int) "depth 3nt-2" 10 (Dag.depth dag);
   Alcotest.(check bool) "parallelism exists" true
@@ -90,8 +88,9 @@ let test_cholesky_not_spd () =
 
 let test_cholesky_rectangular_rejected () =
   let t = Tile.create ~rows:8 ~cols:4 ~nb:4 in
-  Alcotest.check_raises "not square" (Invalid_argument "Cholesky.tasks: matrix not square")
-    (fun () -> ignore (Cholesky.tasks t))
+  Alcotest.check_raises "not square"
+    (Invalid_argument "Cholesky.tile_interp: matrix not square")
+    (fun () -> Cholesky.factor t)
 
 (* ---- tiled LU ---- *)
 
@@ -127,11 +126,10 @@ let test_lu_parallel_agrees () =
 let test_lu_task_count () =
   List.iter
     (fun nt ->
-      let t = Tile.create ~rows:(nt * 4) ~cols:(nt * 4) ~nb:4 in
       Alcotest.(check int)
         (Printf.sprintf "count for nt=%d" nt)
         (Lu.task_count ~nt)
-        (List.length (Lu.tasks ~with_closures:false t)))
+        (List.length (Lu.tasks_ops ~nt ~nb:4)))
     [ 1; 2; 3; 5 ]
 
 let test_lu_flops_leading_order () =
@@ -205,7 +203,7 @@ let test_lu_inc_task_count () =
       Alcotest.(check int)
         (Printf.sprintf "count nt=%d" nt)
         (Lu_inc.task_count ~nt)
-        (List.length (Lu_inc.tasks ~with_closures:false f)))
+        (List.length (Lu_inc.tasks f)))
     [ 1; 2; 4; 6 ]
 
 let test_lu_inc_qt_structure () =
@@ -273,7 +271,7 @@ let test_qr_task_count () =
   let t = Tile.create ~rows:24 ~cols:16 ~nb:8 in
   let f = Qr.create t in
   Alcotest.(check int) "formula matches" (Qr.task_count ~mt:3 ~nt:2)
-    (List.length (Qr.tasks ~with_closures:false f))
+    (List.length (Qr.tasks f))
 
 let test_qr_requires_tall () =
   let t = Tile.create ~rows:8 ~cols:16 ~nb:8 in

@@ -155,24 +155,63 @@ let test_lu_packed_executors_bitwise () =
       ("forkjoin", Xsc_core.Runtime_api.Forkjoin 4);
     ]
 
-(* The op DAG must be byte-for-byte the same shape as the closure DAG:
-   same task count, names, program order and dependence structure. *)
-let test_op_dag_matches_closure_dag () =
-  let nb = 16 and nt = 4 in
-  let t = Tile.create ~rows:(nt * nb) ~cols:(nt * nb) ~nb in
-  let closure_tasks = Cholesky.tasks ~with_closures:false t in
-  let op_tasks = Cholesky.tasks_ops ~nt ~nb in
-  Alcotest.(check int) "same count" (List.length closure_tasks) (List.length op_tasks);
-  List.iter2
-    (fun (a : Xsc_runtime.Task.t) (b : Xsc_runtime.Task.t) ->
-      Alcotest.(check string) "same name" a.Xsc_runtime.Task.name b.Xsc_runtime.Task.name;
-      Alcotest.(check bool) "same accesses" true
-        (a.Xsc_runtime.Task.accesses = b.Xsc_runtime.Task.accesses);
-      Alcotest.(check bool) "op has no closure" true
-        (b.Xsc_runtime.Task.run = None && b.Xsc_runtime.Task.op <> None))
-    closure_tasks op_tasks;
-  Alcotest.(check int) "lu counts" (List.length (Lu.tasks ~with_closures:false t))
-    (List.length (Lu.tasks_ops ~nt ~nb))
+(* One program, several forms: the strided interpreter over [dag_ops], the
+   packed interpreter over the same DAG, and the sequential packed oracle
+   (written out independently of the task program) must agree bitwise on
+   any tiling and executor. *)
+let prop_forms_agree ~name ~seed ~make_input ~factor ~factor_packed ~oracle =
+  let nbs = [| 4; 8; 16; 32 |] in
+  let execs =
+    Xsc_core.Runtime_api.[| Sequential; Dataflow 2; Forkjoin 3 |]
+  in
+  QCheck.Test.make ~name ~count:25
+    QCheck.(triple (int_range 1 6) (int_range 0 3) (int_range 0 2))
+    (fun (nt, nbi, ei) ->
+      let nb = nbs.(nbi) and exec = execs.(ei) in
+      let a = make_input (Rng.create (seed + (nt * 100) + nb)) (nt * nb) in
+      let t = Tile.of_mat ~nb a in
+      factor ~exec t;
+      let p = Packed.D.of_mat ~nb a in
+      factor_packed ~exec p;
+      let o = Packed.D.of_mat ~nb a in
+      oracle o;
+      let expect = Packed.D.to_mat o in
+      Mat.approx_equal ~tol:0.0 expect (Tile.to_mat t)
+      && Mat.approx_equal ~tol:0.0 expect (Packed.D.to_mat p))
+
+let prop_cholesky_forms_agree =
+  prop_forms_agree ~name:"cholesky: tile interp = packed interp = Packed.D.potrf" ~seed:5001
+    ~make_input:Mat.random_spd
+    ~factor:(fun ~exec t -> Cholesky.factor ~exec t)
+    ~factor_packed:(fun ~exec p -> Cholesky.factor_packed ~exec p)
+    ~oracle:Packed.D.potrf
+
+let prop_lu_forms_agree =
+  prop_forms_agree ~name:"lu: tile interp = packed interp = Packed.D.getrf_nopiv" ~seed:6001
+    ~make_input:Mat.random_diag_dominant
+    ~factor:(fun ~exec t -> Lu.factor ~exec t)
+    ~factor_packed:(fun ~exec p -> Lu.factor_packed ~exec p)
+    ~oracle:Packed.D.getrf_nopiv
+
+(* The task program is closure-free: every task of [dag_ops] carries an op,
+   named by [Task.op_name], and no closure — so one DAG serves every
+   storage layout, and the server's plans hold no tile views. *)
+let test_dag_ops_closure_free () =
+  let module Task = Xsc_runtime.Task in
+  List.iter
+    (fun (label, dag) ->
+      Array.iteri
+        (fun id (t : Task.t) ->
+          Alcotest.(check int) (label ^ " id in program order") id t.Task.id;
+          Alcotest.(check bool) (label ^ " no closure") true (t.Task.run = None);
+          match t.Task.op with
+          | Some op -> Alcotest.(check string) (label ^ " op name") (Task.op_name op) t.Task.name
+          | None -> Alcotest.failf "%s task %s has no op" label t.Task.name)
+        dag.Xsc_runtime.Dag.tasks)
+    [
+      ("cholesky", Cholesky.dag_ops ~nt:5 ~nb:16);
+      ("lu", Lu.dag_ops ~nt:5 ~nb:16);
+    ]
 
 let test_gemm_matches_reference () =
   let n = 96 and nb = 32 in
@@ -481,8 +520,10 @@ let () =
             test_factor_packed_executors_bitwise;
           Alcotest.test_case "lu bitwise across executors" `Quick
             test_lu_packed_executors_bitwise;
-          Alcotest.test_case "op dag matches closure dag" `Quick
-            test_op_dag_matches_closure_dag;
+          Alcotest.test_case "dag_ops tasks carry ops, no closures" `Quick
+            test_dag_ops_closure_free;
+          qcheck prop_cholesky_forms_agree;
+          qcheck prop_lu_forms_agree;
         ] );
       ( "kernels",
         [

@@ -181,8 +181,7 @@ let test_single_worker_serialises () =
 let test_dag_beats_bsp_on_cholesky_shape () =
   (* a wide, staircase-dependent DAG: list scheduling should beat BSP *)
   let nt = 8 in
-  let t = Xsc_tile.Tile.create ~rows:(nt * 8) ~cols:(nt * 8) ~nb:8 in
-  let dag = Xsc_core.Cholesky.dag ~with_closures:false t in
+  let dag = Xsc_core.Cholesky.dag_ops ~nt ~nb:8 in
   let cfg = Sim_exec.config ~workers:8 ~rate:1e9 () in
   let bsp = Sim_exec.run cfg Sim_exec.Bsp dag in
   let dyn = Sim_exec.run cfg Sim_exec.List_critical_path dag in
@@ -539,15 +538,16 @@ let tiles_bitwise_equal (a : Tile.t) (b : Tile.t) =
    executor variant at workers in {1, 2, 4, 8} reproduces the exact same
    tiles: the dependence edges serialise every numerically non-commuting
    pair of kernels, so any scheduling bug shows up as a bitwise diff. *)
-let factorization_oracle ~name ~dag_of ~make_input sizes =
+let factorization_oracle ~name ~dag_ops ~interp_of ~make_input sizes =
   List.iter
     (fun (nt, nb) ->
       let input = make_input ~nt ~nb in
+      let dag = dag_ops ~nt ~nb in
       let seq_tiles = Tile.of_mat ~nb input in
-      ignore (Real_exec.run_sequential (dag_of seq_tiles));
+      ignore (Real_exec.run_sequential ~interp:(interp_of seq_tiles) dag);
       let check_variant variant_name run =
         let tiles = Tile.of_mat ~nb input in
-        ignore (run (dag_of tiles));
+        ignore (run ~interp:(interp_of tiles) dag);
         Alcotest.(check bool)
           (Printf.sprintf "%s nt=%d nb=%d %s" name nt nb variant_name)
           true
@@ -556,22 +556,24 @@ let factorization_oracle ~name ~dag_of ~make_input sizes =
       List.iter
         (fun workers ->
           let w = string_of_int workers in
-          check_variant ("dataflow w=" ^ w) (Pool.run_once ~workers);
-          check_variant ("forkjoin w=" ^ w) (Real_exec.run_forkjoin ~workers))
+          check_variant ("dataflow w=" ^ w) (fun ~interp dag ->
+              Pool.run_once ~interp ~workers dag);
+          check_variant ("forkjoin w=" ^ w) (fun ~interp dag ->
+              Real_exec.run_forkjoin ~interp ~workers dag))
         [ 1; 2; 4; 8 ])
     sizes
 
 let test_oracle_cholesky () =
   let rng = Rng.create 42 in
   factorization_oracle ~name:"cholesky"
-    ~dag_of:(fun t -> Xsc_core.Cholesky.dag t)
+    ~dag_ops:Xsc_core.Cholesky.dag_ops ~interp_of:Xsc_core.Cholesky.tile_interp
     ~make_input:(fun ~nt ~nb -> Mat.random_spd rng (nt * nb))
     [ (4, 8); (6, 4) ]
 
 let test_oracle_lu () =
   let rng = Rng.create 43 in
   factorization_oracle ~name:"lu"
-    ~dag_of:(fun t -> Xsc_core.Lu.dag t)
+    ~dag_ops:Xsc_core.Lu.dag_ops ~interp_of:Xsc_core.Lu.tile_interp
     ~make_input:(fun ~nt ~nb -> Mat.random_diag_dominant rng (nt * nb))
     [ (4, 8); (6, 4) ]
 
@@ -633,7 +635,18 @@ let test_trace_chrome_json () =
        i + String.length sub <= String.length json
        && (String.sub json i (String.length sub) = sub || contains (i + 1))
      in
-     contains 0)
+     contains 0);
+  (* quote, backslash and tab in one name: the escaped output parses back
+     to the original name *)
+  let name = "csum\"q\\b\tt" in
+  let t = Trace.create ~workers:1 in
+  Trace.add t { Trace.task = 0; name; worker = 0; start = 0.0; finish = 1e-3 };
+  let module Json = Xsc_util.Json in
+  match Json.parse (Trace.to_chrome_json t) with
+  | Json.List [ ev ] ->
+    Alcotest.(check (option string)) "name round-trips" (Some name)
+      (match Json.member "name" ev with Some (Json.Str s) -> Some s | _ -> None)
+  | _ -> Alcotest.fail "expected one event"
 
 let test_trace_by_kernel () =
   let t = Trace.create ~workers:2 in
@@ -677,12 +690,12 @@ module Json = Xsc_util.Json
 let traced_cholesky ~seed ~executor () =
   let rng = Rng.create seed in
   let a = Mat.random_spd rng 32 in
-  let tiles = Tile.of_mat ~nb:8 a in
-  let dag = Xsc_core.Cholesky.dag tiles in
+  let interp = Xsc_core.Cholesky.tile_interp (Tile.of_mat ~nb:8 a) in
+  let dag = Xsc_core.Cholesky.dag_ops ~nt:4 ~nb:8 in
   let stats =
     match executor with
-    | `Dataflow -> Pool.run_once ~trace:true ~workers:4 dag
-    | `Forkjoin -> Real_exec.run_forkjoin ~trace:true ~workers:4 dag
+    | `Dataflow -> Pool.run_once ~interp ~trace:true ~workers:4 dag
+    | `Forkjoin -> Real_exec.run_forkjoin ~interp ~trace:true ~workers:4 dag
   in
   (dag, stats)
 
@@ -693,8 +706,10 @@ let test_traced_run_bitwise_identical () =
   let a = Mat.random_spd rng 32 in
   let t_off = Tile.of_mat ~nb:8 a in
   let t_on = Tile.of_mat ~nb:8 a in
-  ignore (Pool.run_once ~trace:false ~workers:4 (Xsc_core.Cholesky.dag t_off));
-  let s = Pool.run_once ~trace:true ~workers:4 (Xsc_core.Cholesky.dag t_on) in
+  let dag = Xsc_core.Cholesky.dag_ops ~nt:4 ~nb:8 in
+  let run ~trace t = Pool.run_once ~interp:(Xsc_core.Cholesky.tile_interp t) ~trace ~workers:4 dag in
+  ignore (run ~trace:false t_off);
+  let s = run ~trace:true t_on in
   Alcotest.(check bool) "trace present when asked" true (s.Real_exec.trace <> None);
   Alcotest.(check bool) "factorization bitwise identical" true
     (tiles_bitwise_equal t_off t_on)
@@ -702,7 +717,12 @@ let test_traced_run_bitwise_identical () =
 let test_untraced_has_no_trace () =
   let rng = Rng.create 13 in
   let a = Mat.random_spd rng 16 in
-  let s = Pool.run_once ~workers:2 (Xsc_core.Cholesky.dag (Tile.of_mat ~nb:8 a)) in
+  let s =
+    Pool.run_once
+      ~interp:(Xsc_core.Cholesky.tile_interp (Tile.of_mat ~nb:8 a))
+      ~workers:2
+      (Xsc_core.Cholesky.dag_ops ~nt:2 ~nb:8)
+  in
   match Sys.getenv_opt "XSC_TRACE" with
   | None -> Alcotest.(check bool) "no trace by default" true (s.Real_exec.trace = None)
   | Some _ -> ()
@@ -793,13 +813,14 @@ let test_traced_and_untraced_jobs_share_pool () =
   Pool.submit pool busy ~on_done:(fun _ ~worker:_ -> Atomic.set busy_done true);
   let a = Mat.random_spd (Rng.create 21) 32 in
   let seq_tiles = Tile.of_mat ~nb:8 a in
-  ignore (Real_exec.run_sequential (Xsc_core.Cholesky.dag seq_tiles));
+  let dag = Xsc_core.Cholesky.dag_ops ~nt:4 ~nb:8 in
+  ignore (Real_exec.run_sequential ~interp:(Xsc_core.Cholesky.tile_interp seq_tiles) dag);
   let tiles = Tile.of_mat ~nb:8 a in
-  let dag = Xsc_core.Cholesky.dag tiles in
   (* an earlier deadline, so the traced job interleaves with the busy one
      instead of queueing behind it *)
   let stats =
-    Pool.run ~trace:true ~deadline_ns:(Xsc_obs.Clock.now_ns () + 1_000_000_000) pool dag
+    Pool.run ~interp:(Xsc_core.Cholesky.tile_interp tiles) ~trace:true
+      ~deadline_ns:(Xsc_obs.Clock.now_ns () + 1_000_000_000) pool dag
   in
   while not (Atomic.get busy_done) do
     Domain.cpu_relax ()
@@ -835,8 +856,7 @@ let test_forkjoin_trace_and_barrier_wait () =
 module Hetero = Xsc_runtime.Hetero
 
 let hetero_dag () =
-  let t = Xsc_tile.Tile.create ~rows:64 ~cols:64 ~nb:8 in
-  Xsc_core.Cholesky.dag ~with_closures:false t
+  Xsc_core.Cholesky.dag_ops ~nt:8 ~nb:8
 
 let test_hetero_schedules_valid () =
   let dag = hetero_dag () in
