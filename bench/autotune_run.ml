@@ -16,6 +16,7 @@
 module P = Xsc_linalg.Pblas
 module Kconfig = Xsc_linalg.Kconfig
 module KT = Xsc_autotune.Kernel_tune
+module Json = Xsc_util.Json
 module Roofline = Xsc_hpcbench.Roofline
 module Node = Xsc_simmachine.Node
 
@@ -52,11 +53,8 @@ let record ?(quick = true) () =
         | Error e ->
             (* the gate below fails; still emit a record with in-process
                results so the artifact shows what the host can do *)
-            let r = KT.tune ~quick () in
-            ("in-process", Some (Kconfig.describe_error e), KT.to_cache r))
-    | None ->
-        let r = KT.tune ~quick () in
-        ("in-process", None, KT.to_cache r)
+            ("in-process", Some (Kconfig.describe_error e), fst (KT.tune ~quick ())))
+    | None -> ("in-process", None, fst (KT.tune ~quick ()))
   in
   let nb = cache.Kconfig.nb in
   let kernels =
@@ -81,18 +79,18 @@ let record ?(quick = true) () =
             .Roofline.roof_fraction
         in
         let ok = tuned_gf >= noise_floor *. default_gf in
-        let mr, nr = P.shapes.(e.Kconfig.cfg.P.shape) in
+        if not ok then
+          Printf.eprintf "autotune: tuned %s %s regressed below its default\n"
+            (P.prec_name prec) (P.kernel_name kernel);
+        let measured = { e with Kconfig.default_gflops = default_gf; tuned_gflops = tuned_gf } in
         let json =
-          Printf.sprintf
-            "{\"prec\": \"%s\", \"kernel\": \"%s\", \"mr\": %d, \"nr\": %d, \
-             \"pack\": %b, \"prefetch\": %b, \"default_gflops\": %.4f, \
-             \"tuned_gflops\": %.4f, \"speedup\": %.4f, \
-             \"default_roof_fraction\": %.4f, \"tuned_roof_fraction\": %.4f, \
-             \"no_regression\": %b}"
-            (P.prec_name prec) (P.kernel_name kernel) mr nr e.Kconfig.cfg.P.pack
-            e.Kconfig.cfg.P.prefetch default_gf tuned_gf
-            (if default_gf > 0.0 then tuned_gf /. default_gf else 1.0)
-            (roof default_gf) (roof tuned_gf) ok
+          Json.Obj
+            (KT.entry_fields measured
+            @ [
+                ("default_roof_fraction", Json.Num (roof default_gf));
+                ("tuned_roof_fraction", Json.Num (roof tuned_gf));
+                ("no_regression", Json.Bool ok);
+              ])
         in
         (json, ok))
       cache.Kconfig.entries
@@ -103,21 +101,17 @@ let record ?(quick = true) () =
   if not cache_ok then
     Printf.eprintf "autotune: XSC_TUNE_CACHE did not load: %s\n"
       (Option.value ~default:"?" load_error);
-  List.iter2
-    (fun (_, k_ok) e ->
-      if not k_ok then
-        Printf.eprintf "autotune: tuned %s %s regressed below its default\n"
-          (P.prec_name e.Kconfig.prec)
-          (P.kernel_name e.Kconfig.kernel))
-    kernels cache.Kconfig.entries;
   let json =
-    Printf.sprintf
-      "{\"source\": \"%s\", \"cache_loaded\": %b, \"nb\": %d, \
-       \"search_seconds\": %.6f, \"host_key\": \"%s\", \"kernels\": [\n      %s\n\
-      \    ], \"no_regression\": %b, \"ok\": %b}"
-      source cache_ok nb cache.Kconfig.search_seconds
-      (Xsc_util.Json.escape cache.Kconfig.host_key)
-      (String.concat ",\n      " (List.map fst kernels))
-      no_regression ok
+    Json.Obj
+      [
+        ("source", Json.Str source);
+        ("cache_loaded", Json.Bool cache_ok);
+        ("nb", Json.int nb);
+        ("search_seconds", Json.Num cache.Kconfig.search_seconds);
+        ("host_key", Json.Str cache.Kconfig.host_key);
+        ("kernels", Json.List (List.map fst kernels));
+        ("no_regression", Json.Bool no_regression);
+        ("ok", Json.Bool ok);
+      ]
   in
   (json, ok)

@@ -25,6 +25,7 @@ module Trace = Xsc_runtime.Trace
 module Rng = Xsc_util.Rng
 module Clock = Xsc_obs.Clock
 module Gcstat = Xsc_obs.Gcstat
+module Json = Xsc_util.Json
 
 let time f reps =
   f ();
@@ -54,10 +55,15 @@ let gemm_record ~n ~reps =
   let packed =
     flops /. time (fun () -> Packed.D.gemm ~alpha:1.0 pa pb ~beta:0.0 pc) reps /. 1e9
   in
-  Printf.sprintf
-    "{\"n\": %d, \"naive_gflops\": %.4f, \"blocked_gflops\": %.4f, \"packed_gflops\": \
-     %.4f, \"speedup\": %.3f, \"packed_vs_blocked\": %.3f}"
-    n naive blocked packed (blocked /. naive) (packed /. blocked)
+  Json.Obj
+    [
+      ("n", Json.int n);
+      ("naive_gflops", Json.Num naive);
+      ("blocked_gflops", Json.Num blocked);
+      ("packed_gflops", Json.Num packed);
+      ("speedup", Json.Num (blocked /. naive));
+      ("packed_vs_blocked", Json.Num (packed /. blocked));
+    ]
 
 (* Float32 vs float64 packed kernel rates: same tile algorithm, half the
    bytes per element (paper rule 4 — flops are free, bandwidth is not) and
@@ -116,11 +122,18 @@ let f32_record ~n ~reps =
     /. time (fun () -> Pblas.S.gemm_nt ~alpha:1.0 sa.Packed.S.buf 0 sb.Packed.S.buf 0 sc.Packed.S.buf 0 ~nb:gnb) (8 * reps)
     /. 1e9
   in
-  Printf.sprintf
-    "{\"n\": %d, \"nb\": %d, \"potrf_f64_gflops\": %.4f, \"potrf_f32_gflops\": %.4f, \
-     \"potrf_f32_over_f64\": %.3f, \"gemm_nb\": %d, \"gemm_f64_gflops\": %.4f, \
-     \"gemm_f32_gflops\": %.4f, \"gemm_f32_over_f64\": %.3f}"
-    n nb f64 f32 (f32 /. f64) gnb g64 g32 (g32 /. g64)
+  Json.Obj
+    [
+      ("n", Json.int n);
+      ("nb", Json.int nb);
+      ("potrf_f64_gflops", Json.Num f64);
+      ("potrf_f32_gflops", Json.Num f32);
+      ("potrf_f32_over_f64", Json.Num (f32 /. f64));
+      ("gemm_nb", Json.int gnb);
+      ("gemm_f64_gflops", Json.Num g64);
+      ("gemm_f32_gflops", Json.Num g32);
+      ("gemm_f32_over_f64", Json.Num (g32 /. g64));
+    ]
 
 (* Measured mixed-precision solve through the real float32 factorization:
    the accuracy story (converges to double) next to the speed story (the
@@ -134,10 +147,15 @@ let ir_record ~n =
   let r = Ir.chol_ir32 ~nb:packed_nb a b in
   let elapsed = Clock.now_s () -. t0 in
   let err = Vec.dist_inf r.Ir.x x_true /. Vec.norm_inf x_true in
-  Printf.sprintf
-    "{\"n\": %d, \"iterations\": %d, \"converged\": %b, \"backward_error\": %.3e, \
-     \"forward_error\": %.3e, \"solve_s\": %.4f}"
-    n r.Ir.iterations r.Ir.converged r.Ir.backward_error err elapsed
+  Json.Obj
+    [
+      ("n", Json.int n);
+      ("iterations", Json.int r.Ir.iterations);
+      ("converged", Json.Bool r.Ir.converged);
+      ("backward_error", Json.Num r.Ir.backward_error);
+      ("forward_error", Json.Num err);
+      ("solve_s", Json.Num elapsed);
+    ]
 
 (* Scheduler comparison over the packed closure-free DAG (op-encoded tasks,
    Pblas kernels) plus one extra traced dataflow run (outside the timed
@@ -170,16 +188,24 @@ let sched_record ~nt ~nb ~workers =
     else float_of_int df.Real_exec.steal_attempts /. float_of_int df.Real_exec.steals
   in
   let sched =
-    Printf.sprintf
-      "{\"n\": %d, \"nb\": %d, \"workers\": %d, \"sequential_s\": %.6f, \"forkjoin_s\": \
-       %.6f, \"dataflow_s\": %.6f, \"forkjoin_speedup\": %.3f, \"dataflow_speedup\": \
-       %.3f, \"dataflow_over_forkjoin\": %.3f, \"seq_gflops\": %.4f, \"steals\": %d, \
-       \"steal_attempts\": %d, \"attempts_per_steal\": %.1f, \"parks\": %d, \
-       \"park_time_s\": %.6f}"
-      n nb workers seq_t fj_t df_t (seq_t /. fj_t) (seq_t /. df_t) (fj_t /. df_t)
-      (Cholesky.flops ~nt ~nb /. seq_t /. 1e9)
-      df.Real_exec.steals df.Real_exec.steal_attempts attempts_per_steal
-      df.Real_exec.parks df.Real_exec.park_time
+    Json.Obj
+      [
+        ("n", Json.int n);
+        ("nb", Json.int nb);
+        ("workers", Json.int workers);
+        ("sequential_s", Json.Num seq_t);
+        ("forkjoin_s", Json.Num fj_t);
+        ("dataflow_s", Json.Num df_t);
+        ("forkjoin_speedup", Json.Num (seq_t /. fj_t));
+        ("dataflow_speedup", Json.Num (seq_t /. df_t));
+        ("dataflow_over_forkjoin", Json.Num (fj_t /. df_t));
+        ("seq_gflops", Json.Num (Cholesky.flops ~nt ~nb /. seq_t /. 1e9));
+        ("steals", Json.int df.Real_exec.steals);
+        ("steal_attempts", Json.int df.Real_exec.steal_attempts);
+        ("attempts_per_steal", Json.Num attempts_per_steal);
+        ("parks", Json.int df.Real_exec.parks);
+        ("park_time_s", Json.Num df.Real_exec.park_time);
+      ]
   in
   let per_kernel =
     let p = Packed.D.of_mat ~nb a in
@@ -190,9 +216,13 @@ let sched_record ~nt ~nb ~workers =
       let flops_of id = dag.Xsc_runtime.Dag.tasks.(id).Xsc_runtime.Task.flops in
       List.map
         (fun (family, busy, count, rate) ->
-          Printf.sprintf
-            "{\"kernel\": \"%s\", \"busy_s\": %.6f, \"tasks\": %d, \"gflops\": %.4f}"
-            (Xsc_util.Json.escape family) busy count (rate /. 1e9))
+          Json.Obj
+            [
+              ("kernel", Json.Str family);
+              ("busy_s", Json.Num busy);
+              ("tasks", Json.int count);
+              ("gflops", Json.Num (rate /. 1e9));
+            ])
         (Trace.by_kernel_rates tr ~flops_of)
   in
   (sched, per_kernel)
@@ -232,14 +262,17 @@ let sparse_record ~n ~reps =
     let intensity = flops /. bytes in
     let measured = per_call_flops /. t in
     let a = Roofline.achieved_point node ~kernel:name ~intensity ~measured in
-    Printf.sprintf
-      "{\"kernel\": \"%s\", \"n\": %d, \"rows\": %d, \"intensity\": %.4f, \
-       \"gflops\": %.4f, \"gbytes_per_s\": %.3f, \"roof_gflops\": %.4f, \
-       \"roof_fraction\": %.4f}"
-      (Xsc_util.Json.escape name) n rows intensity (measured /. 1e9)
-      (measured /. intensity /. 1e9)
-      (a.Roofline.point.Roofline.attainable /. 1e9)
-      a.Roofline.roof_fraction
+    Json.Obj
+      [
+        ("kernel", Json.Str name);
+        ("n", Json.int n);
+        ("rows", Json.int rows);
+        ("intensity", Json.Num intensity);
+        ("gflops", Json.Num (measured /. 1e9));
+        ("gbytes_per_s", Json.Num (measured /. intensity /. 1e9));
+        ("roof_gflops", Json.Num (a.Roofline.point.Roofline.attainable /. 1e9));
+        ("roof_fraction", Json.Num a.Roofline.roof_fraction);
+      ]
   in
   let a7 = Stencil.poisson_3d n in
   let a27 = Stencil.hpcg_27pt n in
@@ -249,40 +282,36 @@ let sparse_record ~n ~reps =
   (* the 7-point operator under the same kernel name shows intensity is a
      property of the operator (nnz/row), not the kernel *)
   let spmv7 = measure "spmv" (fun () -> Csr.mul_vec_into a7 x y) in
-  Printf.sprintf "[%s,\n    %s,\n    %s]" spmv7 spmv symgs
+  Json.List [ spmv7; spmv; symgs ]
 
 (* Whole-run GC figures: quick_stat deltas around the record's phases.
    The per-phase gauges ([gc.<phase>.*], published by Gcstat.phase) land
    in the registry snapshot that already ships with the record. *)
 let gc_json (d : Gcstat.snap) =
-  Printf.sprintf
-    "{\"minor_words\": %.0f, \"promoted_words\": %.0f, \"major_words\": %.0f, \
-     \"minor_collections\": %d, \"major_collections\": %d, \"compactions\": %d, \
-     \"heap_words\": %d}"
-    d.Gcstat.minor_words d.Gcstat.promoted_words d.Gcstat.major_words
-    d.Gcstat.minor_collections d.Gcstat.major_collections d.Gcstat.compactions
-    d.Gcstat.heap_words
+  Json.Obj
+    [
+      ("minor_words", Json.Num d.Gcstat.minor_words);
+      ("promoted_words", Json.Num d.Gcstat.promoted_words);
+      ("major_words", Json.Num d.Gcstat.major_words);
+      ("minor_collections", Json.int d.Gcstat.minor_collections);
+      ("major_collections", Json.int d.Gcstat.major_collections);
+      ("compactions", Json.int d.Gcstat.compactions);
+      ("heap_words", Json.int d.Gcstat.heap_words);
+    ]
 
 let gate_fail what =
   Printf.eprintf "%s FAILED\n" what;
   exit 1
 
-let write_json ~file lines =
-  let json = String.concat "\n" lines in
-  let oc = open_out file in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" file;
-  print_string json;
-  print_newline ()
+(* The one writer of bench record files ([--json], [--smoke], [--fleet], [--serve]). *)
+let write_json ~file j =
+  Out_channel.with_open_text file (fun oc -> output_string oc (Json.to_string j ^ "\n"))
 
 let run ~file =
   let gc0 = Gcstat.snap () in
   let gemm_sizes = [ (128, 20); (256, 5); (512, 3) ] in
   let gemms =
-    Gcstat.phase "gemm" (fun () ->
-        List.map (fun (n, reps) -> "    " ^ gemm_record ~n ~reps) gemm_sizes)
+    Gcstat.phase "gemm" (fun () -> List.map (fun (n, reps) -> gemm_record ~n ~reps) gemm_sizes)
   in
   let f32 = Gcstat.phase "f32" (fun () -> f32_record ~n:768 ~reps:2) in
   let ir = Gcstat.phase "ir" (fun () -> ir_record ~n:256) in
@@ -291,7 +320,7 @@ let run ~file =
     Gcstat.phase "sched" (fun () ->
         let s1, pk = sched_record ~nt:6 ~nb:72 ~workers in
         let s2, _ = sched_record ~nt:8 ~nb:96 ~workers in
-        ([ "    " ^ s1; "    " ^ s2 ], pk))
+        ([ s1; s2 ], pk))
   in
   let sparse = Gcstat.phase "sparse" (fun () -> sparse_record ~n:32 ~reps:10) in
   let resilience = Gcstat.phase "resilience" (fun () -> Faults_run.record ()) in
@@ -299,23 +328,24 @@ let run ~file =
     Gcstat.phase "autotune" (fun () -> Autotune_run.record ~quick:false ())
   in
   let gc = gc_json (Gcstat.delta ~before:gc0 ~after:(Gcstat.snap ())) in
-  write_json ~file
-    ([ "{"; "  \"gemm\": [" ]
-    @ [ String.concat ",\n" gemms ]
-    @ [
-        "  ],";
-        "  \"f32\": " ^ f32 ^ ",";
-        "  \"ir\": " ^ ir ^ ",";
-        "  \"sparse\": " ^ sparse ^ ",";
-        "  \"autotune\": " ^ autotune ^ ",";
-        "  \"resilience\": " ^ resilience ^ ",";
-        "  \"gc\": " ^ gc ^ ",";
-        "  \"sched\": [";
+  let record =
+    Json.Obj
+      [
+        ("gemm", Json.List gemms);
+        ("f32", f32);
+        ("ir", ir);
+        ("sparse", sparse);
+        ("autotune", autotune);
+        ("resilience", resilience);
+        ("gc", gc);
+        ("sched", Json.List scheds);
+        ( "metrics",
+          Json.Obj
+            [ ("per_kernel", Json.List per_kernel); ("registry", Xsc_obs.Metrics.to_json ()) ] );
       ]
-    @ [ String.concat ",\n" scheds ]
-    @ [ "  ],"; "  \"metrics\": {"; "    \"per_kernel\": [" ]
-    @ [ String.concat ",\n" (List.map (fun s -> "      " ^ s) per_kernel) ]
-    @ [ "    ],"; "    \"registry\": " ^ Xsc_obs.Metrics.to_json (); "  }"; "}" ]);
+  in
+  write_json ~file record;
+  Printf.printf "wrote %s\n%s\n" file (Json.to_string record);
   (* hard-invariant gate: the autotune roofline — a tuned kernel falling
      below its own freshly measured default is a dispatch bug, not a perf
      datum *)
@@ -334,18 +364,20 @@ let smoke ~file =
     Gcstat.phase "autotune" (fun () -> Autotune_run.record ~quick:true ())
   in
   let gc = gc_json (Gcstat.delta ~before:gc0 ~after:(Gcstat.snap ())) in
-  write_json ~file
-    [
-      "{";
-      "  \"smoke\": true,";
-      "  \"sched\": " ^ sched ^ ",";
-      "  \"sparse\": " ^ sparse ^ ",";
-      "  \"autotune\": " ^ autotune ^ ",";
-      "  \"resilience\": " ^ resilience ^ ",";
-      "  \"gc\": " ^ gc ^ ",";
-      "  \"registry\": " ^ Xsc_obs.Metrics.to_json ();
-      "}";
-    ];
+  let record =
+    Json.Obj
+      [
+        ("smoke", Json.Bool true);
+        ("sched", sched);
+        ("sparse", sparse);
+        ("autotune", autotune);
+        ("resilience", resilience);
+        ("gc", gc);
+        ("registry", Xsc_obs.Metrics.to_json ());
+      ]
+  in
+  write_json ~file record;
+  Printf.printf "wrote %s\n%s\n" file (Json.to_string record);
   (* the autotune gates are hard invariants, not perf — gate on them even
      in the record-only smoke: XSC_TUNE_CACHE (when set) must load, and
      tuned kernels must not regress below their freshly measured defaults *)

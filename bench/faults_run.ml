@@ -112,14 +112,24 @@ let record ?(runs = 7) ?(storm_seeds = 8) () =
   let injected, detected, repaired, replayed, bitwise =
     storm ~seeds ~p_corrupt:0.12 (p0, reference)
   in
-  Printf.sprintf
-    "{\"n\": %d, \"nb\": %d, \"plain_potrf_s\": %.6f, \"dag_potrf_s\": %.6f, \
-     \"ft_restart_s\": %.6f, \"ft_potrf_s\": %.6f, \"abft_overhead\": %.4f, \
-     \"abft_overhead_model\": %.4f, \"storm_runs\": %d, \"injected\": %d, \
-     \"detected\": %d, \"repaired_tiles\": %d, \"replayed_kernels\": %d, \
-     \"bitwise_identical\": %b}"
-    n nb plain_t dag_t restart_t ft_t overhead model (List.length seeds) injected detected
-    repaired replayed bitwise
+  let module J = Xsc_util.Json in
+  J.Obj
+    [
+      ("n", J.int n);
+      ("nb", J.int nb);
+      ("plain_potrf_s", J.Num plain_t);
+      ("dag_potrf_s", J.Num dag_t);
+      ("ft_restart_s", J.Num restart_t);
+      ("ft_potrf_s", J.Num ft_t);
+      ("abft_overhead", J.Num overhead);
+      ("abft_overhead_model", J.Num model);
+      ("storm_runs", J.int (List.length seeds));
+      ("injected", J.int injected);
+      ("detected", J.int detected);
+      ("repaired_tiles", J.int repaired);
+      ("replayed_kernels", J.int replayed);
+      ("bitwise_identical", J.Bool bitwise);
+    ]
 
 (* Human-readable storm at one seed: corruption + task-body raises through
    the fault-tolerant driver, then the overhead summary. *)

@@ -27,8 +27,9 @@
        empirical failure count within tolerance of rate x makespan.
 
    A failing gate dumps the replay storm's simulated spans as a flight
-   recorder file next to the record. All file writes go through
-   Fun.protect so a failing gate or a full disk never leaks a handle. *)
+   recorder file next to the record. The record goes out through
+   Bench_json.write_json, which closes the file on any exception, so a
+   failing gate or a full disk never leaks a handle. *)
 
 module Sim = Xsc_fleet.Sim
 module Model = Xsc_fleet.Model
@@ -44,6 +45,7 @@ module Dist_cholesky = Xsc_ca.Dist_cholesky
 module Summa = Xsc_ca.Summa
 
 module Scenario = Xsc_fleet.Scenario
+module Json = Xsc_util.Json
 
 let fleet_machine ~nodes ~node_mtbf = Scenario.machine ~nodes ~node_mtbf
 
@@ -104,29 +106,6 @@ let mk_config ?cadence ?abft ?capacity ?max_batch ?(spans = false) ?rate_hz
   Scenario.config ?cadence ?abft ?capacity ?max_batch ~spans ~nodes
     ~node_mtbf:mtbf ~rate_hz ~count:p.count ~seed ()
 
-(* ---- per-run JSON summary ---- *)
-
-let run_json ?(label = "") (cfg : Sim.config) (r : Sim.result) =
-  let c = r.Sim.counters in
-  Printf.sprintf
-    "{\"label\": \"%s\", \"seed\": %d, \"nodes\": %d, \"node_mtbf_s\": %.0f, \
-     \"system_mtbf_s\": %.2f, \"rate_hz\": %.2f, \"offered\": %d, \
-     \"availability\": %.4f, \"goodput_rps\": %.4f, \"p50_ms\": %.0f, \
-     \"p99_ms\": %.0f, \"util\": %.3f, \"makespan_s\": %.1f, \
-     \"failures\": %d, \"failures_busy\": %d, \"abft_repairs\": %d, \
-     \"cone_replays\": %d, \"restarts\": %d, \"recovery_rejects\": %d, \
-     \"admission_rejects\": %d, \"checkpoints\": %d, \"batches\": %d, \
-     \"expected_failures\": %.1f, \"outcome_hash\": \"%Lx\", \
-     \"reconciles\": %b, \"wedged\": %b}"
-    (String.escaped label) cfg.Sim.seed cfg.Sim.machine.Machine.node_count
-    cfg.Sim.machine.Machine.node_mtbf
-    (Machine.system_mtbf cfg.Sim.machine)
-    cfg.Sim.rate_hz c.Sim.offered r.Sim.availability r.Sim.goodput_rps r.Sim.p50_ms
-    r.Sim.p99_ms r.Sim.util r.Sim.makespan_s c.Sim.failures_total c.Sim.failures_busy
-    c.Sim.abft_repairs c.Sim.cone_replays c.Sim.restarts c.Sim.rejected_recovery
-    c.Sim.rejected_admission c.Sim.checkpoints c.Sim.batches r.Sim.expected_failures
-    r.Sim.outcome_hash (Sim.reconciles c) r.Sim.wedged
-
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 (* Every run feeds gate (d): lattice reconciliation, a clean finish, and
@@ -144,10 +123,10 @@ let sound (r : Sim.result) =
   if not ok then all_sound := false;
   ok
 
-let run_one ?label cfg =
+let run_one ?(label = "") cfg =
   let r = Sim.run cfg in
   ignore (sound r);
-  (r, run_json ?label cfg r)
+  (r, Json.Obj (("label", Json.Str label) :: Sim.summary_fields cfg r))
 
 (* ---- gate (a): availability vs MTBF, monotone in expectation ---- *)
 
@@ -177,16 +156,21 @@ let mtbf_sweep ~p =
     adjacent_ok pts && avail_of 0 > avail_of (List.length pts - 1) +. 0.02
   in
   let json =
-    Printf.sprintf "{\"points\": [%s], \"monotone\": %b}"
-      (String.concat ", "
-         (List.map
-            (fun (mtbf, avail, runs) ->
-              Printf.sprintf
-                "{\"node_mtbf_s\": %.0f, \"availability_mean\": %.4f, \"runs\": [%s]}"
-                mtbf avail
-                (String.concat ", " (List.map snd runs)))
-            pts))
-      gate_a
+    Json.Obj
+      [
+        ( "points",
+          Json.List
+            (List.map
+               (fun (mtbf, avail, runs) ->
+                 Json.Obj
+                   [
+                     ("node_mtbf_s", Json.Num mtbf);
+                     ("availability_mean", Json.Num avail);
+                     ("runs", Json.List (List.map snd runs));
+                   ])
+               pts) );
+        ("monotone", Json.Bool gate_a);
+      ]
   in
   (gate_a, json)
 
@@ -221,16 +205,21 @@ let cadence_compare ~p =
     good_of Sim.Young > good_of Sim.Every_step && good_of Sim.Young > good_of Sim.Never
   in
   let json =
-    Printf.sprintf "{\"arms\": [%s], \"young_wins\": %b}"
-      (String.concat ", "
-         (List.map
-            (fun (c, g, runs) ->
-              Printf.sprintf
-                "{\"cadence\": \"%s\", \"goodput_mean_rps\": %.4f, \"runs\": [%s]}"
-                (cadence_name c) g
-                (String.concat ", " (List.map snd runs)))
-            arms))
-      gate_b
+    Json.Obj
+      [
+        ( "arms",
+          Json.List
+            (List.map
+               (fun (c, g, runs) ->
+                 Json.Obj
+                   [
+                     ("cadence", Json.Str (cadence_name c));
+                     ("goodput_mean_rps", Json.Num g);
+                     ("runs", Json.List (List.map snd runs));
+                   ])
+               arms) );
+        ("young_wins", Json.Bool gate_b);
+      ]
   in
   (gate_b, json, arms)
 
@@ -254,13 +243,17 @@ let replay ~p =
            | _ -> None)
   in
   let same_rejects = rejects r1 = rejects r2 in
+  let hash r = Json.Str (Printf.sprintf "%Lx" r.Sim.outcome_hash) in
   let json =
-    Printf.sprintf
-      "{\"run\": %s, \"hash_a\": \"%Lx\", \"hash_b\": \"%Lx\", \
-       \"records_bitwise_equal\": %b, \"typed_reject_set_equal\": %b, \
-       \"sim_spans\": %d}"
-      j1 r1.Sim.outcome_hash r2.Sim.outcome_hash bitwise same_rejects
-      (List.length r1.Sim.sim_spans)
+    Json.Obj
+      [
+        ("run", j1);
+        ("hash_a", hash r1);
+        ("hash_b", hash r2);
+        ("records_bitwise_equal", Json.Bool bitwise);
+        ("typed_reject_set_equal", Json.Bool same_rejects);
+        ("sim_spans", Json.int (List.length r1.Sim.sim_spans));
+      ]
   in
   (gate_c && same_rejects, json, r1.Sim.sim_spans)
 
@@ -299,64 +292,65 @@ let young_validation ~p =
   in
   let ok = List.for_all (fun (_, _, _, _, ok) -> ok) checks in
   let json =
-    Printf.sprintf "{\"classes\": [%s], \"cadence_matches_young\": %b}"
-      (String.concat ", "
-         (List.map
-            (fun (name, k, tau, step, ok) ->
-              Printf.sprintf
-                "{\"class\": \"%s\", \"young_steps\": %d, \"tau_s\": %.2f, \
-                 \"step_s\": %.2f, \"ok\": %b}"
-                name k tau step ok)
-            checks))
-      ok
+    Json.Obj
+      [
+        ( "classes",
+          Json.List
+            (List.map
+               (fun (name, k, tau, step, ok) ->
+                 Json.Obj
+                   [
+                     ("class", Json.Str name);
+                     ("young_steps", Json.int k);
+                     ("tau_s", Json.Num tau);
+                     ("step_s", Json.Num step);
+                     ("ok", Json.Bool ok);
+                   ])
+               checks) );
+        ("cadence_matches_young", Json.Bool ok);
+      ]
   in
   (ok, json)
 
 (* ---- policy table ---- *)
 
 let policy_table ~p =
-  let rows = ref [] in
-  List.iter
-    (fun capacity ->
-      List.iter
-        (fun max_batch ->
-          List.iter
-            (fun cadence ->
-              let cfg =
-                mk_config ~p ~capacity ~max_batch ~cadence ~mtbf:p.mtbf_cadence
-                  ~seed:1 ()
-              in
-              let r, _ = run_one cfg in
-              let row =
-                Printf.sprintf
-                  "{\"capacity\": %d, \"max_batch\": %d, \"cadence\": \"%s\", \
-                   \"availability\": %.4f, \"goodput_rps\": %.4f, \
-                   \"p99_ms\": %.0f, \"admission_rejects\": %d, \
-                   \"recovery_rejects\": %d}"
-                  capacity max_batch (cadence_name cadence) r.Sim.availability
-                  r.Sim.goodput_rps r.Sim.p99_ms
-                  r.Sim.counters.Sim.rejected_admission
-                  r.Sim.counters.Sim.rejected_recovery
-              in
-              rows := row :: !rows)
-            [ Sim.Every_step; Sim.Young; Sim.Never ])
-        p.batches)
-    p.capacities;
-  Printf.sprintf "[%s]" (String.concat ", " (List.rev !rows))
+  Json.List
+    (List.concat_map
+       (fun capacity ->
+         List.concat_map
+           (fun max_batch ->
+             List.map
+               (fun cadence ->
+                 let cfg =
+                   mk_config ~p ~capacity ~max_batch ~cadence ~mtbf:p.mtbf_cadence ~seed:1 ()
+                 in
+                 let r, _ = run_one cfg in
+                 Json.Obj
+                   [
+                     ("capacity", Json.int capacity);
+                     ("max_batch", Json.int max_batch);
+                     ("cadence", Json.Str (cadence_name cadence));
+                     ("availability", Json.Num r.Sim.availability);
+                     ("goodput_rps", Json.Num r.Sim.goodput_rps);
+                     ("p99_ms", Json.Num r.Sim.p99_ms);
+                     ("admission_rejects", Json.int r.Sim.counters.Sim.rejected_admission);
+                     ("recovery_rejects", Json.int r.Sim.counters.Sim.rejected_recovery);
+                   ])
+               [ Sim.Every_step; Sim.Young; Sim.Never ])
+           p.batches)
+       p.capacities)
 
 (* ---- scaling curve: weak-scaled offered load vs node count ---- *)
 
 let scaling ~p =
-  let pts =
-    List.map
-      (fun nodes ->
-        let rate_hz = p.rate_hz *. float_of_int nodes /. float_of_int p.nodes in
-        let cfg = mk_config ~p ~nodes ~rate_hz ~mtbf:3600.0 ~seed:1 () in
-        let _, j = run_one ~label:(Printf.sprintf "nodes=%d" nodes) cfg in
-        j)
-      p.scaling_nodes
-  in
-  Printf.sprintf "[%s]" (String.concat ", " pts)
+  Json.List
+    (List.map
+       (fun nodes ->
+         let rate_hz = p.rate_hz *. float_of_int nodes /. float_of_int p.nodes in
+         let cfg = mk_config ~p ~nodes ~rate_hz ~mtbf:3600.0 ~seed:1 () in
+         snd (run_one ~label:(Printf.sprintf "nodes=%d" nodes) cfg))
+       p.scaling_nodes)
 
 (* ---- real lib/ca tie-in ----
 
@@ -404,13 +398,29 @@ let ca_tie_in () =
   in
   let ok = !bitwise_chol && !bitwise_summa in
   let json =
-    Printf.sprintf
-      "{\"chol\": {\"n\": %d, \"nb\": %d, \"p\": %d, \"bitwise_repeat\": %b, \
-       \"measured_words\": %.0f, \"model_words_per_rank\": %.0f, \
-       \"words_ratio\": %.3f}, \"summa\": {\"n\": %d, \"p\": %d, \
-       \"bitwise_repeat\": %b, \"words_ratio\": %.3f}, \"deterministic\": %b}"
-      n nb pgrid !bitwise_chol r1.Dist_cholesky.words m.Dist_cholesky.words_per_rank
-      chol_words_ratio ng pgrid !bitwise_summa summa_words_ratio ok
+    Json.Obj
+      [
+        ( "chol",
+          Json.Obj
+            [
+              ("n", Json.int n);
+              ("nb", Json.int nb);
+              ("p", Json.int pgrid);
+              ("bitwise_repeat", Json.Bool !bitwise_chol);
+              ("measured_words", Json.Num r1.Dist_cholesky.words);
+              ("model_words_per_rank", Json.Num m.Dist_cholesky.words_per_rank);
+              ("words_ratio", Json.Num chol_words_ratio);
+            ] );
+        ( "summa",
+          Json.Obj
+            [
+              ("n", Json.int ng);
+              ("p", Json.int pgrid);
+              ("bitwise_repeat", Json.Bool !bitwise_summa);
+              ("words_ratio", Json.Num summa_words_ratio);
+            ] );
+        ("deterministic", Json.Bool ok);
+      ]
   in
   (ok, json)
 
@@ -428,47 +438,68 @@ let record ~p =
   let gate_d = !all_sound && young_ok in
   let ok = gate_a && gate_b && gate_c && gate_d && ca_ok in
   let machine = fleet_machine ~nodes:p.nodes ~node_mtbf:p.mtbf_storm in
+  let class_json c =
+    let costs = Model.costs ~machine c in
+    Json.Obj
+      [
+        ("name", Json.Str c.Model.name);
+        ( "kind",
+          Json.Str
+            (match c.Model.kind with
+            | Model.Chol -> "chol"
+            | Model.Gemm -> "gemm"
+            | Model.Cg _ -> "cg") );
+        ("n", Json.int c.Model.n);
+        ("nb", Json.int c.Model.nb);
+        ("ranks", Json.int c.Model.ranks);
+        ("deadline_s", Json.Num c.Model.deadline_s);
+        ("weight", Json.Num c.Model.weight);
+        ("steps", Json.int costs.Model.steps);
+        ("step_s", Json.Num costs.Model.step_s);
+        ("work_s", Json.Num costs.Model.work_s);
+        ("checkpoint_s", Json.Num costs.Model.checkpoint_s);
+        ("restart_s", Json.Num costs.Model.restart_s);
+      ]
+  in
   let json =
-    Printf.sprintf
-      "{\"schema\": \"xsc-bench-fleet-v1\",\n\
-      \  \"machine\": {\"nodes\": %d, \"storm_node_mtbf_s\": %.0f, \
-       \"storm_system_mtbf_s\": %.2f, \"alpha_s\": %g, \"beta_s_per_byte\": %g},\n\
-      \  \"classes\": [%s],\n\
-      \  \"offered\": {\"rate_hz\": %.2f, \"count\": %d, \"seeds\": [%s]},\n\
-      \  \"mtbf_sweep\": %s,\n\
-      \  \"cadence_compare\": %s,\n\
-      \  \"replay\": %s,\n\
-      \  \"young_validation\": %s,\n\
-      \  \"policy_table\": %s,\n\
-      \  \"scaling\": %s,\n\
-      \  \"ca_tie_in\": %s,\n\
-      \  \"gates\": {\"availability_monotone\": %b, \"young_wins_storm\": %b, \
-       \"replay_bitwise\": %b, \"lattice_reconciles\": %b, \
-       \"ca_deterministic\": %b, \"all\": %b}}"
-      p.nodes p.mtbf_storm
-      (Machine.system_mtbf machine)
-      machine.Machine.network.Network.alpha machine.Machine.network.Network.beta
-      (String.concat ", "
-         (Array.to_list classes
-         |> List.map (fun c ->
-                let costs = Model.costs ~machine c in
-                Printf.sprintf
-                  "{\"name\": \"%s\", \"kind\": \"%s\", \"n\": %d, \"nb\": %d, \
-                   \"ranks\": %d, \"deadline_s\": %.0f, \"weight\": %.0f, \
-                   \"steps\": %d, \"step_s\": %.2f, \"work_s\": %.2f, \
-                   \"checkpoint_s\": %.2f, \"restart_s\": %.2f}"
-                  c.Model.name
-                  (match c.Model.kind with
-                  | Model.Chol -> "chol"
-                  | Model.Gemm -> "gemm"
-                  | Model.Cg _ -> "cg")
-                  c.Model.n c.Model.nb c.Model.ranks c.Model.deadline_s c.Model.weight
-                  costs.Model.steps costs.Model.step_s costs.Model.work_s
-                  costs.Model.checkpoint_s costs.Model.restart_s)))
-      p.rate_hz p.count
-      (String.concat ", " (List.map string_of_int p.seeds))
-      sweep_json cadence_json replay_json young_json table_json scaling_json ca_json
-      gate_a gate_b gate_c gate_d ca_ok ok
+    Json.Obj
+      [
+        ("schema", Json.Str "xsc-bench-fleet-v1");
+        ( "machine",
+          Json.Obj
+            [
+              ("nodes", Json.int p.nodes);
+              ("storm_node_mtbf_s", Json.Num p.mtbf_storm);
+              ("storm_system_mtbf_s", Json.Num (Machine.system_mtbf machine));
+              ("alpha_s", Json.Num machine.Machine.network.Network.alpha);
+              ("beta_s_per_byte", Json.Num machine.Machine.network.Network.beta);
+            ] );
+        ("classes", Json.List (Array.to_list (Array.map class_json classes)));
+        ( "offered",
+          Json.Obj
+            [
+              ("rate_hz", Json.Num p.rate_hz);
+              ("count", Json.int p.count);
+              ("seeds", Json.List (List.map Json.int p.seeds));
+            ] );
+        ("mtbf_sweep", sweep_json);
+        ("cadence_compare", cadence_json);
+        ("replay", replay_json);
+        ("young_validation", young_json);
+        ("policy_table", table_json);
+        ("scaling", scaling_json);
+        ("ca_tie_in", ca_json);
+        ( "gates",
+          Json.Obj
+            [
+              ("availability_monotone", Json.Bool gate_a);
+              ("young_wins_storm", Json.Bool gate_b);
+              ("replay_bitwise", Json.Bool gate_c);
+              ("lattice_reconciles", Json.Bool gate_d);
+              ("ca_deterministic", Json.Bool ca_ok);
+              ("all", Json.Bool ok);
+            ] );
+      ]
   in
   (json, ok, replay_spans)
 
@@ -479,15 +510,9 @@ let human ~p json_ok =
     p.count p.rate_hz;
   Printf.printf "gates %s\n" (if json_ok then "passed" else "FAILED")
 
-let write_file ~file contents =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 let run_with ~p ~file =
   let json, ok, replay_spans = record ~p in
-  write_file ~file ("{\n  \"fleet\": " ^ json ^ "\n}\n");
+  Bench_json.write_json ~file (Json.Obj [ ("fleet", json) ]);
   Printf.printf "wrote %s\n" file;
   human ~p ok;
   if not ok then begin

@@ -145,7 +145,7 @@ let metrics_delta before =
   in
   Json.Obj
     (List.map
-       (fun k -> (k, Json.Num (float_of_int (counter k))))
+       (fun k -> (k, Json.int (counter k)))
        [ "serve.completed"; "serve.retried"; "serve.batches"; "obs.span.dropped" ]
     @ [ ("serve.alloc_minor_words_per_req", Json.Num alloc) ])
 
@@ -220,20 +220,18 @@ let kind_name = function
   | Loadgen.Cg -> "cg"
   | Loadgen.Mg -> "mg"
 
-let num_i n = Json.Num (float_of_int n)
-
 let stream_json (s : Loadgen.stream) (r : Loadgen.result) =
   let l = s.Loadgen.load in
   Json.Obj
     [
       ("kinds", Json.List (List.map (fun k -> Json.Str (kind_name k)) (Array.to_list l.Loadgen.kinds)));
-      ("n", num_i l.Loadgen.n);
-      ("seed", num_i l.Loadgen.seed);
-      ("count", num_i l.Loadgen.count);
+      ("n", Json.int l.Loadgen.n);
+      ("seed", Json.int l.Loadgen.seed);
+      ("count", Json.int l.Loadgen.count);
       ("rate_hz", Json.Num l.Loadgen.rate_hz);
       ("deadline_s", Json.Num l.Loadgen.deadline_s);
       ( "closed_window",
-        match s.Loadgen.loop with Loadgen.Closed k -> num_i k | Loadgen.Open -> Json.Null );
+        match s.Loadgen.loop with Loadgen.Closed k -> Json.int k | Loadgen.Open -> Json.Null );
       ("report", Loadgen.json_of_report r.Loadgen.report);
     ]
 
@@ -245,26 +243,25 @@ let phase_json o =
       ("name", Json.Str o.phase.name);
       ( "dispatch",
         Json.Str (match c.Server.dispatch with Server.Slot -> "slot" | Server.Shared _ -> "shared") );
-      ("lanes", num_i (lanes c));
-      ("capacity", num_i c.Server.capacity);
-      ("max_batch", num_i c.Server.max_batch);
-      ("max_retries", num_i c.Server.max_retries);
-      ("class_caps", Json.Obj (List.map (fun (k, cap) -> (k, num_i cap)) c.Server.class_caps));
+      ("lanes", Json.int (lanes c));
+      ("capacity", Json.int c.Server.capacity);
+      ("max_batch", Json.int c.Server.max_batch);
+      ("max_retries", Json.int c.Server.max_retries);
+      ("class_caps", Json.Obj (List.map (fun (k, cap) -> (k, Json.int cap)) c.Server.class_caps));
       ( "harness",
         match o.phase.harness with
         | None -> Json.Null
         | Some h ->
           Json.Obj
             [
-              ("seed", num_i h.Harness.seed);
+              ("seed", Json.int h.Harness.seed);
               ("p_raise", Json.Num h.Harness.p_raise);
               ("transient", Json.Bool h.Harness.transient);
-              ("injected_raises", num_i o.raised);
+              ("injected_raises", Json.int o.raised);
             ] );
       ("streams", Json.List (List.map2 stream_json o.phase.streams o.results));
-      ("cap_deferred", num_i sc.Server.cap_deferred);
-      ( "slo",
-        match Server.slo_report_json o.srv with Some j -> Json.parse j | None -> Json.Null );
+      ("cap_deferred", Json.int sc.Server.cap_deferred);
+      ("slo", Option.value ~default:Json.Null (Server.slo_report_json o.srv));
       ("metrics", o.metrics);
     ]
 
@@ -296,9 +293,7 @@ let run ~file =
         ("checks_passed", Json.Bool ok);
       ]
   in
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc (Json.to_string record);
-      output_char oc '\n');
+  Bench_json.write_json ~file record;
   Printf.printf "wrote %s (span lanes: %s, flight dump: %s)\n" file span_trace_file flight_file;
   List.iter
     (fun o ->

@@ -38,10 +38,7 @@ let run ~file =
     | Some tr -> tr
     | None -> failwith "Trace_run: tracing was enabled but no trace came back"
   in
-  let oc = open_out file in
-  output_string oc (Trace.to_chrome_json tr);
-  output_char oc '\n';
-  close_out oc;
+  Out_channel.with_open_text file (fun oc -> output_string oc (Trace.to_chrome_json tr ^ "\n"));
   Printf.printf "wrote %s: %d events from a %dx%d Cholesky on %d workers\n"
     file
     (List.length (Trace.entries tr))

@@ -16,6 +16,12 @@
 open Cmdliner
 open Xsc_linalg
 module Units = Xsc_util.Units
+module Json = Xsc_util.Json
+
+(* Closes the file on any exception, so an interrupted run never leaks a
+   handle. *)
+let write_file ~file s = Out_channel.with_open_text file (fun oc -> output_string oc s)
+let write_json ~file j = write_file ~file (Json.to_string j ^ "\n")
 
 (* ---- shared args ---- *)
 
@@ -189,9 +195,7 @@ let simulate_cmd =
         if gantt then print_string (Xsc_runtime.Trace.gantt r.Xsc_runtime.Sim_exec.trace);
         (match trace_json with
         | Some file ->
-          let oc = open_out file in
-          output_string oc (Xsc_runtime.Trace.to_chrome_json r.Xsc_runtime.Sim_exec.trace);
-          close_out oc;
+          write_file ~file (Xsc_runtime.Trace.to_chrome_json r.Xsc_runtime.Sim_exec.trace);
           Printf.printf "trace written to %s\n" file
         | None -> ());
         `Ok ())
@@ -413,55 +417,41 @@ let tune_cmd =
            else 1.0))
       entries
   in
-  let report_of_cache (t : Kconfig.t) =
-    {
-      Xsc_autotune.Kernel_tune.host = t.Kconfig.host_key;
-      host_key = t.Kconfig.host_key;
-      nb = t.Kconfig.nb;
-      search_seconds = t.Kconfig.search_seconds;
-      evaluations = 0;
-      tuned =
-        List.map
-          (fun e ->
-            {
-              Xsc_autotune.Kernel_tune.prec = e.Kconfig.prec;
-              kernel = e.Kconfig.kernel;
-              cfg = e.Kconfig.cfg;
-              default_gflops = e.Kconfig.default_gflops;
-              tuned_gflops = e.Kconfig.tuned_gflops;
-            })
-          t.Kconfig.entries;
-    }
-  in
   let run quick cache json force =
     let module KT = Xsc_autotune.Kernel_tune in
     let path = match cache with Some p -> p | None -> Kconfig.default_path () in
     if force && Sys.file_exists path then Sys.remove path;
-    let rep =
+    let t, evaluations =
       match KT.ensure ~quick ~path () with
       | `Loaded t ->
         Printf.printf "loaded tuning cache %s (tuned in %s, nb=%d):\n" path
           (Units.seconds t.Kconfig.search_seconds)
           t.Kconfig.nb;
         print_entries t.Kconfig.entries;
-        report_of_cache t
-      | `Tuned (r, t) ->
+        (t, 0)
+      | `Tuned (t, evaluations) ->
         Printf.printf
           "tuned %d kernel variants in %s (%d evaluations) on %s; nb=%d\n"
-          (List.length r.KT.tuned)
-          (Units.seconds r.KT.search_seconds)
-          r.KT.evaluations r.KT.host r.KT.nb;
+          (List.length t.Kconfig.entries)
+          (Units.seconds t.Kconfig.search_seconds)
+          evaluations t.Kconfig.host_key t.Kconfig.nb;
         print_entries t.Kconfig.entries;
         Printf.printf "cache written to %s\n" path;
-        r
+        (t, evaluations)
     in
     match json with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      output_string oc (KT.report_json rep);
-      output_string oc "\n";
-      close_out oc;
+      write_json ~file
+        (Json.Obj
+           [
+             ("host_key", Json.Str t.Kconfig.host_key);
+             ("nb", Json.int t.Kconfig.nb);
+             ("search_seconds", Json.Num t.Kconfig.search_seconds);
+             ("evaluations", Json.int evaluations);
+             ( "kernels",
+               Json.List (List.map (fun e -> Json.Obj (KT.entry_fields e)) t.Kconfig.entries) );
+           ]);
       Printf.printf "autotune record written to %s\n" file
   in
   Cmd.v
@@ -616,16 +606,9 @@ let serve_demo_cmd =
       match trace_json with
       | None -> ()
       | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () ->
-            flush oc;
-            close_out_noerr oc)
-          (fun () ->
-            output_string oc
-              (Xsc_runtime.Trace.to_chrome_json_with
-                 ~extra:(Server.span_chrome_events srv)
-                 (Server.trace srv)));
+        write_file ~file
+          (Xsc_runtime.Trace.to_chrome_json ~extra:(Server.span_chrome_events srv)
+             (Server.trace srv));
         Printf.printf "trace written to %s\n" file
     in
     Fun.protect
@@ -789,33 +772,12 @@ let fleet_cmd =
           if r.Sim.wedged then Printf.printf "  ** WEDGED: horizon hit before all requests settled **\n";
           (match json with
           | Some file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                Printf.fprintf oc
-                  "{\"nodes\": %d, \"node_mtbf_s\": %.1f, \"rate_hz\": %.3f, \
-                   \"count\": %d, \"availability\": %.4f, \"goodput_rps\": %.4f, \
-                   \"p50_ms\": %.1f, \"p99_ms\": %.1f, \"util\": %.4f, \
-                   \"failures\": %d, \"abft_repairs\": %d, \"cone_replays\": %d, \
-                   \"restarts\": %d, \"recovery_rejects\": %d, \
-                   \"admission_rejects\": %d, \"reconciles\": %b, \
-                   \"outcome_hash\": \"%Lx\", \"wedged\": %b}\n"
-                  nodes mtbf rate count r.Sim.availability r.Sim.goodput_rps
-                  r.Sim.p50_ms r.Sim.p99_ms r.Sim.util c.Sim.failures_total
-                  c.Sim.abft_repairs c.Sim.cone_replays c.Sim.restarts
-                  c.Sim.rejected_recovery c.Sim.rejected_admission
-                  (Sim.reconciles c) r.Sim.outcome_hash r.Sim.wedged);
+            write_json ~file (Json.Obj (Sim.summary_fields cfg r));
             Printf.printf "wrote %s\n" file
           | None -> ());
           match trace with
           | Some file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Xsc_obs.Span.to_chrome_json ~origin_ns:0 r.Sim.sim_spans));
+            write_file ~file (Xsc_obs.Span.to_chrome_json ~origin_ns:0 r.Sim.sim_spans);
             Printf.printf "wrote %s (%d simulated spans)\n" file
               (List.length r.Sim.sim_spans)
           | None -> ()))

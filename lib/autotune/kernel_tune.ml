@@ -3,23 +3,6 @@ module P = Xsc_linalg.Pblas
 module Kconfig = Xsc_linalg.Kconfig
 module Rng = Xsc_util.Rng
 
-type tuned = {
-  prec : P.prec;
-  kernel : P.kernel;
-  cfg : P.kcfg;
-  default_gflops : float;
-  tuned_gflops : float;
-}
-
-type report = {
-  host : string;
-  host_key : string;
-  nb : int;
-  search_seconds : float;
-  evaluations : int;
-  tuned : tuned list;
-}
-
 (* ---- candidate spaces ---- *)
 
 let shape_id (mr, nr) =
@@ -211,10 +194,7 @@ let tune_kernel ~quick ~rng ~evals prec kernel nb =
     else (P.default_cfg, r_default, r_default)
   in
   P.set_cfg prec kernel cfg;
-  { prec; kernel; cfg; default_gflops; tuned_gflops }
-
-let hostname () =
-  try Unix.gethostname () with _ -> "unknown-host"
+  { Kconfig.prec; kernel; cfg; default_gflops; tuned_gflops }
 
 let tune ?(quick = false) ?nbs ?(seed = 42) () =
   let nbs =
@@ -237,7 +217,7 @@ let tune ?(quick = false) ?nbs ?(seed = 42) () =
           List.map
             (fun nb ->
               let t = tune_kernel ~quick ~rng ~evals P.F64 P.Gemm_nn nb in
-              (nb, t.tuned_gflops))
+              (nb, t.Kconfig.tuned_gflops))
             nbs
         in
         fst
@@ -247,7 +227,7 @@ let tune ?(quick = false) ?nbs ?(seed = 42) () =
              (List.hd scored) (List.tl scored))
   in
   P.reset_cfgs ();
-  let tuned =
+  let entries =
     List.concat_map
       (fun prec ->
         List.map
@@ -255,36 +235,13 @@ let tune ?(quick = false) ?nbs ?(seed = 42) () =
           P.all_kernels)
       P.all_precs
   in
-  {
-    host = hostname ();
-    host_key = Kconfig.host_key ();
-    nb;
-    search_seconds = Xsc_obs.Clock.now_s () -. t0;
-    evaluations = !evals;
-    tuned;
-  }
-
-let to_cache r =
-  {
-    Kconfig.host_key = r.host_key;
-    nb = r.nb;
-    search_seconds = r.search_seconds;
-    entries =
-      List.map
-        (fun t ->
-          {
-            Kconfig.prec = t.prec;
-            kernel = t.kernel;
-            cfg = t.cfg;
-            default_gflops = t.default_gflops;
-            tuned_gflops = t.tuned_gflops;
-          })
-        r.tuned;
-  }
-
-let apply r =
-  P.reset_cfgs ();
-  List.iter (fun t -> P.set_cfg t.prec t.kernel t.cfg) r.tuned
+  ( {
+      Kconfig.host_key = Kconfig.host_key ();
+      nb;
+      search_seconds = Xsc_obs.Clock.now_s () -. t0;
+      entries;
+    },
+    !evals )
 
 let ensure ?(quick = false) ?path () =
   let path = match path with Some p -> p | None -> Kconfig.default_path () in
@@ -293,36 +250,27 @@ let ensure ?(quick = false) ?path () =
     | Some t -> `Loaded t
     | None -> assert false
   else begin
-    let r = tune ~quick () in
-    let c = to_cache r in
+    let c, evaluations = tune ~quick () in
     Kconfig.save ~path c;
-    (* load the file back rather than [apply r]: registers the result in
-       {!Kconfig.current} (so [tuned_nb] sees it in-process) and proves
-       the cache just written round-trips on this host *)
-    if not (Kconfig.autoload ~path ()) then apply r;
-    `Tuned (r, c)
+    (* load the file back rather than [Kconfig.apply c]: registers the
+       result in {!Kconfig.current} (so [tuned_nb] sees it in-process) and
+       proves the cache just written round-trips on this host *)
+    if not (Kconfig.autoload ~path ()) then Kconfig.apply c;
+    `Tuned (c, evaluations)
   end
 
-let report_json r =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\"host\": \"%s\", \"host_key\": \"%s\", \"nb\": %d, \
-     \"search_seconds\": %.6f, \"evaluations\": %d, \"kernels\": ["
-    (Xsc_util.Json.escape r.host)
-    (Xsc_util.Json.escape r.host_key)
-    r.nb r.search_seconds r.evaluations;
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_string buf ", ";
-      let mr, nr = P.shapes.(t.cfg.P.shape) in
-      Printf.bprintf buf
-        "{\"prec\": \"%s\", \"kernel\": \"%s\", \"mr\": %d, \"nr\": %d, \
-         \"pack\": %b, \"prefetch\": %b, \"default_gflops\": %.4f, \
-         \"tuned_gflops\": %.4f, \"speedup\": %.4f}"
-        (P.prec_name t.prec) (P.kernel_name t.kernel) mr nr t.cfg.P.pack
-        t.cfg.P.prefetch t.default_gflops t.tuned_gflops
-        (if t.default_gflops > 0.0 then t.tuned_gflops /. t.default_gflops
-         else 1.0))
-    r.tuned;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let entry_fields (e : Kconfig.entry) =
+  let module J = Xsc_util.Json in
+  let mr, nr = P.shapes.(e.cfg.P.shape) in
+  [
+    ("prec", J.Str (P.prec_name e.prec));
+    ("kernel", J.Str (P.kernel_name e.kernel));
+    ("mr", J.int mr);
+    ("nr", J.int nr);
+    ("pack", J.Bool e.cfg.P.pack);
+    ("prefetch", J.Bool e.cfg.P.prefetch);
+    ("default_gflops", J.Num e.default_gflops);
+    ("tuned_gflops", J.Num e.tuned_gflops);
+    ( "speedup",
+      J.Num (if e.default_gflops > 0.0 then e.tuned_gflops /. e.default_gflops else 1.0) );
+  ]

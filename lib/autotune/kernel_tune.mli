@@ -17,42 +17,24 @@
     by every later process on the same host: tune once per machine
     ([xsc tune]), benefit everywhere (paper rule 7). *)
 
-type tuned = {
-  prec : Xsc_linalg.Pblas.prec;
-  kernel : Xsc_linalg.Pblas.kernel;
-  cfg : Xsc_linalg.Pblas.kcfg;
-  default_gflops : float;  (** measured rate of the fixed default config *)
-  tuned_gflops : float;  (** measured rate of [cfg]; >= [default_gflops] *)
-}
-
-type report = {
-  host : string;
-  host_key : string;
-  nb : int;  (** winning tile size *)
-  search_seconds : float;
-  evaluations : int;  (** total timed candidate evaluations *)
-  tuned : tuned list;  (** one per kernel x precision *)
-}
-
-val tune : ?quick:bool -> ?nbs:int list -> ?seed:int -> unit -> report
-(** Run the search on this host. [quick] shrinks the candidate set to a
-    CI-sized smoke (3 shapes, single [nb]); default [nbs] is
-    [[48; 64; 96]] (full) or [[64]] (quick). The kernel configs left
-    installed afterwards are the tuned winners. *)
-
-val to_cache : report -> Xsc_linalg.Kconfig.t
-(** Convert for persisting with {!Xsc_linalg.Kconfig.save}. *)
-
-val apply : report -> unit
-(** (Re-)install the report's winners into the live kernel dispatch. *)
+val tune :
+  ?quick:bool -> ?nbs:int list -> ?seed:int -> unit -> Xsc_linalg.Kconfig.t * int
+(** Run the search on this host; returns the winners as a cache record
+    (keyed by {!Xsc_linalg.Kconfig.host_key}, ready for
+    {!Xsc_linalg.Kconfig.save}) and the number of timed candidate
+    evaluations. [quick] shrinks the candidate set to a CI-sized smoke
+    (3 shapes, single [nb]); default [nbs] is [[48; 64; 96]] (full) or
+    [[64]] (quick). The kernel configs left installed afterwards are the
+    tuned winners. *)
 
 val ensure :
   ?quick:bool -> ?path:string -> unit ->
-  [ `Loaded of Xsc_linalg.Kconfig.t | `Tuned of report * Xsc_linalg.Kconfig.t ]
+  [ `Loaded of Xsc_linalg.Kconfig.t | `Tuned of Xsc_linalg.Kconfig.t * int ]
 (** Load the cache at [path] (default {!Xsc_linalg.Kconfig.default_path})
     and apply it; on any load error (absent, corrupt, tuned for another
-    host) run {!tune}, save the fresh cache, and apply that. A second
-    call on the same host returns [`Loaded] without re-searching. *)
+    host) run {!tune}, save the fresh cache, and apply that ([`Tuned]
+    carries {!tune}'s evaluation count). A second call on the same host
+    returns [`Loaded] without re-searching. *)
 
 val measure_pair :
   ?seed:int -> ?rounds:int -> nb:int ->
@@ -66,6 +48,8 @@ val measure_pair :
     previously installed config. Used by the head-to-head election and by
     the benchmark gate to re-judge a loaded cache against the defaults. *)
 
-val report_json : report -> string
-(** The autotune record as a JSON object (one line per kernel entry),
-    for [bench --json] and the CI artifact. *)
+val entry_fields : Xsc_linalg.Kconfig.entry -> (string * Xsc_util.Json.t) list
+(** One tuned kernel as JSON object fields: [prec], [kernel], the
+    micro-tile [mr]/[nr], [pack], [prefetch], [default_gflops],
+    [tuned_gflops] and their ratio [speedup] — the [kernels] rows of the
+    [xsc tune --json] and bench autotune records. *)

@@ -780,3 +780,34 @@ let reconciles (c : counters) =
   && c.reject_hits = c.rejected_recovery
   && c.offered = c.admitted + c.rejected_admission
   && c.admitted = c.completed + c.rejected_recovery
+
+let summary_fields (cfg : config) (r : result) =
+  let module J = Xsc_util.Json in
+  let c = r.counters in
+  [
+    ("seed", J.int cfg.seed);
+    ("nodes", J.int cfg.machine.Machine.node_count);
+    ("node_mtbf_s", J.Num cfg.machine.Machine.node_mtbf);
+    ("system_mtbf_s", J.Num (Machine.system_mtbf cfg.machine));
+    ("rate_hz", J.Num cfg.rate_hz);
+    ("offered", J.int c.offered);
+    ("availability", J.Num r.availability);
+    ("goodput_rps", J.Num r.goodput_rps);
+    ("p50_ms", J.Num r.p50_ms);
+    ("p99_ms", J.Num r.p99_ms);
+    ("util", J.Num r.util);
+    ("makespan_s", J.Num r.makespan_s);
+    ("failures", J.int c.failures_total);
+    ("failures_busy", J.int c.failures_busy);
+    ("abft_repairs", J.int c.abft_repairs);
+    ("cone_replays", J.int c.cone_replays);
+    ("restarts", J.int c.restarts);
+    ("recovery_rejects", J.int c.rejected_recovery);
+    ("admission_rejects", J.int c.rejected_admission);
+    ("checkpoints", J.int c.checkpoints);
+    ("batches", J.int c.batches);
+    ("expected_failures", J.Num r.expected_failures);
+    ("outcome_hash", J.Str (Printf.sprintf "%Lx" r.outcome_hash));
+    ("reconciles", J.Bool (reconciles c));
+    ("wedged", J.Bool r.wedged);
+  ]

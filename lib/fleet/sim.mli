@@ -119,3 +119,11 @@ val run : config -> result
 val reconciles : counters -> bool
 (** The recovery-lattice accounting identity: every injected failure in
     exactly one bucket, every offered request in exactly one outcome. *)
+
+val summary_fields : config -> result -> (string * Xsc_util.Json.t) list
+(** One run as the fields of a flat JSON object: the config's [seed],
+    [nodes], node and system MTBF and [rate_hz], the [offered] count,
+    availability, goodput, p50/p99, utilisation, makespan, the recovery-lattice counters, the
+    expected failure count, the replay fingerprint [outcome_hash] (hex),
+    [reconciles] and [wedged]. [xsc fleet --json] writes them as its
+    record; the fleet bench record carries one labelled object per run. *)

@@ -175,33 +175,32 @@ let delta ~before ~after =
       (name, v'))
     after
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f
-  else "null" (* JSON has no inf/nan *)
-
 let to_json () =
+  let module J = Xsc_util.Json in
   let items = snapshot () in
-  let section pick render =
-    items
-    |> List.filter_map (fun (name, v) -> Option.map (fun r -> (name, r)) (pick v))
-    |> List.map (fun (name, r) -> Printf.sprintf "\"%s\": %s" (Xsc_util.Json.escape name) (render r))
-    |> String.concat ", "
+  let section pick =
+    J.Obj (List.filter_map (fun (name, v) -> Option.map (fun j -> (name, j)) (pick v)) items)
   in
-  let counters = section (function Counter n -> Some n | _ -> None) string_of_int in
-  let gauges = section (function Gauge f -> Some f | _ -> None) json_float in
-  let histograms =
-    section
-      (function Histogram h -> Some h | _ -> None)
-      (fun h ->
-        Printf.sprintf
-          {|{"count": %d, "sum": %s, "mean": %s, "p50": %s, "p95": %s, "p99": %s, "p999": %s}|}
-          h.count (json_float h.sum)
-          (json_float (if h.count = 0 then 0.0 else h.sum /. float_of_int h.count))
-          (json_float h.p50) (json_float h.p95) (json_float h.p99)
-          (json_float h.p999))
-  in
-  Printf.sprintf {|{"counters": {%s}, "gauges": {%s}, "histograms": {%s}}|} counters gauges
-    histograms
+  J.Obj
+    [
+      ("counters", section (function Counter n -> Some (J.int n) | _ -> None));
+      ("gauges", section (function Gauge f -> Some (J.Num f) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram h ->
+            Some
+              (J.Obj
+                 [
+                   ("count", J.int h.count);
+                   ("sum", J.Num h.sum);
+                   ("mean", J.Num (if h.count = 0 then 0.0 else h.sum /. float_of_int h.count));
+                   ("p50", J.Num h.p50);
+                   ("p95", J.Num h.p95);
+                   ("p99", J.Num h.p99);
+                   ("p999", J.Num h.p999);
+                 ])
+          | _ -> None) );
+    ]
 
 let reset () =
   Mutex.lock registry_mu;

@@ -95,10 +95,11 @@ val delta : before:(string * value) list -> after:(string * value) list -> (stri
     This is the one call that replaces ad-hoc before/after counter
     reads. *)
 
-val to_json : unit -> string
-(** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] — parses
-    with [Xsc_util.Json.parse]. Histogram objects carry [count], [sum],
-    [mean], and the [p50]/[p95]/[p99]/[p999] bucket-quantile estimates. *)
+val to_json : unit -> Xsc_util.Json.t
+(** The registry snapshot as [{"counters": {...}, "gauges": {...},
+    "histograms": {...}}], each section keyed by instrument name.
+    Histogram objects carry [count], [sum], [mean], and the
+    [p50]/[p95]/[p99]/[p999] bucket-quantile estimates. *)
 
 val reset : unit -> unit
 (** Zero every instrument (registration survives). For benches and tests;

@@ -107,36 +107,47 @@ let active () = match current () with Some { sink = Some _; _ } -> true | _ -> f
    events: an "s" anchored at the parent's start and an "f" (bp:"e") at
    the child's start, with id = the child's span id. *)
 
-let esc = Xsc_util.Json.escape
-
 let chrome_events ~origin_ns records =
+  let module J = Xsc_util.Json in
   let by_span = Hashtbl.create 256 in
   List.iter (fun (r : record) -> Hashtbl.replace by_span r.span r) records;
-  let us t_ns = float_of_int (t_ns - origin_ns) /. 1e3 in
-  let buf_events = ref [] in
-  let emit s = buf_events := s :: !buf_events in
+  let us t_ns = J.Num (float_of_int (t_ns - origin_ns) /. 1e3) in
+  let events = ref [] in
+  let emit kv = events := J.Obj kv :: !events in
+  let flow ph bp ~id ~ts ~tid =
+    emit
+      ([ ("name", J.Str "causal"); ("cat", J.Str "span"); ("ph", J.Str ph) ]
+      @ bp
+      @ [ ("id", J.int id); ("ts", ts); ("pid", J.int 1); ("tid", J.int tid) ])
+  in
   List.iter
     (fun (r : record) ->
-      let dur = float_of_int (max 0 (r.finish_ns - r.start_ns)) /. 1e3 in
       emit
-        (Printf.sprintf
-           {|{"name": "%s", "cat": "%s", "ph": "X", "ts": %.3f, "dur": %.3f, "pid": 1, "tid": %d, "args": {"span": %d, "parent": %d, "lane": %d, "attempt": %d}}|}
-           (esc r.name) (esc r.phase) (us r.start_ns) dur r.request r.span r.parent r.lane
-           r.attempt);
+        [
+          ("name", J.Str r.name);
+          ("cat", J.Str r.phase);
+          ("ph", J.Str "X");
+          ("ts", us r.start_ns);
+          ("dur", J.Num (float_of_int (max 0 (r.finish_ns - r.start_ns)) /. 1e3));
+          ("pid", J.int 1);
+          ("tid", J.int r.request);
+          ( "args",
+            J.Obj
+              [
+                ("span", J.int r.span);
+                ("parent", J.int r.parent);
+                ("lane", J.int r.lane);
+                ("attempt", J.int r.attempt);
+              ] );
+        ];
       if r.parent >= 0 then
         match Hashtbl.find_opt by_span r.parent with
         | None -> ()
         | Some p ->
-          emit
-            (Printf.sprintf
-               {|{"name": "causal", "cat": "span", "ph": "s", "id": %d, "ts": %.3f, "pid": 1, "tid": %d}|}
-               r.span (us p.start_ns) p.request);
-          emit
-            (Printf.sprintf
-               {|{"name": "causal", "cat": "span", "ph": "f", "bp": "e", "id": %d, "ts": %.3f, "pid": 1, "tid": %d}|}
-               r.span (us r.start_ns) r.request))
+          flow "s" [] ~id:r.span ~ts:(us p.start_ns) ~tid:p.request;
+          flow "f" [ ("bp", J.Str "e") ] ~id:r.span ~ts:(us r.start_ns) ~tid:r.request)
     records;
-  List.rev !buf_events
+  List.rev !events
 
 let to_chrome_json ~origin_ns records =
-  "[" ^ String.concat ",\n " (chrome_events ~origin_ns records) ^ "]\n"
+  Xsc_util.Json.to_string (Xsc_util.Json.List (chrome_events ~origin_ns records)) ^ "\n"

@@ -99,13 +99,13 @@ val active : unit -> bool
     {!note} would actually record. Lets hot paths skip timestamp reads
     when spans are off. *)
 
-val chrome_events : origin_ns:int -> record list -> string list
-(** Chrome trace-event objects (strings): one ["X"] complete event per
+val chrome_events : origin_ns:int -> record list -> Xsc_util.Json.t list
+(** Chrome trace-event objects: one ["X"] complete event per
     record on pid 1 / tid = request id, plus an ["s"]/["f"] flow-event
     pair (id = child span id) for every record whose parent is present,
     anchoring the arrow at the parent's start. Timestamps are relative to
     [origin_ns], in microseconds. *)
 
 val to_chrome_json : origin_ns:int -> record list -> string
-(** [chrome_events] wrapped in a JSON array; parses with
-    [Xsc_util.Json.parse]. *)
+(** [chrome_events] as one JSON array, printed by
+    [Xsc_util.Json.to_string]. *)

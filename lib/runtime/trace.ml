@@ -23,28 +23,21 @@ let utilization t =
 
 let workers t = t.workers
 
-let to_chrome_json_with ?(extra = []) t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":0,"tid":%d,"args":{"task":%d}}|}
-           (Xsc_util.Json.escape e.name) (e.start *. 1e6)
-           ((e.finish -. e.start) *. 1e6)
-           e.worker e.task))
-    (entries t);
-  List.iteri
-    (fun i s ->
-      if i > 0 || t.entries <> [] then Buffer.add_string buf ",\n";
-      Buffer.add_string buf s)
-    extra;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
-
-let to_chrome_json t = to_chrome_json_with t
+let to_chrome_json ?(extra = []) t =
+  let module J = Xsc_util.Json in
+  let event e =
+    J.Obj
+      [
+        ("name", J.Str e.name);
+        ("ph", J.Str "X");
+        ("ts", J.Num (e.start *. 1e6));
+        ("dur", J.Num ((e.finish -. e.start) *. 1e6));
+        ("pid", J.int 0);
+        ("tid", J.int e.worker);
+        ("args", J.Obj [ ("task", J.int e.task) ]);
+      ]
+  in
+  J.to_string (J.List (List.map event (entries t) @ extra))
 
 let family_of name =
   match String.index_opt name '(' with

@@ -21,15 +21,13 @@ val workers : t -> int
 val gantt : ?width:int -> t -> string
 (** ASCII Gantt chart, one row per worker ([#] busy, [.] idle). *)
 
-val to_chrome_json : t -> string
+val to_chrome_json : ?extra:Xsc_util.Json.t list -> t -> string
 (** Chrome trace-event JSON (open in chrome://tracing or Perfetto): one
-    complete event per task, workers as threads, microsecond timestamps. *)
-
-val to_chrome_json_with : ?extra:string list -> t -> string
-(** {!to_chrome_json} with extra pre-rendered trace-event objects merged
-    into the same array — used to interleave request-lane span events
+    complete event per task on pid 0, workers as threads, microsecond
+    timestamps, then the [extra] trace-event objects in the same array —
+    used to interleave request-lane span events
     ({!Xsc_obs.Span.chrome_events}, pid 1) with the worker-lane task
-    events (pid 0) in one file. *)
+    events in one file. *)
 
 val by_kernel : t -> (string * float * int) list
 (** Profile summary: per kernel family (the task-name prefix before ['(']),

@@ -335,15 +335,14 @@ let run srv streams =
 
 let json_of_report r =
   let module J = Xsc_util.Json in
-  let int n = J.Num (float_of_int n) in
   J.Obj
     [
-      ("offered", int r.offered);
-      ("admitted", int r.admitted);
-      ("rejected", int r.rejected);
-      ("completed", int r.completed);
-      ("failed", int r.failed);
-      ("retried", int r.retried);
+      ("offered", J.int r.offered);
+      ("admitted", J.int r.admitted);
+      ("rejected", J.int r.rejected);
+      ("completed", J.int r.completed);
+      ("failed", J.int r.failed);
+      ("retried", J.int r.retried);
       ("wall_s", J.Num r.wall_s);
       ("offered_rate_hz", J.Num r.offered_rate);
       ("throughput_hz", J.Num r.throughput);

@@ -177,9 +177,9 @@ val span_dropped : t -> int
 (** Span records overwritten by the collector's ring (0 = {!span_records}
     holds every record this server made). *)
 
-val span_chrome_events : t -> string list
+val span_chrome_events : t -> Xsc_util.Json.t list
 (** {!Xsc_obs.Span.chrome_events} over {!span_records} — merge into a
-    worker trace via {!Xsc_runtime.Trace.to_chrome_json_with}. *)
+    worker trace via {!Xsc_runtime.Trace.to_chrome_json}'s [extra]. *)
 
 val span_chrome_json : t -> string
 (** Standalone Chrome trace of the request lanes: one lane (tid) per
@@ -191,6 +191,6 @@ val slo_reports : t -> Slo.report list
 
 val slo_breached : t -> bool
 
-val slo_report_json : t -> string option
+val slo_report_json : t -> Xsc_util.Json.t option
 (** The [serve.slo] record ({!Slo.report_json}); [None] when [slos] is
     empty. *)

@@ -119,19 +119,23 @@ let reports t =
 let breached t = List.exists (fun r -> r.breaches > 0) (reports t)
 
 let report_json t =
-  let rs = reports t in
-  let num f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null" in
+  let module J = Xsc_util.Json in
   let class_json r =
-    let worst =
-      r.worst
-      |> List.map (fun (id, lat) -> Printf.sprintf {|{"id": %d, "latency_s": %s}|} id (num lat))
-      |> String.concat ", "
-    in
-    Printf.sprintf
-      {|{"kind": "%s", "latency_s": %s, "error_budget": %s, "total": %d, "violations": %d, "budget_consumed": %s, "breaches": %d, "worst": [%s]}|}
-      (Xsc_util.Json.escape r.r_kind)
-      (num r.r_latency_s) (num r.r_error_budget) r.total r.violations (num r.burn_rate)
-      r.breaches worst
+    J.Obj
+      [
+        ("kind", J.Str r.r_kind);
+        ("latency_s", J.Num r.r_latency_s);
+        ("error_budget", J.Num r.r_error_budget);
+        ("total", J.int r.total);
+        ("violations", J.int r.violations);
+        ("budget_consumed", J.Num r.burn_rate);
+        ("breaches", J.int r.breaches);
+        ( "worst",
+          J.List
+            (List.map
+               (fun (id, lat) -> J.Obj [ ("id", J.int id); ("latency_s", J.Num lat) ])
+               r.worst) );
+      ]
   in
-  Printf.sprintf {|{"breached": %b, "classes": [%s]}|} (breached t)
-    (String.concat ", " (List.map class_json rs))
+  J.Obj
+    [ ("breached", J.Bool (breached t)); ("classes", J.List (List.map class_json (reports t))) ]

@@ -50,8 +50,7 @@ val reports : t -> report list
 val breached : t -> bool
 (** True when any class has ever entered breach. *)
 
-val report_json : t -> string
+val report_json : t -> Xsc_util.Json.t
 (** The [serve.slo] record:
     [{"breached": ..., "classes": [{kind, latency_s, error_budget, total,
-    violations, budget_consumed, breaches, worst: [{id, latency_s}]}]}] —
-    parses with [Xsc_util.Json.parse]. *)
+    violations, budget_consumed, breaches, worst: [{id, latency_s}]}]}]. *)

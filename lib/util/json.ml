@@ -23,6 +23,8 @@ let escape s =
 
 (* ---- printer ---- *)
 
+let int n = Num (float_of_int n)
+
 (* Integral values print without a fraction; every other finite float
    prints with 17 significant digits, which parses back to the same bits.
    JSON has no NaN or infinity: they print as null. *)

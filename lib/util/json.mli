@@ -1,7 +1,7 @@
-(** Minimal JSON: a printer, escaping for hand-built emitters, and a
-    strict recursive-descent parser for validating what we emit (Chrome
-    traces, bench records, metrics snapshots) without an external
-    dependency.
+(** Minimal JSON: the one printer every record and trace goes through
+    (bench and [xsc] records, metrics snapshots, SLO reports, Chrome
+    traces), and a strict recursive-descent parser for validating what we
+    emit, without an external dependency.
 
     Numbers are parsed as [float]; strings must be valid JSON strings
     (the [\uXXXX] escapes we never emit above the ASCII range decode only
@@ -14,6 +14,9 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+val int : int -> t
+(** [Num] of an integer; exact below 2^53. *)
 
 val to_string : t -> string
 (** Compact one-line JSON. Finite numbers round-trip exactly
@@ -28,4 +31,5 @@ val member : string -> t -> t option
 
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output
-    (quotes, backslashes, control characters). *)
+    (quotes, backslashes, control characters). {!to_string} escapes with
+    it; [benchmark/]'s own record printer uses it directly. *)

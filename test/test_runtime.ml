@@ -620,15 +620,13 @@ let test_trace_chrome_json () =
   let t = Trace.create ~workers:2 in
   Trace.add t { Trace.task = 5; name = "gemm(1,\"2\")"; worker = 1; start = 1e-3; finish = 2e-3 };
   let json = Trace.to_chrome_json t in
+  let module Json = Xsc_util.Json in
   Alcotest.(check bool) "is an array" true
     (json.[0] = '[' && json.[String.length json - 1] = ']');
   Alcotest.(check bool) "has the event" true
-    (let sub = {|"ph":"X"|} in
-     let rec contains i =
-       i + String.length sub <= String.length json
-       && (String.sub json i (String.length sub) = sub || contains (i + 1))
-     in
-     contains 0);
+    (match Json.parse json with
+    | Json.List [ ev ] -> Json.member "ph" ev = Some (Json.Str "X")
+    | _ -> false);
   Alcotest.(check bool) "quotes escaped" true
     (let sub = {|\"2\"|} in
      let rec contains i =
@@ -641,12 +639,29 @@ let test_trace_chrome_json () =
   let name = "csum\"q\\b\tt" in
   let t = Trace.create ~workers:1 in
   Trace.add t { Trace.task = 0; name; worker = 0; start = 0.0; finish = 1e-3 };
-  let module Json = Xsc_util.Json in
-  match Json.parse (Trace.to_chrome_json t) with
+  (match Json.parse (Trace.to_chrome_json t) with
   | Json.List [ ev ] ->
     Alcotest.(check (option string)) "name round-trips" (Some name)
       (match Json.member "name" ev with Some (Json.Str s) -> Some s | _ -> None)
-  | _ -> Alcotest.fail "expected one event"
+  | _ -> Alcotest.fail "expected one event");
+  (* request-lane span events merge into the worker trace's array, with
+     and without worker entries before them *)
+  let span ~span ~parent ~start_ns =
+    { Xsc_obs.Span.request = 3; span; parent; phase = "attempt"; name = "a"; lane = 0;
+      attempt = 0; start_ns; finish_ns = start_ns + 50 }
+  in
+  let extra =
+    Xsc_obs.Span.chrome_events ~origin_ns:0
+      [ span ~span:1 ~parent:(-1) ~start_ns:0; span ~span:2 ~parent:1 ~start_ns:10 ]
+  in
+  let merged tr =
+    match Json.parse (Trace.to_chrome_json ~extra tr) with
+    | Json.List evs -> List.length evs
+    | _ -> Alcotest.fail "merged trace is not an array"
+  in
+  Alcotest.(check int) "no entries: span events only" (List.length extra)
+    (merged (Trace.create ~workers:1));
+  Alcotest.(check int) "entries then span events" (1 + List.length extra) (merged t)
 
 let test_trace_by_kernel () =
   let t = Trace.create ~workers:2 in
