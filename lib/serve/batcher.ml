@@ -9,6 +9,12 @@
      within [linger_ns] — a near-deadline request must not sit waiting
      for company it may never get.
 
+   In the live server the time trigger binds only while the shared pool
+   is saturated: when no batch is claimable and a pool lane is idle, the
+   pump flushes every open class at once ([flush_all]), because waiting
+   for company would only leave the lane idle. The fleet simulator flushes
+   on the two triggers alone.
+
    Polymorphic in the request type: the live server batches
    [Request.t] values, the fleet simulator batches its own lightweight
    simulated requests through the exact same coalescing logic — the

@@ -6,7 +6,9 @@
     A class flushes when it reaches [max_batch] (size trigger) or when its
     oldest member has lingered [linger_ns] / its most urgent member's
     deadline is within [linger_ns] (time trigger), so a lone request is
-    delayed by at most the linger, never indefinitely.
+    delayed by at most the linger, never indefinitely. The live server
+    also flushes every open class at once ({!flush_all}) whenever a pool
+    lane is idle, so there the linger binds only under saturation.
 
     The batcher is polymorphic in the request type: {!create} builds the
     live server's [Request.t] batcher; {!create_keyed} lets other owners

@@ -7,14 +7,19 @@
    domain owns the batcher and EDF heap under the single state mutex, so
    they stay simple single-threaded data structures. Each pump pass
    resubmits due retries, drains the ingress into the batcher, flushes
-   due batches into the heap and claims the most urgent eligible batch, or
-   sleeps one poll interval (OCaml's [Condition] has no timed wait, so the
-   time-triggered flush is polled; with a 200 us poll against a >= 1 ms
-   linger the flush-time error is noise). A claimed batch is a dispatch
-   unit only: every member becomes its own DAG job in the pool, carrying
-   the request's deadline down to task granularity, and its completion
-   callback settles the request on whichever pool worker ran its last
-   task. No thread blocks per request.
+   due batches into the heap and claims the most urgent eligible batch.
+   The pump is work-conserving: when no batch is claimable while a pool
+   lane is idle, it flushes the open batcher classes at once, so the
+   linger binds only while the pool is saturated — then batches still
+   form by size, by linger, or early for a near deadline. With nothing to
+   do the pump parks on a self-pipe until an admission, a completion that
+   frees a lane or a class-cap slot, a retry, [stop], or the next linger
+   or retry deadline (OCaml's [Condition] has no timed wait, so the pipe
+   is waited on with [Unix.select]); it never polls. A claimed batch is a
+   dispatch unit only: every member becomes its own DAG job in the pool,
+   carrying the request's deadline down to task granularity, and its
+   completion callback settles the request on whichever pool worker ran
+   its last task. No thread blocks per request.
 
    Fault isolation is per request: a failing task aborts only its own
    job, so one singular matrix or injected fault fails exactly one
@@ -48,6 +53,7 @@ module Pool = Xsc_runtime.Pool
 module Harness = Xsc_resilience.Harness
 module Flight = Xsc_resilience.Flight
 
+(* [Slot]'s idle worker poll; the [Shared] pump parks instead *)
 let poll_s = 0.0002
 
 let m_admitted = Metrics.counter "serve.admitted"
@@ -56,6 +62,7 @@ let m_completed = Metrics.counter "serve.completed"
 let m_failed = Metrics.counter "serve.failed"
 let m_retried = Metrics.counter "serve.retried"
 let m_batches = Metrics.counter "serve.batches"
+let m_pump_passes = Metrics.counter "serve.pump_passes"
 let m_batch_size = Metrics.histogram "serve.batch_size"
 let m_queue_wait = Metrics.histogram "serve.queue_wait_s"
 let m_service = Metrics.histogram "serve.service_s"
@@ -147,6 +154,33 @@ type retry_entry = {
   re_dispatch_ns : int;  (* first submit-to-pool time, held across retries *)
 }
 
+(* The [Shared] pump's wake-up channel, an eventcount over a self-pipe.
+   A producer bumps [events] after every state change the pump may act
+   on, then writes one byte only if [parked] says the pump is asleep. The
+   pump reads [events] before its pass and, after a pass with nothing to
+   do, publishes [parked] and re-reads [events] before blocking. OCaml's
+   atomics are sequentially consistent, so either the pump sees the new
+   count and passes again, or the producer sees it parked and writes: no
+   wake-up is lost. Both pipe ends are non-blocking; a full pipe already
+   means the pump will wake. *)
+type waker = {
+  events : int Atomic.t;
+  parked : int Atomic.t;  (* [running], [parked_idle] or [parked_held] *)
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
+  drain_buf : Bytes.t;  (* pump-only *)
+  wake_mu : Mutex.t;  (* orders byte writes against closing the pipe *)
+  mutable closed : bool;  (* under [wake_mu] *)
+}
+
+let running = 0
+
+(* nothing staged: only an admission, a retry or [stop] can give work *)
+let parked_idle = 1
+
+(* batches staged: a completion freeing a lane or cap slot can, too *)
+let parked_held = 2
+
 type t = {
   cfg : config;
   harness : Harness.t option;
@@ -165,6 +199,10 @@ type t = {
   (* ---- retry queue (Shared mode), under [retry_mu] ---- *)
   retry_mu : Mutex.t;
   mutable retry_q : retry_entry list;
+  retry_due : int Atomic.t;
+      (* earliest [re_due_ns] in [retry_q] ([max_int] when empty): written
+         under [retry_mu], read lock-free by the pump *)
+  waker : waker option;  (* Some iff [dispatch = Shared _] *)
   (* ---- submit-side state ---- *)
   in_system : int Atomic.t;  (* admitted and not yet completed *)
   staged : int Atomic.t;
@@ -188,6 +226,32 @@ type t = {
    spans on one extra virtual lane *)
 let exec_lanes cfg = match cfg.dispatch with Slot -> cfg.workers | Shared n -> n
 let queue_lane cfg = exec_lanes cfg
+
+(* ---- pump wake-up ---- *)
+
+let wake_byte = Bytes.make 1 '!'
+
+(* Signal the pump. [freed] marks a completion that freed a pool lane or a
+   class-cap slot: it matters only to a pump parked with batches staged.
+   The CAS hands the one byte write to a single producer. A no-op without
+   a pump ([Slot]). *)
+let wake ?(freed = false) t =
+  match t.waker with
+  | None -> ()
+  | Some w ->
+    Atomic.incr w.events;
+    let p = Atomic.get w.parked in
+    if (p = parked_held || (p = parked_idle && not freed))
+       && Atomic.compare_and_set w.parked p running
+    then begin
+      Mutex.lock w.wake_mu;
+      (if not w.closed then
+         try ignore (Unix.single_write w.wr wake_byte 0 1)
+         with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+      Mutex.unlock w.wake_mu
+    end
+
+let lane_idle pool = Pool.live_jobs pool < Pool.workers pool
 
 (* ---- request execution ---- *)
 
@@ -295,7 +359,9 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
       Mutex.unlock tk.t_mu
     | None -> ());
     (* last: only a fully completed request frees an admission slot *)
-    ignore (Atomic.fetch_and_add t.in_system (-1))
+    ignore (Atomic.fetch_and_add t.in_system (-1));
+    (* a stopping pump exits once nothing is in-system *)
+    if Atomic.get t.stopping then wake t
   in
   Fun.protect ~finally:resolve (fun () ->
       (* causal span records: the wait segment and the root request segment
@@ -455,6 +521,7 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
       (* the attempt left the pool: free its class-cap slot first, so the
          pump can dispatch the class's next batch while we settle this one *)
       (match cap with Some cc -> ignore (Atomic.fetch_and_add cc.cc_live (-1)) | None -> ());
+      if Option.is_some cap || lane_idle pool then wake ~freed:true t;
       note_attempt ~worker;
       match failure with
       | None -> (
@@ -493,24 +560,32 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
           in
           Mutex.lock t.retry_mu;
           t.retry_q <- entry :: t.retry_q;
-          Mutex.unlock t.retry_mu
+          if entry.re_due_ns < Atomic.get t.retry_due then
+            Atomic.set t.retry_due entry.re_due_ns;
+          Mutex.unlock t.retry_mu;
+          wake t
         | e ->
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
             ~retries:attempt ~dispatch_ns));
   if attempt = 0 then ignore (Atomic.fetch_and_add t.staged (-1))
 
+(* The lock is taken only once the earliest backoff has expired, so a
+   pump pass with retries asleep costs one atomic load. *)
 and service_retries t pool =
   let now = Clock.now_ns () in
-  Mutex.lock t.retry_mu;
-  let due, later = List.partition (fun e -> e.re_due_ns <= now) t.retry_q in
-  t.retry_q <- later;
-  Mutex.unlock t.retry_mu;
-  List.iter
-    (fun e ->
-      submit_to_pool t pool e.re_req ~attempt:e.re_attempt ~dispatch_ns:e.re_dispatch_ns)
-    (* oldest due first, so equal-backoff retries resubmit in fault order *)
-    (List.sort (fun a b -> compare a.re_due_ns b.re_due_ns) due)
+  if Atomic.get t.retry_due <= now then begin
+    Mutex.lock t.retry_mu;
+    let due, later = List.partition (fun e -> e.re_due_ns <= now) t.retry_q in
+    t.retry_q <- later;
+    Atomic.set t.retry_due (List.fold_left (fun m e -> min m e.re_due_ns) max_int later);
+    Mutex.unlock t.retry_mu;
+    List.iter
+      (fun e ->
+        submit_to_pool t pool e.re_req ~attempt:e.re_attempt ~dispatch_ns:e.re_dispatch_ns)
+      (* oldest due first, so equal-backoff retries resubmit in fault order *)
+      (List.sort (fun a b -> compare a.re_due_ns b.re_due_ns) due)
+  end
 
 (* A claimed batch in Shared mode is a dispatch unit only: each member
    becomes its own DAG submission (sharing the batch's dispatch stamp),
@@ -530,8 +605,10 @@ let dispatch_batch_pool t pool (batch : Request.t Batcher.batch) =
    the most urgent ready batch. One state lock covers ingress drain, flush
    and claim, so batches can never be claimed twice. [eligible] filters
    the claim (class-aware dispatch): ineligible batches keep their EDF
-   place in the heap. *)
-let next_batch ?(eligible = fun _ -> true) t =
+   place in the heap. [idle] says whether the executor has a free lane:
+   when nothing is claimable then, waiting for batch company would only
+   leave the lane idle, so the open classes flush at once. *)
+let next_batch ?(eligible = fun _ -> true) ?(idle = fun () -> false) t =
   Mutex.lock t.mu;
   let now = Clock.now_ns () in
   let rec drain () =
@@ -548,7 +625,13 @@ let next_batch ?(eligible = fun _ -> true) t =
   if Atomic.get t.stopping then
     (* no more company is coming: flush partial batches immediately *)
     List.iter (Scheduler.push t.sched) (Batcher.flush_all t.batcher);
-  let b = Scheduler.pop_when eligible t.sched in
+  let b =
+    match Scheduler.pop_when eligible t.sched with
+    | None when Batcher.pending t.batcher > 0 && idle () ->
+      List.iter (Scheduler.push t.sched) (Batcher.flush_all t.batcher);
+      Scheduler.pop_when eligible t.sched
+    | b -> b
+  in
   Mutex.unlock t.mu;
   b
 
@@ -589,21 +672,50 @@ let rec worker_loop t w =
       worker_loop t w
     end
 
+(* Block until a producer wakes the pump or the earliest linger or retry
+   deadline passes — unless an event arrived since the pass that read
+   [ev], in which case the pump passes again at once. *)
+let park t w ~ev =
+  Mutex.lock t.mu;
+  let held = Batcher.pending t.batcher > 0 || Scheduler.length t.sched > 0 in
+  let linger_due = Option.value (Batcher.next_due_ns t.batcher) ~default:max_int in
+  Mutex.unlock t.mu;
+  Atomic.set w.parked (if held then parked_held else parked_idle);
+  let due = min linger_due (Atomic.get t.retry_due) in
+  if Atomic.get w.events = ev then begin
+    (* negative = no deadline; the extra microsecond keeps select's
+       truncation to whole microseconds from waking just before [due] *)
+    let timeout =
+      if due = max_int then -1.0
+      else Float.max 0.0 (Clock.ns_to_s (due - Clock.now_ns ()) +. 1e-6)
+    in
+    match Unix.select [ w.rd ] [] [] timeout with
+    | [], _, _ -> ()
+    | _ -> (
+      try ignore (Unix.read w.rd w.drain_buf 0 (Bytes.length w.drain_buf))
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  end;
+  Atomic.set w.parked running
+
 (* Shared mode runs ONE pump domain: it drains admission into the batcher,
    dispatches claimed batches into the pool without blocking on them, and
-   resubmits due retries. It exits only when nothing is in-system — every
-   admitted request has fully settled through its completion callback. *)
-let rec pump_loop t pool =
+   resubmits due retries; with nothing to do it parks. It exits only when
+   nothing is in-system — every admitted request has fully settled
+   through its completion callback. *)
+let rec pump_loop t w pool =
+  Metrics.incr m_pump_passes;
+  let ev = Atomic.get w.events in
   service_retries t pool;
-  match next_batch ~eligible:(batch_eligible t) t with
+  match next_batch ~eligible:(batch_eligible t) ~idle:(fun () -> lane_idle pool) t with
   | Some b ->
     dispatch_batch_pool t pool b;
-    pump_loop t pool
+    pump_loop t w pool
   | None ->
     if Atomic.get t.stopping && Atomic.get t.in_system = 0 then ()
     else begin
-      Unix.sleepf poll_s;
-      pump_loop t pool
+      park t w ~ev;
+      pump_loop t w pool
     end
 
 (* ---- lifecycle ---- *)
@@ -656,6 +768,23 @@ let start ?harness cfg =
       deferred = Hashtbl.create 8;
       retry_mu = Mutex.create ();
       retry_q = [];
+      retry_due = Atomic.make max_int;
+      waker =
+        Option.map
+          (fun _ ->
+            let rd, wr = Unix.pipe ~cloexec:true () in
+            Unix.set_nonblock rd;
+            Unix.set_nonblock wr;
+            {
+              events = Atomic.make 0;
+              parked = Atomic.make running;
+              rd;
+              wr;
+              drain_buf = Bytes.create 64;
+              wake_mu = Mutex.create ();
+              closed = false;
+            })
+          pool;
       in_system = Atomic.make 0;
       staged = Atomic.make 0;
       next_id = Atomic.make 0;
@@ -670,12 +799,12 @@ let start ?harness cfg =
       domains = [||];
     }
   in
-  (match pool with
-  | None ->
-    t.domains <- Array.init cfg.workers (fun w -> Domain.spawn (fun () -> worker_loop t w))
-  | Some p ->
+  (match (pool, t.waker) with
+  | Some p, Some w ->
     (* execution concurrency lives in the pool; one pump feeds it *)
-    t.domains <- [| Domain.spawn (fun () -> pump_loop t p) |]);
+    t.domains <- [| Domain.spawn (fun () -> pump_loop t w p) |]
+  | _ ->
+    t.domains <- Array.init cfg.workers (fun w -> Domain.spawn (fun () -> worker_loop t w)));
   t
 
 let reject t reason =
@@ -748,6 +877,7 @@ let submit t ?deadline_s payload =
       | Queue.Accepted ->
         Atomic.incr t.c_admitted;
         Metrics.incr m_admitted;
+        wake t;
         Ok tk
       | (Queue.Full | Queue.Closed) as pr ->
         Mutex.lock t.mu;
@@ -780,10 +910,22 @@ let poll _t tk =
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     Queue.close t.ingress;
+    wake t;
     Array.iter Domain.join t.domains;
     (* the pump exits only at in_system = 0, so shutdown finds the pool
        quiescent — this join is the worker domains, not a drain *)
     (match t.pool with Some p -> Pool.shutdown p | None -> ());
+    (* no completion callback can run any more; a submitter still racing
+       [stop] finds [closed] under the lock, so no byte ever reaches a
+       closed or reused descriptor *)
+    (match t.waker with
+    | Some w ->
+      Mutex.lock w.wake_mu;
+      w.closed <- true;
+      Unix.close w.rd;
+      Unix.close w.wr;
+      Mutex.unlock w.wake_mu
+    | None -> ());
     (* final post-mortem: workers have quiesced, so every chain among
        the collector's newest records is complete — overwrite any
        mid-storm first-failure dump with them *)

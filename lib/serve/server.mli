@@ -72,7 +72,10 @@ type config = {
   workers : int;  (** persistent worker domains ([Slot] mode) *)
   capacity : int;  (** admission window: max requests in-system at once *)
   max_batch : int;  (** size-triggered batch flush *)
-  linger_s : float;  (** time-triggered batch flush *)
+  linger_s : float;
+      (** time-triggered batch flush; under [Shared] it binds only while
+          the pool is saturated — with a lane idle, open batches flush at
+          once *)
   default_deadline_s : float;  (** deadline when [submit] passes none *)
   max_retries : int;  (** retry budget for transient injected faults *)
   retry_backoff_s : float;  (** base backoff, doubled per retry *)
@@ -134,7 +137,8 @@ val poll : t -> ticket -> Request.completion option
 
 val stop : t -> unit
 (** Graceful shutdown: stop admitting, flush partial batches, drain
-    everything in-system, join the workers. Idempotent. *)
+    everything in-system, join the workers. Wakes a parked pump, so an
+    idle server stops at once. Idempotent. *)
 
 val counters : t -> counters
 (** Per-server totals. Quiescent invariant (after [stop], or whenever no

@@ -1383,6 +1383,139 @@ let test_server_flight_dump_on_permanent_failure () =
               (max_retries + 1) (count "inject"))
           failing)
 
+(* ---- event-driven pump ---- *)
+
+(* The Shared pump parks on a wake-up channel instead of polling, and
+   flushes the batcher at once while a pool lane is idle. Each test bounds
+   its wait generously, so a lost wake-up or a waited-out linger fails it
+   (rather than hanging it), while host noise does not. *)
+
+module Metrics = Xsc_obs.Metrics
+
+let await_within srv tk ~timeout_s =
+  wait_for ~what:"request completion" ~timeout_s (fun () -> Server.poll srv tk <> None);
+  Server.await srv tk
+
+let spd_payload rng n = Request.Spd_solve (Mat.random_spd rng n, Vec.random rng n)
+
+(* An idle pool gains nothing from batch company: a lone request runs at
+   once even under a 5 s linger. *)
+let test_pump_idle_dispatch () =
+  let srv = Server.start { (shared_cfg 2) with linger_s = 5.0 } in
+  let payload = spd_payload (Rng.create 71) 24 in
+  let t0 = Unix.gettimeofday () in
+  let tk = Result.get_ok (Server.submit srv payload) in
+  let c = await_within srv tk ~timeout_s:1.0 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Server.stop srv;
+  Alcotest.(check bool) (Printf.sprintf "done in %.3f s < 1 s" elapsed) true (elapsed < 1.0);
+  match c.Request.outcome with
+  | Ok sol ->
+    Alcotest.(check bool) "bitwise vs Route.direct" true
+      (Loadgen.solutions_bitwise_equal sol (Route.direct payload))
+  | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e)
+
+(* With the only lane busy, a back-to-back burst still coalesces: batches
+   form by size or linger exactly as before. *)
+let test_pump_saturated_batches () =
+  let srv = Server.start (shared_cfg 1) in
+  let rng = Rng.create 73 in
+  let payloads = List.init 40 (fun _ -> spd_payload rng 64) in
+  let tickets = List.map (fun p -> Result.get_ok (Server.submit srv p)) payloads in
+  List.iter
+    (fun tk ->
+      match (await_within srv tk ~timeout_s:5.0).Request.outcome with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e))
+    tickets;
+  Server.stop srv;
+  let c = Server.counters srv in
+  Alcotest.(check bool)
+    (Printf.sprintf "batches %d < completed %d" c.Server.batches c.Server.completed)
+    true
+    (c.Server.batches < c.Server.completed);
+  check_counters_reconcile "saturated burst" srv ~offered:40
+
+(* The pump parks with nothing staged while the faulted attempt backs off;
+   the retry's due time, not a poll, brings it back. *)
+let test_pump_retry_wakes () =
+  let h =
+    Harness.create { Harness.default with seed = 3; p_raise = 1.0; transient = true }
+  in
+  let srv =
+    Server.start ~harness:h
+      { (shared_cfg 2) with linger_s = 0.0; max_retries = 3; retry_backoff_s = 0.2 }
+  in
+  let t0 = Unix.gettimeofday () in
+  let tk = Result.get_ok (Server.submit srv (spd_payload (Rng.create 79) 8)) in
+  let c = await_within srv tk ~timeout_s:3.0 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Server.stop srv;
+  Alcotest.(check int) "one injected fault" 1 (Harness.raised h);
+  Alcotest.(check int) "one retry" 1 c.Request.retries;
+  Alcotest.(check bool) "retried to success" true (Result.is_ok c.Request.outcome);
+  Alcotest.(check bool)
+    (Printf.sprintf "done in %.3f s, within [0.2, 1.5) s" elapsed)
+    true
+    (elapsed >= 0.2 && elapsed < 1.5)
+
+(* The second CG batch waits in the heap behind the class cap with no
+   deadline to wake for: only the first one's completion can release it. *)
+let test_pump_cap_release () =
+  let srv =
+    Server.start
+      { (shared_cfg 2) with Server.class_caps = [ ("cg", 1) ]; max_batch = 1;
+        linger_s = 0.0 }
+  in
+  let rng = Rng.create 83 in
+  let a = Stencil.poisson_3d 8 in
+  let mk () =
+    Request.Cg_solve { a; b = Vec.random rng a.Csr.rows; tol = 1e-8; max_iter = 240 }
+  in
+  let tickets = List.init 2 (fun _ -> Result.get_ok (Server.submit srv (mk ()))) in
+  List.iter
+    (fun tk ->
+      match (await_within srv tk ~timeout_s:5.0).Request.outcome with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("capped request failed: " ^ Request.error_message e))
+    tickets;
+  Server.stop srv;
+  check_counters_reconcile "cap release" srv ~offered:2
+
+(* [stop] runs on its own domain so that a pump it fails to wake fails the
+   test instead of hanging it. *)
+let test_pump_stop_wakes () =
+  let srv = Server.start (shared_cfg 2) in
+  Unix.sleepf 0.05;
+  let stopped = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let d =
+    Domain.spawn (fun () ->
+        Server.stop srv;
+        Atomic.set stopped true)
+  in
+  wait_for ~what:"stop on an idle server" ~timeout_s:1.0 (fun () -> Atomic.get stopped);
+  Domain.join d;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "stop took %.3f s < 1 s" elapsed) true (elapsed < 1.0)
+
+(* A polling pump would pass ~1,000 times in 200 ms; a parked one not at
+   all. *)
+let test_pump_idle_no_poll () =
+  let passes = Metrics.counter "serve.pump_passes" in
+  let srv = Server.start (shared_cfg 2) in
+  let tk = Result.get_ok (Server.submit srv (spd_payload (Rng.create 89) 8)) in
+  ignore (await_within srv tk ~timeout_s:1.0);
+  Unix.sleepf 0.02;
+  let p0 = Metrics.counter_value passes in
+  Unix.sleepf 0.2;
+  let p1 = Metrics.counter_value passes in
+  Server.stop srv;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pump passes over 200 ms idle <= 10" (p1 - p0))
+    true
+    (p1 - p0 <= 10)
+
 let () =
   Alcotest.run "xsc_serve"
     [
@@ -1443,6 +1576,18 @@ let () =
           Alcotest.test_case "admits while a retry sleeps" `Quick
             test_shared_admission_while_retry_sleeps;
           Alcotest.test_case "soak: thousands of requests" `Slow test_shared_soak;
+        ] );
+      ( "pump",
+        [
+          Alcotest.test_case "idle pool dispatches without linger" `Quick
+            test_pump_idle_dispatch;
+          Alcotest.test_case "saturated pool still batches" `Quick
+            test_pump_saturated_batches;
+          Alcotest.test_case "retry backoff wakes the pump" `Quick test_pump_retry_wakes;
+          Alcotest.test_case "cap release dispatches a held batch" `Quick
+            test_pump_cap_release;
+          Alcotest.test_case "stop wakes an idle pump" `Quick test_pump_stop_wakes;
+          Alcotest.test_case "idle pump does not poll" `Quick test_pump_idle_no_poll;
         ] );
       ( "sparse",
         [
