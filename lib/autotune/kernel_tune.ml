@@ -17,8 +17,8 @@ let all_shape_ids () = List.init (Array.length P.shapes) Fun.id
    to exercise dispatch end to end in CI without a full search *)
 let quick_shape_ids () = List.map shape_id [ (1, 32); (4, 8); (8, 8) ]
 
-(* syrk only uses the WIDTH of its shape; searching (mr>1) shapes would
-   time duplicates of the 1 x nr variants *)
+(* syrk runs min(32, mr*nr) chains along one row; searching (mr>1) shapes
+   would time duplicates of the 1 x 32 variant *)
 let width_shape_ids () = List.map shape_id [ (1, 8); (1, 16); (1, 32) ]
 
 let product shapes packs prefetches =

@@ -58,10 +58,11 @@ let shapes =
       (d / 1000, d mod 1000))
 
 let default_cfg =
-  (* (1, 32): the shape the kernels were historically hard-coded to *)
+  (* (8, 16): the register-blocked micro-tile; must match DEFAULT_SHAPE in
+     the C stubs *)
   let shape =
     let found = ref 0 in
-    Array.iteri (fun i s -> if s = (1, 32) then found := i) shapes;
+    Array.iteri (fun i s -> if s = (8, 16) then found := i) shapes;
     !found
   in
   { shape; pack = true; prefetch = false }
@@ -130,6 +131,17 @@ module D = struct
 
   external potrf_raw : buf -> int -> int -> int = "xsc_pk_potrf_d" [@@noalloc]
   external getrf_nopiv_raw : buf -> int -> int -> int = "xsc_pk_getrf_nopiv_d" [@@noalloc]
+
+  external pack_tiles_raw : float array -> int -> buf -> int -> int -> bool -> unit
+    = "xsc_pk_pack_tiles_d_byte" "xsc_pk_pack_tiles_d"
+    [@@noalloc]
+
+  let pack_tiles src ~m buf ~n ~nb ~lower =
+    if nb <= 0 || n mod nb <> 0 || m < 0 || m > n then
+      invalid_arg "Pblas.D.pack_tiles: bad geometry";
+    if Array.length src <> m * m || Array1.dim buf <> n * n then
+      invalid_arg "Pblas.D.pack_tiles: dimension mismatch";
+    pack_tiles_raw src m buf n nb lower
 
   let gemm_nn ~alpha a oa b ob c oc ~nb =
     gemm_nn_raw a oa b ob c oc nb alpha;

@@ -16,7 +16,7 @@
     genuine single precision — half the bytes moved per flop, double the
     SIMD lanes — and feed the real mixed-precision path in [Precision.Ir].
 
-    All wrappers tally flops/bytes through {!Blas.tally_kernel} under
+    All kernel wrappers tally flops/bytes through {!Blas.tally_kernel} under
     [blas.{pgemm,psyrk,ptrsm,ppotrf,pgetrf}] (f64) and
     [blas.{sgemm,ssyrk,strsm,spotrf}] (f32). *)
 
@@ -48,15 +48,20 @@ type prec = F64 | F32
 type kcfg = { shape : int; pack : bool; prefetch : bool }
 (** [shape] indexes {!shapes}. [pack] selects transpose-to-scratch (true,
     the historical behavior) vs direct row-dot / row-sequential access for
-    the NT / syrk / trsm_rlt paths; gemm_nn ignores it. [syrk_ln] uses only
-    the width of its shape (triangular store masks per row). *)
+    the NT / syrk / trsm_rlt paths; gemm_nn ignores it. [syrk_ln] cannot
+    group rows (triangular store masks per row), so it runs
+    [min 32 (mr * nr)] chains along one row: a [1 x nr] shape keeps its
+    width, a row-grouped one runs 32 wide. *)
 
 val shapes : (int * int) array
 (** The (mr, nr) micro-tile family compiled into the C stubs. *)
 
 val default_cfg : kcfg
-(** The untuned default: 1 x 32 chains, pack, no prefetch — exactly the
-    behavior the kernels had when the shapes were hard-coded. *)
+(** The untuned default: the 8 x 16 register-blocked micro-tile (its NN
+    bodies hold their 128 accumulators in 64-byte vector registers:
+    sixteen of 8 doubles, eight of 16 floats), pack, no prefetch. syrk
+    runs it 32 wide; trsm ignores the shape. Like every shape it is
+    bitwise identical to the others. *)
 
 val all_kernels : kernel list
 val all_precs : prec list
@@ -112,6 +117,17 @@ module D : sig
 
   val getrf_nopiv : buf -> int -> nb:int -> unit
   (** In-place unpivoted LU of one tile; raises {!Singular}. *)
+
+  val pack_tiles :
+    float array -> m:int -> buf -> n:int -> nb:int -> lower:bool -> unit
+  (** [pack_tiles src ~m buf ~n ~nb ~lower] packs the row-major [m x m]
+      [src] into the tile-major [n x n] [buf] ([m <= n], [n] a multiple of
+      [nb]), padding with the identity: each source row run is one
+      [memcpy], the rest of the row is zero-filled, and a pad row is zero
+      except its diagonal element. Writes every element of each tile it
+      packs: all of them, or with [lower] only the tiles on and below the
+      diagonal. Exact (a copy). Raises [Invalid_argument] on a geometry
+      mismatch. *)
 end
 
 (** Single-precision kernels: genuine C [float] arithmetic end to end. The

@@ -32,7 +32,10 @@
  * of the shape, so ALL variants produce bitwise-identical results — the
  * tuner searches over speed, never over rounding.  The j-remainder of a
  * row always cascades NR -> 8 -> scalar, and the i-remainder falls back
- * to the 1 x NR shape, so odd nb values keep wide-SIMD rates.
+ * to the 1 x NR shape, so odd nb values keep wide-SIMD rates.  The
+ * default shape is 8 x 16, whose NN bodies are register-blocked by hand
+ * with GCC vector extensions (no intrinsics; same chains); syrk runs it
+ * 32 wide and trsm ignores it.
  *
  * Two further tuning knobs:
  *   - pack: gemm_nt and syrk read their second operand along k.  pack=1
@@ -52,6 +55,10 @@
  * The float32 kernels compute in genuine C `float` arithmetic — this is the
  * real reduced-precision path (half the bytes moved per element, twice the
  * SIMD lanes), not double arithmetic rounded on store.
+ *
+ * One data-movement stub rides along: xsc_pk_pack_tiles_d packs a
+ * row-major OCaml float array into the tile-major buffer (one memcpy per
+ * source row run, identity pad), optionally only the lower tiles.
  */
 
 #include <caml/mlvalues.h>
@@ -94,16 +101,20 @@ static float *scratch_s(long n)
 
 /* Micro-tile shape family.  The first three entries MUST stay the
  * 1 x {8,16,32} shapes in that order: the i-remainder and row-tail paths
- * index them by width (see widx below). */
-#define SHAPE_LIST(X) \
+ * index them by width (see widx below).  Shape ids are persisted in tuning
+ * caches, so new shapes are only ever appended.  8 x 16 is listed apart
+ * because its NN bodies are register-blocked by hand (see
+ * DEF_TILE_NN_8X16); every other body is macro-generated. */
+#define GENERIC_SHAPES(X) \
   X(1, 8) X(1, 16) X(1, 32) X(2, 16) X(2, 32) X(4, 8) X(4, 16) X(6, 16) X(8, 8)
+#define SHAPE_LIST(X) GENERIC_SHAPES(X) X(8, 16)
 
 #define SHAPE_ENTRY(MR, NR) { MR, NR },
 static const struct { int mr, nr; } shapes[] = { SHAPE_LIST(SHAPE_ENTRY) };
 #define NSHAPES ((int)(sizeof(shapes) / sizeof(shapes[0])))
 
-/* shape id of 1x32: the historical hard-coded kernel, and the default. */
-#define DEFAULT_SHAPE 2
+/* shape id of 8x16, the default (Pblas.default_cfg mirrors it). */
+#define DEFAULT_SHAPE 9
 
 typedef struct {
   int shape;    /* index into shapes[] */
@@ -214,7 +225,54 @@ CAMLprim value xsc_pk_set_kcfg(value vprec, value vkernel, value vshape,
   DEF_TILE_NN(float, s, MR, NR)   \
   DEF_TILE_DOT(float, s, MR, NR)
 
-SHAPE_LIST(DEF_TILES)
+GENERIC_SHAPES(DEF_TILES)
+DEF_TILE_DOT(double, d, 8, 16)
+DEF_TILE_DOT(float, s, 8, 16)
+
+/* The register-blocked NN micro-tile: 8 rows x 16 columns of accumulators
+ * held in GCC vector-extension registers of 64 bytes (one 512-bit
+ * register each where the target has them; the compiler splits them on
+ * narrower targets): sixteen of 8 doubles, or eight of 16 floats.  Each
+ * loaded b-line is reused by 8 rows, each broadcast a-element by the
+ * whole line.  No intrinsics: the lanes are the same independent
+ * per-element chains as the generic body (fresh zero, k-ascending
+ * s += a*b, then one c += alpha*s, all in T), and -ffp-contract=off keeps
+ * every multiply and add separately rounded, so the result is bitwise that
+ * of every other shape. */
+#define DEF_TILE_NN_8X16(T, SUF)                                             \
+  typedef T v64_##SUF __attribute__((vector_size(64)));                      \
+  enum { VL_##SUF = 64 / sizeof(T), NV_##SUF = 16 / VL_##SUF };              \
+  static void tile_nn_8x16_##SUF(const T *restrict a, const T *restrict b,   \
+                                 T *restrict c, long nb, long i0, long j0,   \
+                                 T alpha)                                    \
+  {                                                                          \
+    v64_##SUF s[8][NV_##SUF];                                                \
+    const T *bj = b + j0;                                                    \
+    const T *ai = a + i0 * nb;                                               \
+    for (int m = 0; m < 8; m++)                                              \
+      for (int v = 0; v < NV_##SUF; v++) s[m][v] = (v64_##SUF){ 0 };         \
+    for (long k = 0; k < nb; k++) {                                          \
+      v64_##SUF bv[NV_##SUF];                                                \
+      for (int v = 0; v < NV_##SUF; v++)                                     \
+        memcpy(&bv[v], bj + k * nb + v * VL_##SUF, sizeof bv[v]);            \
+      for (int m = 0; m < 8; m++) {                                          \
+        T av = ai[m * nb + k];                                               \
+        for (int v = 0; v < NV_##SUF; v++) s[m][v] += av * bv[v];            \
+      }                                                                      \
+    }                                                                        \
+    for (int m = 0; m < 8; m++) {                                            \
+      T *ci = c + (i0 + m) * nb + j0;                                        \
+      for (int v = 0; v < NV_##SUF; v++) {                                   \
+        v64_##SUF cv;                                                        \
+        memcpy(&cv, ci + v * VL_##SUF, sizeof cv);                           \
+        cv += alpha * s[m][v];                                               \
+        memcpy(ci + v * VL_##SUF, &cv, sizeof cv);                           \
+      }                                                                      \
+    }                                                                        \
+  }
+
+DEF_TILE_NN_8X16(double, d)
+DEF_TILE_NN_8X16(float, s)
 
 typedef void (*tile_d_fn)(const double *restrict, const double *restrict,
                           double *restrict, long, long, long, double);
@@ -326,8 +384,10 @@ DEF_GEMM_CORE(float, s, tile_s_fn)
  * see exactly their own k-ascending chain; the discarded accumulators
  * are independent, so this wastes a few flops but keeps the wide-SIMD
  * rate on every row.  Row-group (MR > 1) tiling does not compose with
- * the per-row triangular bound, so syrk uses only the WIDTH of the
- * configured shape. */
+ * the per-row triangular bound, so syrk spends the configured shape's
+ * accumulator budget along one row: min(32, MR*NR) chains.  The 1 x NR
+ * shapes keep their width; the row-grouped ones (the 8 x 16 default
+ * among them) run 32 wide. */
 
 #define DEF_SYRK(T, SUF, NR)                                                 \
   static void syrk_pk_##NR##_##SUF(const T *restrict a, const T *restrict at,\
@@ -388,13 +448,19 @@ static const syrk_s_fn syrk_pk_tab_s[] = { syrk_pk_8_s, syrk_pk_16_s,
 static const syrk_s_fn syrk_dot_tab_s[] = { syrk_dot_8_s, syrk_dot_16_s,
                                             syrk_dot_32_s };
 
+static inline int syrk_width(int shape)
+{
+  int w = shapes[shape].mr * shapes[shape].nr;
+  return w < 32 ? w : 32;
+}
+
 /* bsrc is the transposed scratch (pack=1) or a itself (pack=0). */
 #define DEF_SYRK_CORE(T, SUF, FN)                                            \
   static void syrk_core_##SUF(const T *restrict a, const T *restrict bsrc,   \
                               T *restrict c, long nb, T alpha, T beta,       \
                               const kcfg *cf)                                \
   {                                                                          \
-    const int nr = shapes[cf->shape].nr;                                     \
+    const int nr = syrk_width(cf->shape);                                    \
     const int pk = cf->pack;                                                 \
     FN fw = pk ? syrk_pk_tab_##SUF[widx(nr)] : syrk_dot_tab_##SUF[widx(nr)]; \
     FN f8 = pk ? syrk_pk_tab_##SUF[0] : syrk_dot_tab_##SUF[0];               \
@@ -669,6 +735,51 @@ CAMLprim value xsc_pk_getrf_nopiv_d(value va, value voa, value vnb)
     }
   }
   return Val_long(-1);
+}
+
+/* Pack a row-major m x m float array into the tile-major n x n buffer,
+ * padding with the identity (Packed.D.pack_padded): each source row run is
+ * one memcpy and the rest of the row is zero-filled (memset 0 is +0.0, the
+ * OCaml 0.0); a pad row is zero except its diagonal element.  With lower,
+ * only tiles (bi, bj <= bi) are written.  The source is an OCaml float
+ * array, a flat block of doubles; the stub allocates nothing, so nothing
+ * moves under it. */
+CAMLprim value xsc_pk_pack_tiles_d(value vsrc, value vm, value vbuf, value vn,
+                                   value vnb, value vlower)
+{
+  long m = Long_val(vm), n = Long_val(vn), nb = Long_val(vnb);
+  long nt = n / nb;
+  int lower = Bool_val(vlower);
+  const double *src = (const double *)vsrc;
+  double *buf = (double *)Caml_ba_data_val(vbuf);
+  for (long bi = 0; bi < nt; bi++)
+    for (long bj = 0; bj <= (lower ? bi : nt - 1); bj++) {
+      double *tile = buf + (bi * nt + bj) * nb * nb;
+      long c0 = bj * nb;
+      long w = m - c0;
+      if (w < 0) w = 0;
+      if (w > nb) w = nb;
+      for (long r = 0; r < nb; r++) {
+        long gi = bi * nb + r;
+        double *row = tile + r * nb;
+        if (gi < m) {
+          memcpy(row, src + gi * m + c0, (size_t)w * sizeof(double));
+          memset(row + w, 0, (size_t)(nb - w) * sizeof(double));
+        }
+        else {
+          memset(row, 0, (size_t)nb * sizeof(double));
+          if (bi == bj) row[r] = 1.0;
+        }
+      }
+    }
+  return Val_unit;
+}
+
+CAMLprim value xsc_pk_pack_tiles_d_byte(value *argv, int argn)
+{
+  (void)argn;
+  return xsc_pk_pack_tiles_d(argv[0], argv[1], argv[2], argv[3], argv[4],
+                             argv[5]);
 }
 
 /* ---------------- float32 kernels ---------------- */

@@ -1,23 +1,38 @@
 (* Request -> dataflow plan: the bridge between the serving layer and the
    shared task pool.
 
-   A plan is the request's whole execution as data: a DAG whose first task
-   packs the operand into a tile-major buffer from the process-wide
-   scratch pool, the factorization as closure-free op tasks over that
-   buffer, an interpreter binding the ops to the buffer, and a
-   [finish]/[cleanup] pair run after the DAG drains. SPD solves route to the packed tiled Cholesky,
-   diagonally dominant LU solves to the packed unpivoted LU; pivoting LU
-   and GEMM (no op encoding) run as single-task closure DAGs — still
-   pool-scheduled, deadline-tagged units, just without intra-request
-   parallelism.
+   A plan is the request's whole execution as data: a DAG, an interpreter
+   binding its op tasks to the request's buffers, and a [finish]/[cleanup]
+   pair run after the DAG drains. SPD solves route to the packed tiled
+   Cholesky, diagonally dominant LU solves to the packed unpivoted LU;
+   pivoting LU and GEMM (no op encoding) run as single-task closure DAGs —
+   still pool-scheduled, deadline-tagged units, just without
+   intra-request parallelism.
+
+   A tiled plan's DAG is the whole solve, in three parts:
+   - [pack] (task 0) acquires a tile-major buffer and a padded right-hand
+     side from the process-wide scratch pool and packs the operand into
+     them. It writes every tile the program reads (for Cholesky only the
+     lower ones) and every block of the vector, so every other task
+     depends on it. It stays one task: the serving benchmark's span
+     ledger counts pack time and kernel time as disjoint segments;
+   - the factorization's op tasks, closure-free;
+   - one forward-sweep task per tile row, each runnable as soon as its
+     tile row of the factor is final, then one backward-sweep task per
+     block, last block first.
+   Its structure depends only on (program, nt, nb), so it is built once
+   per key and cached; a request copies the task array and binds only the
+   closure tasks (pack and the sweeps) to its own buffers. [finish] copies
+   the solution's head and releases the buffers.
 
    Bitwise determinism is the contract that makes the shared pool
    testable: the packed kernels update each element along a fixed
-   k-ascending chain, so any DAG-consistent interleaving — the pool under
-   load, work stealing, preemption by urgent arrivals — produces results
-   bitwise identical to [direct], the same plan executed sequentially on
-   the calling domain. The isolation bench and the oracle tests lean on
-   exactly this.
+   k-ascending chain, and the sweep tasks run each block's rows in the
+   order of the whole-vector solve, so any DAG-consistent interleaving —
+   the pool under load, work stealing, preemption by urgent arrivals —
+   produces results bitwise identical to [direct], the same plan executed
+   sequentially on the calling domain. The isolation bench and the oracle
+   tests lean on exactly this.
 
    Fault injection: with a harness, op-task plans wrap their interpreter
    in [Harness.wrap_interp_key] (first op of the attempt raises when the
@@ -51,79 +66,149 @@ type t = {
 
 let default_nb () = Xsc_tile.Packed.tuned_nb ~fallback:64
 
-(* Solve against the packed factor in place on a pooled padded vector
-   (identity pad rows solve to b's zero pad, so the head is unaffected),
-   release the plan's scratch, and return the head: the solve allocates
-   only the n-vector it returns. [solve] is [PD.potrs] for a Cholesky
-   factor, [PD.getrs_nopiv] for an unpivoted LU. *)
-let packed_finish solve cell n padded b () =
-  let p = match !cell with Some p -> p | None -> assert false in
-  let y = Scratch.acquire_vec padded in
-  Array.blit b 0 y 0 n;
-  Array.fill y n (padded - n) 0.0;
-  solve p y;
-  let x = Array.sub y 0 n in
-  Scratch.release_vec y;
-  Scratch.release_packed p;
-  cell := None;
-  Request.Vector x
+(* ---- tiled plans: one cached DAG per (program, nt, nb) ---- *)
 
-let release_cell cell () =
-  match !cell with
-  | Some p ->
-    Scratch.release_packed p;
-    cell := None
-  | None -> ()
+type program = Chol | Lu
 
-(* Prepend the pack task (id 0, writes every tile) to an op task list
-   (ids shifted by one; accesses use the same [stride = nt] datum ids, so
-   Dag.build derives pack -> everything). *)
-let with_pack_task ~nt ~nb ~padded pack ops =
-  let datums = ref [] in
-  for i = nt - 1 downto 0 do
-    for j = nt - 1 downto 0 do
-      datums := Task.Write (Task.datum i j ~stride:nt) :: !datums
-    done
-  done;
-  let pack_task =
-    Task.make ~id:0 ~name:"pack" ~flops:(float_of_int (padded * padded))
-      ~bytes:(8.0 *. float_of_int (nb * nb)) ~run:pack !datums
+(* The cached structure. Closure tasks (pack, the sweeps) carry no body
+   here; ops and every dependence array are shared read-only by all the
+   requests that copy it ([Pool.submit] counts down its own copy of the
+   indegrees). Forward sweep [bi] is task [sweeps + bi], backward sweep
+   [bi] is task [sweeps + 2 nt - 1 - bi]. *)
+type template = { dag : Dag.t; sweeps : int }
+
+let build_template program ~nt ~nb =
+  let tile i j = Task.datum i j ~stride:nt in
+  (* the right-hand side's blocks, numbered after the tiles *)
+  let yblk bi = (nt * nt) + bi in
+  let range lo hi f = List.init (max 0 (hi - lo + 1)) (fun k -> f (lo + k)) in
+  let ops =
+    match program with
+    | Chol -> Xsc_core.Cholesky.tasks_ops ~nt ~nb
+    | Lu -> Xsc_core.Lu.tasks_ops ~nt ~nb
   in
-  let shifted =
+  let n = nt * nb in
+  let packed =
+    List.concat
+      (range 0 (nt - 1) (fun i ->
+           range 0 (if program = Chol then i else nt - 1) (fun j -> Task.Write (tile i j))))
+    @ range 0 (nt - 1) (fun bi -> Task.Write (yblk bi))
+  in
+  let pack =
+    Task.make ~id:0 ~name:"pack" ~flops:(float_of_int (n * n))
+      ~bytes:(8.0 *. float_of_int (nb * nb)) packed
+  in
+  let ops =
     List.map
       (fun (t : Task.t) ->
         Task.make ~id:(t.Task.id + 1) ~name:t.Task.name ~flops:t.Task.flops
-          ~bytes:t.Task.bytes ?run:t.Task.run ?op:t.Task.op t.Task.accesses)
+          ~bytes:t.Task.bytes ?op:t.Task.op t.Task.accesses)
       ops
   in
-  Dag.build (pack_task :: shifted)
+  let sweeps = 1 + List.length ops in
+  let sweep ~id ~name ~blocks bi tiles ys =
+    Task.make ~id ~name:(Printf.sprintf "%s(%d)" name bi)
+      ~flops:(2.0 *. float_of_int (nb * nb * blocks))
+      ~bytes:(8.0 *. float_of_int (nb * nb * blocks))
+      ((Task.Read_write (yblk bi) :: List.map (fun d -> Task.Read d) tiles)
+      @ List.map (fun b -> Task.Read (yblk b)) ys)
+  in
+  let fwd =
+    range 0 (nt - 1) (fun bi ->
+        sweep ~id:(sweeps + bi) ~name:"fwd" ~blocks:(bi + 1) bi
+          (range 0 bi (fun bj -> tile bi bj))
+          (range 0 (bi - 1) Fun.id))
+  in
+  let bwd =
+    range 0 (nt - 1) (fun k ->
+        let bi = nt - 1 - k in
+        sweep ~id:(sweeps + nt + k) ~name:"bwd" ~blocks:(nt - bi) bi
+          (range bi (nt - 1) (fun bj -> if program = Chol then tile bj bi else tile bi bj))
+          (range (bi + 1) (nt - 1) Fun.id))
+  in
+  { dag = Dag.build ((pack :: ops) @ fwd @ bwd); sweeps }
+
+(* Keys are bounded by the tile counts in use. A miss builds outside the
+   lock; a racing builder's equal template is dropped. *)
+let templates : (program * int * int, template) Hashtbl.t = Hashtbl.create 8
+let templates_mu = Mutex.create ()
+
+let template program ~nt ~nb =
+  let key = (program, nt, nb) in
+  match Mutex.protect templates_mu (fun () -> Hashtbl.find_opt templates key) with
+  | Some tpl -> tpl
+  | None ->
+    let tpl = build_template program ~nt ~nb in
+    Mutex.protect templates_mu (fun () ->
+        match Hashtbl.find_opt templates key with
+        | Some tpl -> tpl
+        | None ->
+          Hashtbl.add templates key tpl;
+          tpl)
+
+(* One request's buffers, acquired by its pack task. *)
+type bufs = { fac : PD.t; y : float array; run_op : Task.op -> unit }
 
 let wrap_interp harness ~key interp =
   match harness with
   | None -> interp
   | Some h -> Harness.wrap_interp_key h ~key interp
 
-let tiled_plan ~harness ~key ~nb a b ops_of interp_of solve =
+let tiled_plan ~harness ~key ~nb program a b =
   let n = a.Mat.rows in
   let padded = (n + nb - 1) / nb * nb in
   let nt = padded / nb in
-  let cell : PD.t option ref = ref None in
-  let pack () =
-    let p = Scratch.acquire_packed ~n:padded ~nb in
-    PD.pack_padded p a;
-    cell := Some p
-  in
-  let dag = with_pack_task ~nt ~nb ~padded pack (ops_of ~nt ~nb) in
-  let interp0 op =
+  let tpl = template program ~nt ~nb in
+  let cell : bufs option ref = ref None in
+  let bufs () =
     match !cell with
-    | Some p -> interp_of p op
-    | None -> assert false (* every op task is a DAG successor of pack *)
+    | Some s -> s
+    | None -> assert false (* every other task is a DAG successor of pack *)
+  in
+  let lower, interp_of, fwd, bwd =
+    match program with
+    | Chol -> (true, Xsc_core.Cholesky.packed_interp, PD.potrs_fwd, PD.potrs_bwd)
+    | Lu -> (false, Xsc_core.Lu.packed_interp, PD.getrs_fwd, PD.getrs_bwd)
+  in
+  let pack () =
+    let fac = Scratch.acquire_packed ~n:padded ~nb in
+    let y = Scratch.acquire_vec padded in
+    cell := Some { fac; y; run_op = interp_of fac };
+    PD.pack_padded ~lower fac a;
+    Array.blit b 0 y 0 n;
+    Array.fill y n (padded - n) 0.0
+  in
+  let tasks = Array.copy tpl.dag.Dag.tasks in
+  let bind id run = tasks.(id) <- { (tasks.(id)) with Task.run = Some run } in
+  bind 0 pack;
+  for bi = 0 to nt - 1 do
+    bind (tpl.sweeps + bi) (fun () ->
+        let s = bufs () in
+        fwd s.fac s.y bi);
+    bind
+      (tpl.sweeps + (2 * nt) - 1 - bi)
+      (fun () ->
+        let s = bufs () in
+        bwd s.fac s.y bi)
+  done;
+  let release () =
+    match !cell with
+    | Some s ->
+      cell := None;
+      Scratch.release_vec s.y;
+      Scratch.release_packed s.fac
+    | None -> ()
   in
   {
-    dag;
-    interp = Some (wrap_interp harness ~key interp0);
-    finish = packed_finish solve cell n padded b;
-    cleanup = release_cell cell;
+    dag = { (tpl.dag) with Dag.tasks };
+    interp = Some (wrap_interp harness ~key (fun op -> (bufs ()).run_op op));
+    (* identity pad rows solve to b's zero pad, so the head is the answer *)
+    finish =
+      (fun () ->
+        let x = Array.sub (bufs ()).y 0 n in
+        release ();
+        Request.Vector x);
+    cleanup = release;
     tiled = true;
   }
 
@@ -249,12 +334,9 @@ let strictly_diag_dominant (a : Mat.t) =
 let plan ?harness ?nb ~key (payload : Request.payload) =
   let nb = match nb with Some nb -> nb | None -> default_nb () in
   match payload with
-  | Request.Spd_solve (a, b) ->
-    tiled_plan ~harness ~key ~nb a b Xsc_core.Cholesky.tasks_ops
-      Xsc_core.Cholesky.packed_interp PD.potrs
+  | Request.Spd_solve (a, b) -> tiled_plan ~harness ~key ~nb Chol a b
   | Request.Lu_solve (a, b) when strictly_diag_dominant a ->
-    tiled_plan ~harness ~key ~nb a b Xsc_core.Lu.tasks_ops Xsc_core.Lu.packed_interp
-      PD.getrs_nopiv
+    tiled_plan ~harness ~key ~nb Lu a b
   | Request.Lu_solve (a, b) ->
     thunk_plan ~harness ~key (fun () -> Request.Vector (Lapack.lu_solve a b))
   | Request.Gemm (a, b) ->

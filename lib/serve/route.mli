@@ -1,13 +1,20 @@
 (** Request -> dataflow plan: how the serving layer turns one request
     into a DAG submission for the shared task pool.
 
-    SPD solves become [pack -> tiled packed Cholesky] op DAGs, diagonally
-    dominant LU solves [pack -> tiled packed unpivoted LU]; pivoting LU
-    and GEMM run as single-closure-task DAGs (no op encoding). The pack
-    task acquires its tile-major buffer from {!Scratch} and
-    [finish]/[cleanup] release it, so buffers recycle across same-class
-    requests whichever pool lane runs them. [finish] solves with
-    {!Xsc_tile.Packed.D.potrs} or {!Xsc_tile.Packed.D.getrs_nopiv}.
+    SPD solves become [pack -> tiled packed Cholesky -> sweeps] DAGs,
+    diagonally dominant LU solves [pack -> tiled packed unpivoted LU ->
+    sweeps]; pivoting LU and GEMM run as single-closure-task DAGs (no op
+    encoding). The pack task acquires the tile-major buffer and the padded
+    right-hand side from {!Scratch} and packs only the tiles the program
+    reads (the lower ones for Cholesky). The triangular solve runs inside
+    the DAG: one forward task per tile row, runnable as soon as that row
+    of the factor is final, then one backward task per block, last block
+    first ({!Xsc_tile.Packed.D.potrs_fwd} and the like). [finish] only
+    copies the solution out; [finish]/[cleanup] release the buffers, so
+    they recycle across same-class requests whichever pool lane runs
+    them. A tiled DAG's structure depends only on (program, tile count,
+    nb): it is built once per key and cached, and a plan copies its task
+    array and binds the pack and sweep closures to its own buffers.
 
     Sparse iterative solves ([Cg_solve]/[Mg_solve]) become sequential
     CHAINS of chunk tasks over a resumable stepper (task 0 initialises,
@@ -36,8 +43,8 @@ type t = {
       (** binds op tasks to the plan's packed buffer; [None] for closure
           plans. Already harness-wrapped when the plan was built with one. *)
   finish : unit -> Request.solution;
-      (** call exactly once after the DAG drained successfully; solves
-          against the factor and releases the plan's scratch *)
+      (** call exactly once after the DAG drained successfully; returns
+          the result and releases the plan's scratch *)
   cleanup : unit -> unit;
       (** call instead of [finish] when the DAG failed or was abandoned;
           releases whatever scratch the partial run acquired. Idempotent. *)

@@ -7,8 +7,8 @@
     filled it.
 
     Buffers are returned {e dirty}: callers must overwrite every element
-    they read (the packing routines do — a pack writes the whole
-    buffer). *)
+    they read (the packing routines do — a pack writes every tile the
+    program reads, and the solve vector is filled before the sweeps). *)
 
 val acquire_packed : n:int -> nb:int -> Xsc_tile.Packed.D.t
 (** Pooled or fresh packed matrix of exactly ([n], [nb]); contents

@@ -69,7 +69,7 @@ let m_service = Metrics.histogram "serve.service_s"
 let m_total = Metrics.histogram "serve.total_s"
 
 (* per-request minor-heap allocation estimate (plan construction plus
-   solve-and-release in Shared mode; the whole-batch delta divided by
+   copy-out-and-release in Shared mode; the whole-batch delta divided by
    batch size in Slot mode): the "zero-allocation steady state" goal as a
    benchmarked number *)
 let m_alloc = Metrics.histogram "serve.alloc_minor_words_per_req"
@@ -529,8 +529,8 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
         match plan.Route.finish () with
         | sol ->
           (* per-request allocation: plan construction (pump domain) plus
-             solve-and-release (this domain); the factorization tasks
-             themselves run in place over pooled buffers *)
+             copy-out-and-release (this domain); the factorization and
+             sweep tasks themselves run in place over pooled buffers *)
           Metrics.observe m_alloc (plan_alloc +. (Gcstat.minor_words () -. m1));
           complete t r (Ok sol) ~retries:attempt ~dispatch_ns
         | exception e ->

@@ -42,41 +42,15 @@ module D = struct
     let nb = t.nb in
     t.buf.{off t (i / nb) (j / nb) + ((i mod nb) * nb) + (j mod nb)} <- x
 
-  (* Tile by tile, one contiguous source run per tile row: the columns
-     that fall inside [a] are copied, the rest of the row is pad. A pad row
-     is zero except its diagonal element. Every element is written, so a
-     recycled (dirty) buffer packs exactly like a fresh one. *)
-  let pack_padded t (a : Mat.t) =
+  (* The copy runs in the C stub, one memcpy per source row run. Every
+     element of every packed tile is written, so a recycled (dirty) buffer
+     packs exactly like a fresh one; with [lower] the tiles above the
+     diagonal keep whatever they held. *)
+  let pack_padded ?(lower = false) t (a : Mat.t) =
     let m = a.Mat.rows in
     if a.Mat.cols <> m then invalid_arg "Packed.D.pack_padded: not square";
     if m > t.n then invalid_arg "Packed.D.pack_padded: matrix larger than buffer";
-    let nb = t.nb and ad = a.Mat.data and buf = t.buf in
-    for bi = 0 to t.nt - 1 do
-      for bj = 0 to t.nt - 1 do
-        let base = off t bi bj in
-        let c0 = bj * nb in
-        let w = max 0 (min nb (m - c0)) in
-        for r = 0 to nb - 1 do
-          let gi = (bi * nb) + r in
-          let row = base + (r * nb) in
-          if gi < m then begin
-            let src = (gi * m) + c0 in
-            for c = 0 to w - 1 do
-              Array1.unsafe_set buf (row + c) (Array.unsafe_get ad (src + c))
-            done;
-            for c = w to nb - 1 do
-              Array1.unsafe_set buf (row + c) 0.0
-            done
-          end
-          else begin
-            for c = 0 to nb - 1 do
-              Array1.unsafe_set buf (row + c) 0.0
-            done;
-            if bi = bj then Array1.unsafe_set buf (row + r) 1.0
-          end
-        done
-      done
-    done
+    Pblas.D.pack_tiles a.Mat.data ~m t.buf ~n:t.n ~nb:t.nb ~lower
 
   let of_mat ~nb (a : Mat.t) =
     if a.Mat.rows <> a.Mat.cols then invalid_arg "Packed.of_mat: not square";
@@ -205,23 +179,50 @@ module D = struct
     done;
     Array.unsafe_set y i (!acc /. Array1.unsafe_get buf (off t bi bi + (r * (nb + 1))))
 
-  let potrs t y =
-    if Array.length y <> t.n then invalid_arg "Packed.D.potrs: dimension mismatch";
-    for i = 0 to t.n - 1 do
+  (* One block of a sweep: the rows of tile row [bi], in the order the
+     whole-vector solve visits them (ascending forward, descending
+     backward), so a block-by-block solve is the whole solve cut at block
+     boundaries and every element keeps its operation chain. *)
+  let block_rows name t y bi =
+    if Array.length y <> t.n then invalid_arg ("Packed.D." ^ name ^ ": dimension mismatch");
+    if bi < 0 || bi >= t.nt then invalid_arg ("Packed.D." ^ name ^ ": block out of range");
+    bi * t.nb
+
+  let potrs_fwd t y bi =
+    let r0 = block_rows "potrs_fwd" t y bi in
+    for i = r0 to r0 + t.nb - 1 do
       fwd_row ~unit:false t y i
-    done;
-    for i = t.n - 1 downto 0 do
+    done
+
+  let potrs_bwd t y bi =
+    let r0 = block_rows "potrs_bwd" t y bi in
+    for i = r0 + t.nb - 1 downto r0 do
       bwd_col t y i
     done
 
-  let getrs_nopiv t y =
-    if Array.length y <> t.n then invalid_arg "Packed.D.getrs_nopiv: dimension mismatch";
-    for i = 0 to t.n - 1 do
+  let getrs_fwd t y bi =
+    let r0 = block_rows "getrs_fwd" t y bi in
+    for i = r0 to r0 + t.nb - 1 do
       fwd_row ~unit:true t y i
-    done;
-    for i = t.n - 1 downto 0 do
+    done
+
+  let getrs_bwd t y bi =
+    let r0 = block_rows "getrs_bwd" t y bi in
+    for i = r0 + t.nb - 1 downto r0 do
       bwd_row t y i
     done
+
+  let sweeps name fwd bwd t y =
+    if Array.length y <> t.n then invalid_arg ("Packed.D." ^ name ^ ": dimension mismatch");
+    for bi = 0 to t.nt - 1 do
+      fwd t y bi
+    done;
+    for bi = t.nt - 1 downto 0 do
+      bwd t y bi
+    done
+
+  let potrs t y = sweeps "potrs" potrs_fwd potrs_bwd t y
+  let getrs_nopiv t y = sweeps "getrs_nopiv" getrs_fwd getrs_bwd t y
 
   (* Sequential packed unpivoted LU, an oracle written out in the program
      order of Lu.panel/update. *)

@@ -32,13 +32,16 @@ module D : sig
   val of_mat : nb:int -> Xsc_linalg.Mat.t -> t
   (** Pack a square dense matrix. Exact (a copy, no rounding). *)
 
-  val pack_padded : t -> Xsc_linalg.Mat.t -> unit
+  val pack_padded : ?lower:bool -> t -> Xsc_linalg.Mat.t -> unit
   (** [pack_padded p a] packs a square [a] no larger than [p] into [p],
       padding with the identity: a pad element is [1.0] on the diagonal and
-      [0.0] elsewhere. Writes every element of [p], so a dirty recycled
-      buffer is fine. The pad is harmless for Cholesky and for diagonally
-      dominant LU, and solves to zero against a zero-padded right-hand
-      side. *)
+      [0.0] elsewhere. Each row run is one [memcpy] (C stub). Writes every
+      element of every tile it packs, so a dirty recycled buffer is fine.
+      With [~lower:true] only the tiles on and below the diagonal are
+      written, which is all a Cholesky factorization and {!potrs} read;
+      the tiles above keep whatever the buffer held. The pad is harmless
+      for Cholesky and for diagonally dominant LU, and solves to zero
+      against a zero-padded right-hand side. *)
 
   val to_mat : t -> Xsc_linalg.Mat.t
   (** Unpack; [to_mat (of_mat ~nb a)] round-trips bitwise. *)
@@ -60,7 +63,20 @@ module D : sig
       the packed Cholesky factor (no unpack), like
       {!Xsc_linalg.Lapack.potrs}. Every element follows the order of
       {!Xsc_linalg.Blas.trsv}, so the result is bitwise equal to
-      [Lapack.potrs (to_mat l) y]. Allocates nothing. *)
+      [Lapack.potrs (to_mat l) y]. Reads only tiles on and below the
+      diagonal. Allocates nothing. It is {!potrs_fwd} over the blocks
+      ascending, then {!potrs_bwd} over them descending. *)
+
+  val potrs_fwd : t -> Xsc_linalg.Vec.t -> int -> unit
+  (** [potrs_fwd l y bi]: the rows of block [bi] of the forward sweep
+      [L z = y], ascending. Reads tiles [(bi, 0..bi)] and the blocks of [y]
+      before [bi], which must already be forward-final; writes block [bi].
+      Raises [Invalid_argument] on a wrong [y] length or block index. *)
+
+  val potrs_bwd : t -> Xsc_linalg.Vec.t -> int -> unit
+  (** [potrs_bwd l y bi]: the rows of block [bi] of the backward sweep
+      [Lᵀ x = z], descending. Reads tiles [(bi..nt-1, bi)] and the blocks
+      of [y] after [bi], which must already be backward-final. *)
 
   val getrf_nopiv : t -> unit
   (** Sequential packed tiled unpivoted LU, written out independently of
@@ -73,7 +89,16 @@ module D : sig
       against the packed unpivoted LU factor: unit-lower forward, then
       upper backward substitution, bitwise equal to
       [Blas.trsv ~diag:Unit] then [Blas.trsv ~uplo:Upper] on [to_mat lu].
-      Allocates nothing. *)
+      Allocates nothing. It is {!getrs_fwd} over the blocks ascending,
+      then {!getrs_bwd} over them descending. *)
+
+  val getrs_fwd : t -> Xsc_linalg.Vec.t -> int -> unit
+  (** Block [bi] of the unit-lower forward sweep; reads tiles
+      [(bi, 0..bi)], like {!potrs_fwd}. *)
+
+  val getrs_bwd : t -> Xsc_linalg.Vec.t -> int -> unit
+  (** Block [bi] of the upper backward sweep, descending; reads tiles
+      [(bi, bi..nt-1)] and the blocks of [y] after [bi]. *)
 
   val gemm : alpha:float -> t -> t -> beta:float -> t -> unit
   (** Whole-matrix [C <- alpha A B + beta C] over packed tiles (all three

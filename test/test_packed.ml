@@ -289,60 +289,70 @@ let with_cfg prec cfg f =
 
 (* potrf exercises gemm_nt/syrk_ln/trsm_rlt, getrf_nopiv exercises
    gemm_nn plus the fixed triangular kernels — together every tunable
-   dispatch point, judged against the strided Tile/Blas/Lapack path. *)
+   dispatch point, judged against the strided Tile/Blas/Lapack path. Past
+   nb=32 the sweep runs at nb = 20, 24 and 40: 8x16 leaves a j-remainder
+   at each (4, 8 and 8 columns) and an i-remainder at 20, and mr = 6 an
+   i-remainder at 20 and 40, so the row-tail and 1 x nr cascades are
+   compared at tol 0.0 too. *)
+let variant_nbs = [ 32; 20; 24; 40 ]
+
 let test_variants_bitwise_f64 () =
-  let nb = 32 in
-  let n = 3 * nb in
-  let rng = Rng.create 5001 in
-  let a = Mat.random_spd rng n in
-  let t = Tile.of_mat ~nb a in
-  Cholesky.factor t;
-  let ref_chol = Tile.to_mat t in
-  let d = Mat.random rng n n in
-  for i = 0 to n - 1 do
-    Mat.set d i i (Mat.get d i i +. float_of_int n)
-  done;
-  let t2 = Tile.of_mat ~nb d in
-  Lu.factor t2;
-  let ref_lu = Tile.to_mat t2 in
   List.iter
-    (fun cfg ->
-      with_cfg Pblas.F64 cfg (fun () ->
-          let p = Packed.D.of_mat ~nb a in
-          Packed.D.potrf p;
-          Alcotest.(check bool)
-            ("potrf bitwise " ^ cfg_label cfg)
-            true
-            (Mat.approx_equal ~tol:0.0 ref_chol (Packed.D.to_mat p));
-          let q = Packed.D.of_mat ~nb d in
-          Packed.D.getrf_nopiv q;
-          Alcotest.(check bool)
-            ("getrf bitwise " ^ cfg_label cfg)
-            true
-            (Mat.approx_equal ~tol:0.0 ref_lu (Packed.D.to_mat q))))
-    (all_cfgs ())
+    (fun nb ->
+      let n = 3 * nb in
+      let rng = Rng.create (5001 + nb) in
+      let a = Mat.random_spd rng n in
+      let t = Tile.of_mat ~nb a in
+      Cholesky.factor t;
+      let ref_chol = Tile.to_mat t in
+      let d = Mat.random rng n n in
+      for i = 0 to n - 1 do
+        Mat.set d i i (Mat.get d i i +. float_of_int n)
+      done;
+      let t2 = Tile.of_mat ~nb d in
+      Lu.factor t2;
+      let ref_lu = Tile.to_mat t2 in
+      List.iter
+        (fun cfg ->
+          with_cfg Pblas.F64 cfg (fun () ->
+              let p = Packed.D.of_mat ~nb a in
+              Packed.D.potrf p;
+              Alcotest.(check bool)
+                (Printf.sprintf "potrf bitwise nb=%d %s" nb (cfg_label cfg))
+                true
+                (Mat.approx_equal ~tol:0.0 ref_chol (Packed.D.to_mat p));
+              let q = Packed.D.of_mat ~nb d in
+              Packed.D.getrf_nopiv q;
+              Alcotest.(check bool)
+                (Printf.sprintf "getrf bitwise nb=%d %s" nb (cfg_label cfg))
+                true
+                (Mat.approx_equal ~tol:0.0 ref_lu (Packed.D.to_mat q))))
+        (all_cfgs ()))
+    variant_nbs
 
 (* f32 has no strided reference, so the contract is variant-vs-variant:
    every config reproduces the default config's factor exactly. *)
 let test_variants_bitwise_f32 () =
-  let nb = 32 in
-  let n = 3 * nb in
-  let rng = Rng.create 5002 in
-  let a = Mat.random_spd rng n in
-  Pblas.reset_cfgs ();
-  let p0 = Packed.S.of_mat ~nb a in
-  Packed.S.potrf p0;
-  let reference = Packed.S.to_mat p0 in
   List.iter
-    (fun cfg ->
-      with_cfg Pblas.F32 cfg (fun () ->
-          let p = Packed.S.of_mat ~nb a in
-          Packed.S.potrf p;
-          Alcotest.(check bool)
-            ("f32 potrf bitwise " ^ cfg_label cfg)
-            true
-            (Mat.approx_equal ~tol:0.0 reference (Packed.S.to_mat p))))
-    (all_cfgs ())
+    (fun nb ->
+      let n = 3 * nb in
+      let rng = Rng.create (5002 + nb) in
+      let a = Mat.random_spd rng n in
+      Pblas.reset_cfgs ();
+      let p0 = Packed.S.of_mat ~nb a in
+      Packed.S.potrf p0;
+      let reference = Packed.S.to_mat p0 in
+      List.iter
+        (fun cfg ->
+          with_cfg Pblas.F32 cfg (fun () ->
+              let p = Packed.S.of_mat ~nb a in
+              Packed.S.potrf p;
+              Alcotest.(check bool)
+                (Printf.sprintf "f32 potrf bitwise nb=%d %s" nb (cfg_label cfg))
+                true
+                (Mat.approx_equal ~tol:0.0 reference (Packed.S.to_mat p))))
+        (all_cfgs ()))
+    variant_nbs
 
 (* nb=72 leaves a 72 mod 32 j-remainder and i-remainders for every
    mr > 1 — the tail cascade must be bitwise too, not just full tiles. *)
@@ -426,30 +436,45 @@ let packed_padded ~nb a =
   Packed.D.pack_padded p a;
   p
 
+(* With [~lower:true] the tiles above the diagonal are left as they were
+   (still NaN here); every other element follows the same definition. *)
 let test_pack_padded_dirty () =
   for_each_size (fun ~nb ~n ->
       let rng = Rng.create ((n * 7) + nb) in
       let a = Mat.random rng n n in
-      let p = Packed.D.create ~n:(padded_to ~nb n) ~nb in
-      (* a recycled buffer: every element holds garbage before the pack *)
-      Bigarray.Array1.fill p.Packed.D.buf Float.nan;
-      Packed.D.pack_padded p a;
-      let ok = ref true in
-      for i = 0 to p.Packed.D.n - 1 do
-        for j = 0 to p.Packed.D.n - 1 do
-          let expect =
-            if i < n && j < n then Mat.get a i j else if i = j then 1.0 else 0.0
-          in
-          if Int64.bits_of_float (Packed.D.get p i j) <> Int64.bits_of_float expect then
-            ok := false
-        done
-      done;
-      Alcotest.(check bool) (Printf.sprintf "pack_padded n=%d nb=%d" n nb) true !ok)
+      List.iter
+        (fun lower ->
+          let p = Packed.D.create ~n:(padded_to ~nb n) ~nb in
+          (* a recycled buffer: every element holds garbage before the pack *)
+          Bigarray.Array1.fill p.Packed.D.buf Float.nan;
+          Packed.D.pack_padded ~lower p a;
+          let ok = ref true in
+          for i = 0 to p.Packed.D.n - 1 do
+            for j = 0 to p.Packed.D.n - 1 do
+              let expect =
+                if lower && j / nb > i / nb then Float.nan
+                else if i < n && j < n then Mat.get a i j
+                else if i = j then 1.0
+                else 0.0
+              in
+              if Int64.bits_of_float (Packed.D.get p i j) <> Int64.bits_of_float expect then
+                ok := false
+            done
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "pack_padded n=%d nb=%d lower=%b" n nb lower)
+            true !ok)
+        [ false; true ])
 
+(* Packed as the serving layer packs a Cholesky operand: lower tiles only,
+   over a NaN-filled buffer, so a factor or solve that read an upper tile
+   could not come out bitwise equal. *)
 let test_potrs_bitwise () =
   for_each_size (fun ~nb ~n ->
       let rng = Rng.create ((n * 11) + nb) in
-      let p = packed_padded ~nb (Mat.random_spd rng n) in
+      let p = Packed.D.create ~n:(padded_to ~nb n) ~nb in
+      Bigarray.Array1.fill p.Packed.D.buf Float.nan;
+      Packed.D.pack_padded ~lower:true p (Mat.random_spd rng n);
       Packed.D.potrf p;
       let b = Vec.random rng p.Packed.D.n in
       let x = Array.copy b in

@@ -1070,6 +1070,105 @@ let test_scratch_reuse_serving () =
     (Printf.sprintf "scratch hits %d > misses %d" hits misses)
     true (hits > misses)
 
+(* A routed tiled solve is the sequential packed solve: its DAG (pack,
+   factorization, per-block forward and backward sweeps) run on a 2-lane
+   pool gives, bit for bit, what PD.potrf+potrs (getrf_nopiv+getrs_nopiv)
+   give on the same padded operand, and what Route.direct gives. Sizes
+   include non-multiples of nb, so the identity pad is exercised. *)
+module PD = Xsc_tile.Packed.D
+module Pool = Xsc_runtime.Pool
+
+let sequential_packed_solve ~nb ~spd a b =
+  let n = a.Mat.rows in
+  let padded = (n + nb - 1) / nb * nb in
+  let p = PD.create ~n:padded ~nb in
+  PD.pack_padded p a;
+  let y = Array.make padded 0.0 in
+  Array.blit b 0 y 0 n;
+  if spd then (PD.potrf p; PD.potrs p y) else (PD.getrf_nopiv p; PD.getrs_nopiv p y);
+  Request.Vector (Array.sub y 0 n)
+
+let prop_routed_solve_order =
+  QCheck.Test.make ~name:"routed tiled solve = sequential packed solve = Route.direct"
+    ~count:40
+    QCheck.(quad bool (int_range 1 200) (int_range 0 4) (int_range 0 9999))
+    (fun (spd, n, nbi, seed) ->
+      let nb = [| 4; 8; 16; 32; 64 |].(nbi) in
+      let rng = Rng.create seed in
+      let a = if spd then Mat.random_spd rng n else Mat.random_diag_dominant rng n in
+      let b = Vec.random rng n in
+      let payload = if spd then Request.Spd_solve (a, b) else Request.Lu_solve (a, b) in
+      let plan = Route.plan ~nb ~key:seed payload in
+      if not plan.Route.tiled then QCheck.Test.fail_report "payload not routed to a tiled plan";
+      ignore (Pool.run_once ?interp:plan.Route.interp ~workers:2 plan.Route.dag);
+      let routed = plan.Route.finish () in
+      Loadgen.solutions_bitwise_equal routed (sequential_packed_solve ~nb ~spd a b)
+      && Loadgen.solutions_bitwise_equal routed (Route.direct ~nb payload))
+
+(* Same-shape requests share one cached DAG but never a buffer. Concurrent
+   pairs with different matrices all come back bitwise. At most two
+   attempts are live at once and the pool starts with two buffer pairs of
+   the class, so a transient storm allocates nothing when each failed
+   attempt's cleanup returns the buffer and vector its pack acquired; a
+   further same-shape batch allocates nothing either. *)
+let test_shared_template_private_state () =
+  let rng = Rng.create 97 in
+  (* n=130 pads to 192 at an nb of 64: three tile rows, so every sweep is a
+     real multi-block task *)
+  let n = 130 and nb = Xsc_tile.Packed.tuned_nb ~fallback:64 in
+  let padded = (n + nb - 1) / nb * nb in
+  let payloads =
+    Array.init 24 (fun _ -> Request.Spd_solve (Mat.random_spd rng n, Vec.random rng n))
+  in
+  let oracles = Array.map Route.direct payloads in
+  let serve_pairs srv lo hi =
+    let retried = ref 0 in
+    for pair = lo / 2 to (hi / 2) - 1 do
+      let tks =
+        List.map
+          (fun k -> (k, Result.get_ok (Server.submit srv payloads.(k))))
+          [ 2 * pair; (2 * pair) + 1 ]
+      in
+      List.iter
+        (fun (k, tk) ->
+          let c = Server.await srv tk in
+          retried := !retried + c.Request.retries;
+          match c.Request.outcome with
+          | Ok sol ->
+            Alcotest.(check bool)
+              (Printf.sprintf "request %d bitwise vs Route.direct" k)
+              true
+              (Loadgen.solutions_bitwise_equal sol oracles.(k))
+          | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e))
+        tks
+    done;
+    !retried
+  in
+  let warm =
+    List.init 2 (fun _ -> (Scratch.acquire_packed ~n:padded ~nb, Scratch.acquire_vec padded))
+  in
+  List.iter
+    (fun (p, v) ->
+      Scratch.release_packed p;
+      Scratch.release_vec v)
+    warm;
+  let h = Harness.create { Harness.default with seed = 9; p_raise = 0.5; transient = true } in
+  let srv = Server.start ~harness:h { (shared_cfg 2) with max_retries = 4 } in
+  let m0 = Scratch.misses () in
+  let retried = serve_pairs srv 0 16 in
+  let m1 = Scratch.misses () in
+  Server.stop srv;
+  Alcotest.(check bool)
+    (Printf.sprintf "faults actually fired (%d)" (Harness.raised h))
+    true
+    (Harness.raised h > 1);
+  Alcotest.(check int) "one retry per injected raise" (Harness.raised h) retried;
+  Alcotest.(check int) "no scratch misses through the storm" 0 (m1 - m0);
+  let srv = Server.start (shared_cfg 2) in
+  ignore (serve_pairs srv 16 24);
+  Server.stop srv;
+  Alcotest.(check int) "no new scratch misses after the storm" 0 (Scratch.misses () - m1)
+
 (* ---- batched results satellite ---- *)
 
 let test_batched_results_isolation () =
@@ -1618,6 +1717,9 @@ let () =
           Alcotest.test_case "scratch buffer reuse" `Quick test_scratch_reuse;
           Alcotest.test_case "scratch crosses domains" `Quick test_scratch_crosses_domains;
           Alcotest.test_case "scratch reused while serving" `Quick test_scratch_reuse_serving;
+          QCheck_alcotest.to_alcotest prop_routed_solve_order;
+          Alcotest.test_case "shared template, private state" `Quick
+            test_shared_template_private_state;
         ] );
       ( "spans",
         [
