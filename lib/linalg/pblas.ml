@@ -14,6 +14,10 @@ type f32 = (float, float32_elt, c_layout) Array1.t
 
 exception Singular of int
 
+(* The stubs that transpose through per-thread scratch return -2 when it
+   cannot be allocated; they have then written nothing. *)
+let checked st = if st = -2 then raise Out_of_memory
+
 let gemm_flops nb = 2.0 *. float_of_int nb *. float_of_int nb *. float_of_int nb
 let syrk_flops nb = float_of_int nb *. float_of_int (nb + 1) *. float_of_int nb
 let trsm_flops nb = float_of_int nb *. float_of_int nb *. float_of_int nb
@@ -112,21 +116,21 @@ module D = struct
     = "xsc_pk_gemm_nn_d_byte" "xsc_pk_gemm_nn_d"
     [@@noalloc]
 
-  external gemm_nt_raw : buf -> int -> buf -> int -> buf -> int -> int -> float -> unit
+  external gemm_nt_raw : buf -> int -> buf -> int -> buf -> int -> int -> float -> int
     = "xsc_pk_gemm_nt_d_byte" "xsc_pk_gemm_nt_d"
     [@@noalloc]
 
-  external syrk_ln_raw : buf -> int -> buf -> int -> int -> float -> float -> unit
+  external syrk_ln_raw : buf -> int -> buf -> int -> int -> float -> float -> int
     = "xsc_pk_syrk_ln_d_byte" "xsc_pk_syrk_ln_d"
     [@@noalloc]
 
-  external trsm_rlt_raw : buf -> int -> buf -> int -> int -> unit = "xsc_pk_trsm_rlt_d"
+  external trsm_rlt_raw : buf -> int -> buf -> int -> int -> int = "xsc_pk_trsm_rlt_d"
     [@@noalloc]
 
   external trsm_llu_raw : buf -> int -> buf -> int -> int -> unit = "xsc_pk_trsm_llu_d"
     [@@noalloc]
 
-  external trsm_ru_raw : buf -> int -> buf -> int -> int -> unit = "xsc_pk_trsm_ru_d"
+  external trsm_ru_raw : buf -> int -> buf -> int -> int -> int = "xsc_pk_trsm_ru_d"
     [@@noalloc]
 
   external potrf_raw : buf -> int -> int -> int = "xsc_pk_potrf_d" [@@noalloc]
@@ -148,15 +152,15 @@ module D = struct
     Blas.tally_kernel "pgemm" ~flops:(gemm_flops nb) ~bytes:(gemm_bytes 8 nb)
 
   let gemm_nt ~alpha a oa b ob c oc ~nb =
-    gemm_nt_raw a oa b ob c oc nb alpha;
+    checked (gemm_nt_raw a oa b ob c oc nb alpha);
     Blas.tally_kernel "pgemm" ~flops:(gemm_flops nb) ~bytes:(gemm_bytes 8 nb)
 
   let syrk_ln ~alpha a oa ~beta c oc ~nb =
-    syrk_ln_raw a oa c oc nb alpha beta;
+    checked (syrk_ln_raw a oa c oc nb alpha beta);
     Blas.tally_kernel "psyrk" ~flops:(syrk_flops nb) ~bytes:(syrk_bytes 8 nb)
 
   let trsm_rlt a oa b ob ~nb =
-    trsm_rlt_raw a oa b ob nb;
+    checked (trsm_rlt_raw a oa b ob nb);
     Blas.tally_kernel "ptrsm" ~flops:(trsm_flops nb) ~bytes:(trsm_bytes 8 nb)
 
   let trsm_llu a oa b ob ~nb =
@@ -164,11 +168,12 @@ module D = struct
     Blas.tally_kernel "ptrsm" ~flops:(trsm_flops nb) ~bytes:(trsm_bytes 8 nb)
 
   let trsm_ru a oa b ob ~nb =
-    trsm_ru_raw a oa b ob nb;
+    checked (trsm_ru_raw a oa b ob nb);
     Blas.tally_kernel "ptrsm" ~flops:(trsm_flops nb) ~bytes:(trsm_bytes 8 nb)
 
   let potrf a oa ~nb =
     let st = potrf_raw a oa nb in
+    checked st;
     if st >= 0 then raise (Singular st);
     Blas.tally_kernel "ppotrf" ~flops:(potrf_flops nb) ~bytes:(fact_bytes 8 nb)
 
@@ -185,15 +190,15 @@ module S = struct
     = "xsc_pk_gemm_nn_s_byte" "xsc_pk_gemm_nn_s"
     [@@noalloc]
 
-  external gemm_nt_raw : buf -> int -> buf -> int -> buf -> int -> int -> float -> unit
+  external gemm_nt_raw : buf -> int -> buf -> int -> buf -> int -> int -> float -> int
     = "xsc_pk_gemm_nt_s_byte" "xsc_pk_gemm_nt_s"
     [@@noalloc]
 
-  external syrk_ln_raw : buf -> int -> buf -> int -> int -> float -> float -> unit
+  external syrk_ln_raw : buf -> int -> buf -> int -> int -> float -> float -> int
     = "xsc_pk_syrk_ln_s_byte" "xsc_pk_syrk_ln_s"
     [@@noalloc]
 
-  external trsm_rlt_raw : buf -> int -> buf -> int -> int -> unit = "xsc_pk_trsm_rlt_s"
+  external trsm_rlt_raw : buf -> int -> buf -> int -> int -> int = "xsc_pk_trsm_rlt_s"
     [@@noalloc]
 
   external potrf_raw : buf -> int -> int -> int = "xsc_pk_potrf_s" [@@noalloc]
@@ -203,19 +208,20 @@ module S = struct
     Blas.tally_kernel "sgemm" ~flops:(gemm_flops nb) ~bytes:(gemm_bytes 4 nb)
 
   let gemm_nt ~alpha a oa b ob c oc ~nb =
-    gemm_nt_raw a oa b ob c oc nb alpha;
+    checked (gemm_nt_raw a oa b ob c oc nb alpha);
     Blas.tally_kernel "sgemm" ~flops:(gemm_flops nb) ~bytes:(gemm_bytes 4 nb)
 
   let syrk_ln ~alpha a oa ~beta c oc ~nb =
-    syrk_ln_raw a oa c oc nb alpha beta;
+    checked (syrk_ln_raw a oa c oc nb alpha beta);
     Blas.tally_kernel "ssyrk" ~flops:(syrk_flops nb) ~bytes:(syrk_bytes 4 nb)
 
   let trsm_rlt a oa b ob ~nb =
-    trsm_rlt_raw a oa b ob nb;
+    checked (trsm_rlt_raw a oa b ob nb);
     Blas.tally_kernel "strsm" ~flops:(trsm_flops nb) ~bytes:(trsm_bytes 4 nb)
 
   let potrf a oa ~nb =
     let st = potrf_raw a oa nb in
+    checked st;
     if st >= 0 then raise (Singular st);
     Blas.tally_kernel "spotrf" ~flops:(potrf_flops nb) ~bytes:(fact_bytes 4 nb)
 end

@@ -7,14 +7,25 @@
     without gathers and — because the build passes [-ffp-contract=off] and
     no [-ffast-math] — without changing any rounding.
 
-    Bitwise contract (float64): each kernel performs the same floating-point
-    operations in the same order as its OCaml counterpart in {!Blas} /
-    {!Lapack} (gemm: per-element k-ascending accumulate then one
-    [c += alpha*acc]; syrk: [c = alpha*acc + beta*c]; trsm / potrf /
-    getrf_nopiv: literal transcriptions), so packed factorizations are
-    bit-identical to the strided reference. The float32 kernels compute in
-    genuine single precision — half the bytes moved per flop, double the
-    SIMD lanes — and feed the real mixed-precision path in [Precision.Ir].
+    Bitwise contract (float64): for every output element, each kernel
+    performs the same floating-point operations in the same order as its
+    OCaml counterpart in {!Blas} / {!Lapack}: gemm accumulates k-ascending
+    then does one [c += alpha*acc]; syrk does [c = alpha*acc + beta*c];
+    trsm runs the [Blas.trsm] branch's l-ascending subtractions (zero
+    coefficients skipped) then its divide (skipped on a unit diagonal or a
+    coefficient of 1.0); potrf runs [Lapack.potrf]'s k-ascending chain then
+    its sqrt or divide; getrf_nopiv is a literal transcription. Only the
+    order in which elements are visited differs: gemm and syrk run register
+    tiles of independent accumulators, trsm and potrf one register-blocked
+    triangular sweep whose vector lanes are different elements. So packed
+    factorizations are bit-identical to the strided reference. The float32
+    kernels compute in genuine single precision — half the bytes moved per
+    flop, double the SIMD lanes — and feed the real mixed-precision path in
+    [Precision.Ir].
+
+    [gemm_nt] and [syrk_ln] (when they pack), [trsm_rlt], [trsm_ru] and
+    [potrf] transpose through a per-thread scratch tile; they raise
+    [Out_of_memory], having written nothing, when it cannot be allocated.
 
     All kernel wrappers tally flops/bytes through {!Blas.tally_kernel} under
     [blas.{pgemm,psyrk,ptrsm,ppotrf,pgetrf}] (f64) and
@@ -39,29 +50,29 @@ exception Singular of int
     searches this space and {!Kconfig} persists the winner per host. *)
 
 type kernel = Gemm_nn | Gemm_nt | Syrk_ln | Trsm_rlt
-(** The tunable kernels. [potrf] / [getrf_nopiv] and the LU panel trsms are
-    O(nb^2·nb) sequential-chain kernels with no variant space worth
-    searching; they always run the reference code. *)
+(** The kernels with a config record. [Trsm_rlt]'s is ignored: every trsm
+    and [potrf] run one register-blocked triangular sweep, and
+    [getrf_nopiv] has no variants. *)
 
 type prec = F64 | F32
 
 type kcfg = { shape : int; pack : bool; prefetch : bool }
 (** [shape] indexes {!shapes}. [pack] selects transpose-to-scratch (true,
-    the historical behavior) vs direct row-dot / row-sequential access for
-    the NT / syrk / trsm_rlt paths; gemm_nn ignores it. [syrk_ln] cannot
-    group rows (triangular store masks per row), so it runs
-    [min 32 (mr * nr)] chains along one row: a [1 x nr] shape keeps its
-    width, a row-grouped one runs 32 wide. *)
+    the historical behavior) vs direct row-dot access for the NT and syrk
+    paths; gemm_nn and trsm ignore it. [syrk_ln] runs a row-grouped shape
+    ([mr > 1]) as the 8 x 16 register tile over the lower block triangle of
+    the packed transpose, so it always packs; a [1 x nr] shape runs
+    [nr] chains along one row. *)
 
 val shapes : (int * int) array
 (** The (mr, nr) micro-tile family compiled into the C stubs. *)
 
 val default_cfg : kcfg
-(** The untuned default: the 8 x 16 register-blocked micro-tile (its NN
-    bodies hold their 128 accumulators in 64-byte vector registers:
-    sixteen of 8 doubles, eight of 16 floats), pack, no prefetch. syrk
-    runs it 32 wide; trsm ignores the shape. Like every shape it is
-    bitwise identical to the others. *)
+(** The untuned default: the 8 x 16 register-blocked micro-tile (its
+    128 accumulators live in 64-byte vector registers: sixteen of 8
+    doubles, eight of 16 floats), pack, no prefetch. gemm and syrk run it;
+    trsm ignores the config. Like every shape it is bitwise identical to
+    the others. *)
 
 val all_kernels : kernel list
 val all_precs : prec list
@@ -113,7 +124,9 @@ module D : sig
   (** [B <- B A⁻¹], [A] upper triangular non-unit (LU column panel). *)
 
   val potrf : buf -> int -> nb:int -> unit
-  (** In-place lower Cholesky of one tile; raises {!Singular}. *)
+  (** In-place lower Cholesky of one tile; the strict upper triangle is
+      not touched. Raises {!Singular} with [Lapack.potrf]'s failing column;
+      the tile's contents are then unspecified. *)
 
   val getrf_nopiv : buf -> int -> nb:int -> unit
   (** In-place unpivoted LU of one tile; raises {!Singular}. *)

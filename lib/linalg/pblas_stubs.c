@@ -7,35 +7,41 @@
  * keep them in SIMD registers without gather/scatter.
  *
  * Bitwise contract (float64): each kernel performs exactly the same
- * floating-point operations in exactly the same order as its OCaml
- * counterpart in Blas/Lapack:
+ * floating-point operations in exactly the same order, per output element,
+ * as its OCaml counterpart in Blas/Lapack:
  *
  *   - gemm:  per element, a k-ascending accumulation into a fresh
  *            accumulator followed by ONE update c += alpha * acc
  *            (the order shared by Blas.gemm_unblocked and Kernel.micro);
  *   - syrk:  per element, k-ascending acc, then c = alpha*acc + beta*c;
- *   - trsm:  sequential axpy-style substitution in the same l-order as
- *            the corresponding Blas.trsm branch;
- *   - potrf / getrf_nopiv: literal transcriptions of Lapack.potrf and
- *            Lapack.getrf_nopiv.
+ *   - trsm:  per element, the l-ascending x -= x[l] * coef of the
+ *            corresponding Blas.trsm branch (zero coefficients skipped),
+ *            then the divide (skipped on a unit diagonal or coef 1.0);
+ *   - potrf: per element, Lapack.potrf's k-ascending chain, then its sqrt
+ *            (diagonal) or divide, and the same first failing column;
+ *   - getrf_nopiv: a literal transcription of Lapack.getrf_nopiv.
  *
- * The compute kernels (gemm_nn / gemm_nt / syrk / trsm_rlt) are
- * PARAMETERISED over a small family of micro-tile shapes, selected at
- * runtime through a per-kernel, per-precision config record (set from
- * OCaml via xsc_pk_set_kcfg; searched by the autotuner in
- * lib/autotune/kernel_tune.ml).  A micro-tile of shape MR x NR keeps
- * MR*NR INDEPENDENT accumulator chains live (NR fills one or more
- * 256/512-bit vectors; MR rows reuse each loaded b-line and add
- * instruction-level parallelism that breaks the FP-add latency chain).
- * Vectorizing ACROSS chains never reassociates any single chain: every
- * output element accumulates k-ascending into its own scalar regardless
- * of the shape, so ALL variants produce bitwise-identical results — the
- * tuner searches over speed, never over rounding.  The j-remainder of a
- * row always cascades NR -> 8 -> scalar, and the i-remainder falls back
- * to the 1 x NR shape, so odd nb values keep wide-SIMD rates.  The
- * default shape is 8 x 16, whose NN bodies are register-blocked by hand
- * with GCC vector extensions (no intrinsics; same chains); syrk runs it
- * 32 wide and trsm ignores it.
+ * Only the ORDER IN WHICH ELEMENTS ARE VISITED differs, never an element's
+ * own chain: gemm and syrk run register tiles of independent accumulators,
+ * and trsm and potrf run one register-blocked triangular sweep (see "the
+ * triangular sweep" below) in which the lanes of a vector are different
+ * elements.
+ *
+ * gemm_nn / gemm_nt / syrk are PARAMETERISED over a small family of
+ * micro-tile shapes, selected at runtime through a per-kernel,
+ * per-precision config record (set from OCaml via xsc_pk_set_kcfg;
+ * searched by the autotuner in lib/autotune/kernel_tune.ml).  A micro-tile
+ * of shape MR x NR keeps MR*NR INDEPENDENT accumulator chains live (NR
+ * fills one or more 256/512-bit vectors; MR rows reuse each loaded b-line
+ * and add instruction-level parallelism that breaks the FP-add latency
+ * chain).  Vectorizing ACROSS chains never reassociates any single chain,
+ * so ALL variants produce bitwise-identical results — the tuner searches
+ * over speed, never over rounding.  The j-remainder of a row always
+ * cascades NR -> 8 -> scalar, and the i-remainder falls back to the
+ * 1 x NR shape, so odd nb values keep wide-SIMD rates.  The default shape
+ * is 8 x 16, register-blocked by hand with GCC vector extensions (no
+ * intrinsics; same chains); syrk runs every row-grouped shape as that
+ * 8 x 16 tile.  trsm has one body and ignores its config record.
  *
  * Two further tuning knobs:
  *   - pack: gemm_nt and syrk read their second operand along k.  pack=1
@@ -43,13 +49,13 @@
  *     loops go unit-stride; pack=0 skips the transpose and runs the
  *     micro-tile directly on rows of the untransposed operand (each
  *     accumulator chain is then a plain dot product of two contiguous
- *     rows — same chain, same bits, no scratch traffic).  For trsm_rlt,
- *     pack=0 is a row-sequential in-place substitution with no
- *     transpose round trip.
+ *     rows — same chain, same bits, no scratch traffic).  syrk's
+ *     row-grouped shapes always pack.
  *   - prefetch: optional software prefetch of the next row block.
  *
  * The build passes -ffp-contract=off so no multiply-add is contracted
- * into an FMA (an FMA rounds once where the OCaml code rounds twice).
+ * into an FMA (an FMA rounds once where the OCaml code rounds twice), and
+ * CI fails if the object file holds a fused multiply-add instruction.
  * No -ffast-math.
  *
  * The float32 kernels compute in genuine C `float` arithmetic — this is the
@@ -68,8 +74,9 @@
 #include <string.h>
 
 /* Per-thread scratch for transposed operands (gemm_nt / syrk read their
- * second operand along k; transposing it once, O(nb^2), turns the O(nb^3)
- * inner loops unit-stride).  Domains are threads, so __thread gives each
+ * second operand along k, and the trsm and potrf sweeps run on transposed
+ * tiles; transposing once, O(nb^2), turns the O(nb^3) inner loops
+ * unit-stride).  Domains are threads, so __thread gives each
  * worker its own buffer with no locking; the buffer only grows and is
  * reused across calls, so steady-state cost is zero allocation. */
 static __thread double *tbuf_d = NULL;
@@ -118,8 +125,8 @@ static const struct { int mr, nr; } shapes[] = { SHAPE_LIST(SHAPE_ENTRY) };
 
 typedef struct {
   int shape;    /* index into shapes[] */
-  int pack;     /* 1 = transpose second operand into scratch (NT/syrk),
-                   transposed column sweep (trsm); 0 = direct */
+  int pack;     /* 1 = transpose second operand into scratch (NT/syrk);
+                   0 = direct */
   int prefetch; /* 1 = software-prefetch the next row block */
 } kcfg;
 
@@ -238,15 +245,17 @@ DEF_TILE_DOT(float, s, 8, 16)
  * per-element chains as the generic body (fresh zero, k-ascending
  * s += a*b, then one c += alpha*s, all in T), and -ffp-contract=off keeps
  * every multiply and add separately rounded, so the result is bitwise that
- * of every other shape. */
+ * of every other shape.  syrk runs the same accumulation on the packed
+ * transpose with its own store: c = alpha*s + beta*c on the lanes with
+ * j <= i (a block that crosses the diagonal computes all 16 columns and
+ * discards the chains above it, which are independent of the rest). */
 #define DEF_TILE_NN_8X16(T, SUF)                                             \
   typedef T v64_##SUF __attribute__((vector_size(64)));                      \
   enum { VL_##SUF = 64 / sizeof(T), NV_##SUF = 16 / VL_##SUF };              \
-  static void tile_nn_8x16_##SUF(const T *restrict a, const T *restrict b,   \
-                                 T *restrict c, long nb, long i0, long j0,   \
-                                 T alpha)                                    \
+  static inline __attribute__((always_inline)) void acc_8x16_##SUF(          \
+      const T *restrict a, const T *restrict b, long nb, long i0, long j0,   \
+      v64_##SUF s[8][NV_##SUF])                                              \
   {                                                                          \
-    v64_##SUF s[8][NV_##SUF];                                                \
     const T *bj = b + j0;                                                    \
     const T *ai = a + i0 * nb;                                               \
     for (int m = 0; m < 8; m++)                                              \
@@ -260,6 +269,13 @@ DEF_TILE_DOT(float, s, 8, 16)
         for (int v = 0; v < NV_##SUF; v++) s[m][v] += av * bv[v];            \
       }                                                                      \
     }                                                                        \
+  }                                                                          \
+  static void tile_nn_8x16_##SUF(const T *restrict a, const T *restrict b,   \
+                                 T *restrict c, long nb, long i0, long j0,   \
+                                 T alpha)                                    \
+  {                                                                          \
+    v64_##SUF s[8][NV_##SUF];                                                \
+    acc_8x16_##SUF(a, b, nb, i0, j0, s);                                     \
     for (int m = 0; m < 8; m++) {                                            \
       T *ci = c + (i0 + m) * nb + j0;                                        \
       for (int v = 0; v < NV_##SUF; v++) {                                   \
@@ -267,6 +283,24 @@ DEF_TILE_DOT(float, s, 8, 16)
         memcpy(&cv, ci + v * VL_##SUF, sizeof cv);                           \
         cv += alpha * s[m][v];                                               \
         memcpy(ci + v * VL_##SUF, &cv, sizeof cv);                           \
+      }                                                                      \
+    }                                                                        \
+  }                                                                          \
+  static void tile_syrk_8x16_##SUF(const T *restrict a, const T *restrict at,\
+                                   T *restrict c, long nb, long i0, long j0, \
+                                   T alpha, T beta)                          \
+  {                                                                          \
+    v64_##SUF s[8][NV_##SUF];                                                \
+    acc_8x16_##SUF(a, at, nb, i0, j0, s);                                    \
+    for (int m = 0; m < 8; m++) {                                            \
+      T *ci = c + (i0 + m) * nb + j0;                                        \
+      long keep = i0 + m - j0 + 1; /* columns j <= i */                      \
+      for (int v = 0; v < NV_##SUF && keep > 0; v++, keep -= VL_##SUF) {     \
+        v64_##SUF cv;                                                        \
+        memcpy(&cv, ci + v * VL_##SUF, sizeof cv);                           \
+        cv = alpha * s[m][v] + beta * cv;                                    \
+        if (keep >= VL_##SUF) memcpy(ci + v * VL_##SUF, &cv, sizeof cv);     \
+        else memcpy(ci + v * VL_##SUF, &cv, (size_t)keep * sizeof(T));       \
       }                                                                      \
     }                                                                        \
   }
@@ -378,16 +412,15 @@ DEF_GEMM_CORE(float, s, tile_s_fn)
 /* ---------------- syrk bodies and core ----------------
  *
  * Lower triangle of c: c = alpha * a a^T + beta * c (Blas.syrk NoTrans).
- * The triangular store boundary does not shrink the compute tier: a full
- * NR-wide block is accumulated whenever it fits in the row (reads stay
- * in-bounds), and only the j <= i columns are stored.  Stored elements
- * see exactly their own k-ascending chain; the discarded accumulators
- * are independent, so this wastes a few flops but keeps the wide-SIMD
- * rate on every row.  Row-group (MR > 1) tiling does not compose with
- * the per-row triangular bound, so syrk spends the configured shape's
- * accumulator budget along one row: min(32, MR*NR) chains.  The 1 x NR
- * shapes keep their width; the row-grouped ones (the 8 x 16 default
- * among them) run 32 wide. */
+ * Row-grouped shapes (MR > 1, the 8 x 16 default among them) run the
+ * 8 x 16 register tile over the lower block triangle of the packed
+ * transpose, so they always pack; rows past the last full 8-row block,
+ * and the columns of a block row that do not fill 16, finish on the row
+ * bodies below.  A 1 x NR shape runs its row body NR wide, on the packed
+ * transpose or (pack=0) on rows of a directly.  A row body accumulates a
+ * full NR-wide block whenever it fits in the row (reads stay in-bounds)
+ * and stores only the j <= i columns: stored elements see exactly their
+ * own k-ascending chain; the discarded accumulators are independent. */
 
 #define DEF_SYRK(T, SUF, NR)                                                 \
   static void syrk_pk_##NR##_##SUF(const T *restrict a, const T *restrict at,\
@@ -448,46 +481,321 @@ static const syrk_s_fn syrk_pk_tab_s[] = { syrk_pk_8_s, syrk_pk_16_s,
 static const syrk_s_fn syrk_dot_tab_s[] = { syrk_dot_8_s, syrk_dot_16_s,
                                             syrk_dot_32_s };
 
-static inline int syrk_width(int shape)
+static inline int syrk_tiled(const kcfg *cf)
 {
-  int w = shapes[shape].mr * shapes[shape].nr;
-  return w < 32 ? w : 32;
+  return shapes[cf->shape].mr > 1;
 }
 
-/* bsrc is the transposed scratch (pack=1) or a itself (pack=0). */
+static inline int syrk_packs(const kcfg *cf)
+{
+  return cf->pack || syrk_tiled(cf);
+}
+
+/* bsrc is the transposed scratch (packing) or a itself (pack=0). */
 #define DEF_SYRK_CORE(T, SUF, FN)                                            \
+  static void syrk_row_##SUF(const T *restrict a, const T *restrict bsrc,    \
+                             T *restrict c, long nb, long i, long j, int nr, \
+                             int pk, T alpha, T beta)                        \
+  {                                                                          \
+    const T *ai = a + i * nb;                                                \
+    T *ci = c + i * nb;                                                      \
+    FN fw = pk ? syrk_pk_tab_##SUF[widx(nr)] : syrk_dot_tab_##SUF[widx(nr)]; \
+    FN f8 = pk ? syrk_pk_tab_##SUF[0] : syrk_dot_tab_##SUF[0];               \
+    for (; j <= i && j + nr <= nb; j += nr)                                  \
+      fw(a, bsrc, c, nb, i, j, alpha, beta);                                 \
+    if (nr > 8)                                                              \
+      for (; j <= i && j + 8 <= nb; j += 8)                                  \
+        f8(a, bsrc, c, nb, i, j, alpha, beta);                               \
+    for (; j <= i; j++) {                                                    \
+      T s = (T)0;                                                            \
+      if (pk)                                                                \
+        for (long k = 0; k < nb; k++) s += ai[k] * bsrc[k * nb + j];         \
+      else                                                                   \
+        for (long k = 0; k < nb; k++) s += ai[k] * bsrc[j * nb + k];         \
+      ci[j] = alpha * s + beta * ci[j];                                      \
+    }                                                                        \
+  }                                                                          \
   static void syrk_core_##SUF(const T *restrict a, const T *restrict bsrc,   \
                               T *restrict c, long nb, T alpha, T beta,       \
                               const kcfg *cf)                                \
   {                                                                          \
-    const int nr = syrk_width(cf->shape);                                    \
-    const int pk = cf->pack;                                                 \
-    FN fw = pk ? syrk_pk_tab_##SUF[widx(nr)] : syrk_dot_tab_##SUF[widx(nr)]; \
-    FN f8 = pk ? syrk_pk_tab_##SUF[0] : syrk_dot_tab_##SUF[0];               \
-    for (long i = 0; i < nb; i++) {                                          \
-      const T *ai = a + i * nb;                                              \
-      T *ci = c + i * nb;                                                    \
-      long j = 0;                                                            \
+    const int tiled = syrk_tiled(cf), pk = syrk_packs(cf);                   \
+    const int nr = tiled ? 16 : shapes[cf->shape].nr;                        \
+    long i = 0;                                                              \
+    if (tiled)                                                               \
+      for (; i + 8 <= nb; i += 8) {                                          \
+        long j = 0;                                                          \
+        if (cf->prefetch)                                                    \
+          for (int m = 0; m < 8 && i + 8 + m < nb; m++)                      \
+            __builtin_prefetch(a + (i + 8 + m) * nb, 0, 3);                  \
+        for (; j <= i + 7 && j + 16 <= nb; j += 16)                          \
+          tile_syrk_8x16_##SUF(a, bsrc, c, nb, i, j, alpha, beta);           \
+        if (j <= i + 7)                                                      \
+          for (int m = 0; m < 8; m++)                                        \
+            syrk_row_##SUF(a, bsrc, c, nb, i + m, j, 8, 1, alpha, beta);     \
+      }                                                                      \
+    for (; i < nb; i++) {                                                    \
       if (cf->prefetch && i + 1 < nb)                                        \
         __builtin_prefetch(a + (i + 1) * nb, 0, 3);                          \
-      for (; j <= i && j + nr <= nb; j += nr)                                \
-        fw(a, bsrc, c, nb, i, j, alpha, beta);                               \
-      if (nr > 8)                                                            \
-        for (; j <= i && j + 8 <= nb; j += 8)                                \
-          f8(a, bsrc, c, nb, i, j, alpha, beta);                             \
-      for (; j <= i; j++) {                                                  \
-        T s = (T)0;                                                          \
-        if (pk)                                                              \
-          for (long k = 0; k < nb; k++) s += ai[k] * bsrc[k * nb + j];       \
-        else                                                                 \
-          for (long k = 0; k < nb; k++) s += ai[k] * bsrc[j * nb + k];       \
-        ci[j] = alpha * s + beta * ci[j];                                    \
-      }                                                                      \
+      syrk_row_##SUF(a, bsrc, c, nb, i, 0, nr, pk, alpha, beta);             \
     }                                                                        \
   }
 
 DEF_SYRK_CORE(double, d, syrk_d_fn)
 DEF_SYRK_CORE(float, s, syrk_s_fn)
+
+/* ---------------- the triangular sweep: trsm and potrf ----------------
+ *
+ * x holds nb LINES of nb LANES, row-major.  Line j is solved from the
+ * lines before it, lane by lane:
+ *
+ *   x[j][i] <- (x[j][i] - sum_{l < j, ascending} c(j,l) x[l][i]) / c(j,j)
+ *
+ * with c(j,l) = coef[j*rs + l*cs].  The lanes of a line are independent,
+ * so they vectorize; every element keeps its own l-ascending chain.
+ *
+ *   trsm_rlt: x = b^T (line j = column j of b), c(j,l) = L[j][l]
+ *   trsm_ru:  x = b^T, c(j,l) = U[l][j]
+ *   trsm_llu: x = b itself (line i = row i), c(i,l) = L[i][l], unit
+ *   potrf:    x = a^T (line j = column j of L in its lanes i >= j; the
+ *             other lanes are computed and dropped), c(j,l) = x[l][j]: the
+ *             line's own finished L[j][l]; the diagonal lane takes the
+ *             pivot check and the sqrt
+ *
+ * The trsms mirror Blas.trsm: a zero coefficient is skipped and so is the
+ * divide when c(j,j) == 1 (or the diagonal is unit).  The zero-skip is
+ * part of the result, not a shortcut: x - y*0 is +0.0 when x = y*0 = -0.0,
+ * and NaN when y is not finite.  The coefficient is the same for every
+ * lane, so the skip stays one scalar branch per (line, l); a line block
+ * whose coefficients hold no zero (the dense case) runs a copy of the body
+ * without it.  potrf mirrors Lapack.potrf: no skip, always divide.
+ *
+ * Register blocking, as gemm's 8 x 16 tile: a block of 8 lines x 16 lanes
+ * is held in 64-byte vector registers; each earlier line l is loaded once
+ * and updates all 8 (x -= x[l] * c(j,l), into the loaded value of x, not
+ * a fresh zero), then the in-block triangle runs on the registers, then
+ * each line is divided and stored.  Lanes that do not fill 16 run an
+ * 8-wide tier, then single lanes; lines that do not fill 8 run one at a
+ * time.  potrf walks the line blocks in order and, within a block, the
+ * lanes holding the block's diagonal first, so every coefficient is final
+ * before it is read (from memory: a line is stored as soon as it is
+ * done), and the first failing pivot is the same column j as the column
+ * loop's. */
+
+#define SQRT_d sqrt
+#define SQRT_s sqrtf
+
+typedef float v32_s __attribute__((vector_size(32)));
+
+/* One block: MB lines from j0, W lanes from i0, as NV vectors of VT.
+ * Returns -1, or (chol, diagonal lanes) the line whose pivot fails. */
+#define DEF_SWEEP_BLOCK(T, SUF, MB, W, VT, NV)                               \
+  static inline __attribute__((always_inline)) long                          \
+  sweep_##MB##x##W##_##SUF(T *x, const T *coef, long nb, long rs, long cs,   \
+                           long i0, long j0, int zskip, int chol, int unit)  \
+  {                                                                          \
+    enum { VL = W / NV }; /* lanes per vector */                             \
+    VT acc[MB][NV];                                                          \
+    for (int q = 0; q < MB; q++)                                             \
+      for (int v = 0; v < NV; v++)                                           \
+        memcpy(&acc[q][v], x + (j0 + q) * nb + i0 + v * VL, sizeof(VT));     \
+    for (long l = 0; l < j0; l++) {                                          \
+      const T *cl = coef + j0 * rs + l * cs;                                 \
+      VT line[NV];                                                           \
+      for (int v = 0; v < NV; v++)                                           \
+        memcpy(&line[v], x + l * nb + i0 + v * VL, sizeof(VT));              \
+      for (int q = 0; q < MB; q++) {                                         \
+        T c = cl[q * rs];                                                    \
+        if (!zskip || c != (T)0)                                             \
+          for (int v = 0; v < NV; v++) acc[q][v] -= line[v] * c;             \
+      }                                                                      \
+    }                                                                        \
+    for (int q = 0; q < MB; q++) {                                           \
+      const T *cq = coef + (j0 + q) * rs + j0 * cs;                          \
+      for (int p = 0; p < q; p++) {                                          \
+        T c = cq[p * cs];                                                    \
+        if (!zskip || c != (T)0)                                             \
+          for (int v = 0; v < NV; v++) acc[q][v] -= acc[p][v] * c;           \
+      }                                                                      \
+      if (chol && i0 == j0 && MB <= W) { /* lane q is the diagonal */        \
+        T lanes[VL], d, r;                                                   \
+        memcpy(lanes, &acc[q][q / VL], sizeof lanes);                        \
+        d = lanes[q % VL];                                                   \
+        if (d <= (T)0) return j0 + q;                                        \
+        r = SQRT_##SUF(d);                                                   \
+        for (int v = 0; v < NV; v++) acc[q][v] /= r;                         \
+        memcpy(lanes, &acc[q][q / VL], sizeof lanes);                        \
+        lanes[q % VL] = r;                                                   \
+        memcpy(&acc[q][q / VL], lanes, sizeof lanes);                        \
+      }                                                                      \
+      else if (!unit) {                                                      \
+        T d = cq[q * cs];                                                    \
+        if (chol || d != (T)1)                                               \
+          for (int v = 0; v < NV; v++) acc[q][v] /= d;                       \
+      }                                                                      \
+      for (int v = 0; v < NV; v++)                                           \
+        memcpy(x + (j0 + q) * nb + i0 + v * VL, &acc[q][v], sizeof(VT));     \
+    }                                                                        \
+    return -1;                                                               \
+  }
+
+DEF_SWEEP_BLOCK(double, d, 8, 16, v64_d, 2)
+DEF_SWEEP_BLOCK(double, d, 8, 8, v64_d, 1)
+DEF_SWEEP_BLOCK(double, d, 8, 1, double, 1)
+DEF_SWEEP_BLOCK(double, d, 1, 16, v64_d, 2)
+DEF_SWEEP_BLOCK(double, d, 1, 8, v64_d, 1)
+DEF_SWEEP_BLOCK(double, d, 1, 1, double, 1)
+DEF_SWEEP_BLOCK(float, s, 8, 16, v64_s, 1)
+DEF_SWEEP_BLOCK(float, s, 8, 8, v32_s, 1)
+DEF_SWEEP_BLOCK(float, s, 8, 1, float, 1)
+DEF_SWEEP_BLOCK(float, s, 1, 16, v64_s, 1)
+DEF_SWEEP_BLOCK(float, s, 1, 8, v32_s, 1)
+DEF_SWEEP_BLOCK(float, s, 1, 1, float, 1)
+
+#define SWEEP_CALL(SUF, MB, W)                                               \
+  (zskip ? sweep_##MB##x##W##_##SUF(x, coef, nb, rs, cs, i0, j0, 1, chol,    \
+                                    unit)                                    \
+         : sweep_##MB##x##W##_##SUF(x, coef, nb, rs, cs, i0, j0, 0, chol,    \
+                                    unit))
+#define SWEEP_LANES(SUF, MB)                                                 \
+  (w == 16 ? SWEEP_CALL(SUF, MB, 16)                                         \
+           : w == 8 ? SWEEP_CALL(SUF, MB, 8) : SWEEP_CALL(SUF, MB, 1))
+
+/* The whole sweep; chol is a constant at both call sites. */
+#define DEF_SWEEP(T, SUF)                                                    \
+  static int sweep_has_zero_##SUF(const T *coef, long rs, long cs, long j0,  \
+                                  long mb)                                   \
+  {                                                                          \
+    for (long q = 0; q < mb; q++)                                            \
+      for (long l = 0; l < j0 + q; l++)                                      \
+        if (coef[(j0 + q) * rs + l * cs] == (T)0) return 1;                  \
+    return 0;                                                                \
+  }                                                                          \
+  static inline __attribute__((always_inline)) long                          \
+  sweep_##SUF(T *x, const T *coef, long nb, long rs, long cs, int unit,      \
+              const int chol)                                                \
+  {                                                                          \
+    for (long j0 = 0, mb; j0 < nb; j0 += mb) {                               \
+      int zskip;                                                             \
+      mb = j0 + 8 <= nb ? 8 : 1;                                             \
+      zskip = !chol && sweep_has_zero_##SUF(coef, rs, cs, j0, mb);           \
+      for (long i0 = chol ? j0 : 0, w; i0 < nb; i0 += w) {                   \
+        long st;                                                             \
+        w = nb - i0 >= 16 ? 16 : nb - i0 >= 8 ? 8 : 1;                       \
+        st = mb == 8 ? SWEEP_LANES(SUF, 8) : SWEEP_LANES(SUF, 1);            \
+        if (st >= 0) return st;                                              \
+      }                                                                      \
+    }                                                                        \
+    return -1;                                                               \
+  }                                                                          \
+  static void trsm_sweep_##SUF(T *x, const T *coef, long nb, long rs,        \
+                               long cs, int unit)                            \
+  {                                                                          \
+    sweep_##SUF(x, coef, nb, rs, cs, unit, 0);                               \
+  }                                                                          \
+  static long chol_sweep_##SUF(T *x, long nb)                                \
+  {                                                                          \
+    return sweep_##SUF(x, x, nb, 1, nb, 0, 1);                               \
+  }
+
+DEF_SWEEP(double, d)
+DEF_SWEEP(float, s)
+
+/* dst = src^T, or with upper only the elements src[i][j], i <= j (into
+ * dst's lower triangle).  Whole 8 x 8 blocks are transposed in registers
+ * (three rounds of two-input shuffles on 8-lane vectors); the rest, and
+ * the diagonal blocks of an upper-only copy, element by element.  Pure
+ * data movement: exact. */
+#define SHUF(a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
+#define DEF_TRANSPOSE(T, SUF, VT)                                            \
+  static void transpose_##SUF(const T *restrict src, T *restrict dst,        \
+                              long nb, int upper)                            \
+  {                                                                          \
+    const long n8 = nb & ~7L;                                                \
+    for (long i0 = 0; i0 < n8; i0 += 8)                                      \
+      for (long j0 = upper ? i0 + 8 : 0; j0 < n8; j0 += 8) {                 \
+        VT r[8], t[8];                                                       \
+        for (int k = 0; k < 8; k++)                                          \
+          memcpy(&r[k], src + (i0 + k) * nb + j0, sizeof r[k]);              \
+        for (int k = 0; k < 8; k += 2) {                                     \
+          t[k] = SHUF(r[k], r[k + 1], 0, 8, 2, 10, 4, 12, 6, 14);            \
+          t[k + 1] = SHUF(r[k], r[k + 1], 1, 9, 3, 11, 5, 13, 7, 15);        \
+        }                                                                    \
+        for (int k = 0; k < 8; k += 4)                                       \
+          for (int h = k; h < k + 2; h++) {                                  \
+            r[h] = SHUF(t[h], t[h + 2], 0, 1, 8, 9, 4, 5, 12, 13);           \
+            r[h + 2] = SHUF(t[h], t[h + 2], 2, 3, 10, 11, 6, 7, 14, 15);     \
+          }                                                                  \
+        for (int k = 0; k < 4; k++) {                                        \
+          t[k] = SHUF(r[k], r[k + 4], 0, 1, 2, 3, 8, 9, 10, 11);             \
+          t[k + 4] = SHUF(r[k], r[k + 4], 4, 5, 6, 7, 12, 13, 14, 15);       \
+        }                                                                    \
+        for (int k = 0; k < 8; k++)                                          \
+          memcpy(dst + (j0 + k) * nb + i0, &t[k], sizeof t[k]);              \
+      }                                                                      \
+    for (long i = 0; i < nb; i++) {                                          \
+      long j = upper ? i : 0;                                                \
+      if (i < n8) {                                                          \
+        if (upper) /* the rest of the diagonal block */                      \
+          for (; j <= (i | 7); j++) dst[j * nb + i] = src[i * nb + j];       \
+        j = n8;                                                              \
+      }                                                                      \
+      for (; j < nb; j++) dst[j * nb + i] = src[i * nb + j];                 \
+    }                                                                        \
+  }
+
+DEF_TRANSPOSE(double, d, v64_d)
+DEF_TRANSPOSE(float, s, v32_s)
+
+/* ---------------- shared kernel bodies (both precisions) ----------------
+ *
+ * Each returns 0 (potrf: -1) on success and -2 when the per-thread scratch
+ * cannot be allocated, in which case nothing was written.  potrf returns
+ * the failing column on a non-positive pivot and leaves the tile as it
+ * was: the factor is built in scratch and written back only when it
+ * completes. */
+
+#define DEF_FACTOR_KERNELS(T, SUF)                                           \
+  static long syrk_ln_##SUF(const T *a, T *c, long nb, T alpha, T beta,      \
+                            const kcfg *cf)                                  \
+  {                                                                          \
+    const T *bsrc = a;                                                       \
+    if (syrk_packs(cf)) {                                                    \
+      T *at = scratch_##SUF(nb * nb);                                        \
+      if (at == NULL) return -2;                                             \
+      transpose_##SUF(a, at, nb, 0);                                         \
+      bsrc = at;                                                             \
+    }                                                                        \
+    syrk_core_##SUF(a, bsrc, c, nb, alpha, beta, cf);                        \
+    return 0;                                                                \
+  }                                                                          \
+  /* A right-side trsm, b <- b * op(a)^-1: the sweep on b^T with          \
+   * c(j,l) = a[j*rs + l*cs]. */                                            \
+  static long trsm_right_##SUF(const T *a, T *b, long nb, long rs, long cs)  \
+  {                                                                          \
+    T *bt = scratch_##SUF(nb * nb);                                          \
+    if (bt == NULL) return -2;                                               \
+    transpose_##SUF(b, bt, nb, 0);                                           \
+    trsm_sweep_##SUF(bt, a, nb, rs, cs, 0);                                  \
+    transpose_##SUF(bt, b, nb, 0);                                           \
+    return 0;                                                                \
+  }                                                                          \
+  /* In-place lower Cholesky of one tile (Lapack.potrf): the sweep on the  \
+   * transposed tile, whose lower triangle alone is written back. */        \
+  static long potrf_##SUF(T *a, long nb)                                     \
+  {                                                                          \
+    T *t = scratch_##SUF(nb * nb);                                           \
+    long st;                                                                 \
+    if (t == NULL) return -2;                                                \
+    transpose_##SUF(a, t, nb, 0);                                            \
+    st = chol_sweep_##SUF(t, nb);                                            \
+    if (st >= 0) return st;                                                  \
+    transpose_##SUF(t, a, nb, 1);                                            \
+    return -1;                                                               \
+  }
+
+DEF_FACTOR_KERNELS(double, d)
+DEF_FACTOR_KERNELS(float, s)
 
 /* ---------------- float64 kernels ---------------- */
 
@@ -511,7 +819,8 @@ CAMLprim value xsc_pk_gemm_nn_d_byte(value *argv, int argn)
 
 /* c += alpha * a * b^T.  pack=1: transpose b once, then run the unit-stride
  * packed core; pack=0: run the dot core on rows of b directly.  Either way
- * each element accumulates a[i][k] * b[j][k] in k-ascending order. */
+ * each element accumulates a[i][k] * b[j][k] in k-ascending order.
+ * Returns 0, or -2 when the scratch cannot be allocated. */
 CAMLprim value xsc_pk_gemm_nt_d(value va, value voa, value vb, value vob,
                                 value vc, value voc, value vnb, value valpha)
 {
@@ -522,7 +831,7 @@ CAMLprim value xsc_pk_gemm_nt_d(value va, value voa, value vb, value vob,
   const kcfg *cf = &cfg_d[K_NT];
   if (cf->pack) {
     double *bt = scratch_d(nb * nb);
-    if (bt == NULL) return Val_long(-2); /* allocation failure: no-op */
+    if (bt == NULL) return Val_long(-2);
     for (long j = 0; j < nb; j++) {
       const double *bj = b + j * nb;
       for (long k = 0; k < nb; k++) bt[k * nb + j] = bj[k];
@@ -531,7 +840,7 @@ CAMLprim value xsc_pk_gemm_nt_d(value va, value voa, value vb, value vob,
   }
   else
     gemm_core_d(a, b, c, nb, Double_val(valpha), cf, 1);
-  return Val_unit;
+  return Val_long(0);
 }
 
 CAMLprim value xsc_pk_gemm_nt_d_byte(value *argv, int argn)
@@ -545,22 +854,10 @@ CAMLprim value xsc_pk_gemm_nt_d_byte(value *argv, int argn)
 CAMLprim value xsc_pk_syrk_ln_d(value va, value voa, value vc, value voc,
                                 value vnb, value valpha, value vbeta)
 {
-  long nb = Long_val(vnb);
   const double *a = (const double *)Caml_ba_data_val(va) + Long_val(voa);
   double *c = (double *)Caml_ba_data_val(vc) + Long_val(voc);
-  const kcfg *cf = &cfg_d[K_SYRK];
-  const double *bsrc = a;
-  if (cf->pack) {
-    double *at = scratch_d(nb * nb);
-    if (at == NULL) return Val_long(-2);
-    for (long j = 0; j < nb; j++) {
-      const double *aj = a + j * nb;
-      for (long k = 0; k < nb; k++) at[k * nb + j] = aj[k];
-    }
-    bsrc = at;
-  }
-  syrk_core_d(a, bsrc, c, nb, Double_val(valpha), Double_val(vbeta), cf);
-  return Val_unit;
+  return Val_long(syrk_ln_d(a, c, Long_val(vnb), Double_val(valpha),
+                            Double_val(vbeta), &cfg_d[K_SYRK]));
 }
 
 CAMLprim value xsc_pk_syrk_ln_d_byte(value *argv, int argn)
@@ -570,150 +867,47 @@ CAMLprim value xsc_pk_syrk_ln_d_byte(value *argv, int argn)
                           argv[6]);
 }
 
-/* b <- b * a^-T with a lower triangular, alpha = 1 (Cholesky trsm).
- * Mirrors the Right/effective-Upper branch of Blas.trsm.
- *
- * pack=1: the substitution chain of one element runs over its row's
- * earlier columns, but the rows themselves are independent — so b is
- * transposed into scratch, the column sweep becomes a unit-stride axpy
- * across rows (vectorizable without touching any element's own chain),
- * and the result is transposed back.
- *
- * pack=0: row-sequential in place — element b[i][j] runs its own
- * l-ascending subtraction chain then divides, with no transpose round
- * trip (less traffic, no cross-row SIMD).
- *
- * Element b[i][j] sees the same sequential l-ascending subtractions and
- * final divide, on the same operand values, either way: bitwise identical. */
-static void trsm_rlt_direct_d(const double *restrict a, double *restrict b,
-                              long nb)
-{
-  for (long i = 0; i < nb; i++) {
-    double *bi = b + i * nb;
-    for (long j = 0; j < nb; j++) {
-      const double *aj = a + j * nb;
-      double x = bi[j];
-      double d;
-      for (long l = 0; l < j; l++) {
-        double alj = aj[l];
-        if (alj != 0.0) x -= bi[l] * alj;
-      }
-      d = aj[j];
-      if (d != 1.0) x /= d;
-      bi[j] = x;
-    }
-  }
-}
-
+/* b <- b * a^-T with a lower triangular, alpha = 1 (Cholesky trsm,
+ * Right/Lower/Trans): c(j,l) = L[j][l]. */
 CAMLprim value xsc_pk_trsm_rlt_d(value va, value voa, value vb, value vob,
                                  value vnb)
 {
   long nb = Long_val(vnb);
   const double *a = (const double *)Caml_ba_data_val(va) + Long_val(voa);
   double *b = (double *)Caml_ba_data_val(vb) + Long_val(vob);
-  double *bt;
-  if (!cfg_d[K_TRSM].pack) {
-    trsm_rlt_direct_d(a, b, nb);
-    return Val_unit;
-  }
-  bt = scratch_d(nb * nb);
-  if (bt == NULL) return Val_long(-2);
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) bt[j * nb + i] = b[i * nb + j];
-  for (long j = 0; j < nb; j++) {
-    const double *aj = a + j * nb;
-    double *btj = bt + j * nb;
-    for (long l = 0; l < j; l++) {
-      double alj = aj[l];
-      if (alj != 0.0) {
-        const double *btl = bt + l * nb;
-        for (long i = 0; i < nb; i++) btj[i] -= btl[i] * alj;
-      }
-    }
-    double d = aj[j];
-    if (d != 1.0)
-      for (long i = 0; i < nb; i++) btj[i] /= d;
-  }
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) b[i * nb + j] = bt[j * nb + i];
-  return Val_unit;
+  return Val_long(trsm_right_d(a, b, nb, nb, 1));
 }
 
-/* b <- a^-1 b with a unit lower triangular (LU panel trsm, Left/Lower/Unit). */
+/* b <- a^-1 b with a unit lower triangular (LU panel trsm, Left/Lower/Unit):
+ * the sweep on b's rows in place. */
 CAMLprim value xsc_pk_trsm_llu_d(value va, value voa, value vb, value vob,
                                  value vnb)
 {
   long nb = Long_val(vnb);
   const double *a = (const double *)Caml_ba_data_val(va) + Long_val(voa);
   double *b = (double *)Caml_ba_data_val(vb) + Long_val(vob);
-  for (long i = 0; i < nb; i++) {
-    const double *ai = a + i * nb;
-    double *bi = b + i * nb;
-    for (long l = 0; l < i; l++) {
-      double ail = ai[l];
-      if (ail != 0.0) {
-        const double *bl = b + l * nb;
-        for (long j = 0; j < nb; j++) bi[j] -= ail * bl[j];
-      }
-    }
-  }
+  trsm_sweep_d(b, a, nb, nb, 1, 1);
   return Val_unit;
 }
 
-/* b <- b * a^-1 with a upper triangular (LU panel trsm, Right/Upper).
- * Same transposed column-sweep as trsm_rlt above, same bitwise argument. */
+/* b <- b * a^-1 with a upper triangular (LU panel trsm, Right/Upper):
+ * c(j,l) = U[l][j], trsm_rlt's strides swapped. */
 CAMLprim value xsc_pk_trsm_ru_d(value va, value voa, value vb, value vob,
                                 value vnb)
 {
   long nb = Long_val(vnb);
   const double *a = (const double *)Caml_ba_data_val(va) + Long_val(voa);
   double *b = (double *)Caml_ba_data_val(vb) + Long_val(vob);
-  double *bt = scratch_d(nb * nb);
-  if (bt == NULL) return Val_long(-2);
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) bt[j * nb + i] = b[i * nb + j];
-  for (long j = 0; j < nb; j++) {
-    double *btj = bt + j * nb;
-    for (long l = 0; l < j; l++) {
-      double alj = a[l * nb + j];
-      if (alj != 0.0) {
-        const double *btl = bt + l * nb;
-        for (long i = 0; i < nb; i++) btj[i] -= btl[i] * alj;
-      }
-    }
-    double d = a[j * nb + j];
-    if (d != 1.0)
-      for (long i = 0; i < nb; i++) btj[i] /= d;
-  }
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) b[i * nb + j] = bt[j * nb + i];
-  return Val_unit;
+  return Val_long(trsm_right_d(a, b, nb, 1, nb));
 }
 
-/* In-place lower Cholesky of one tile; literal Lapack.potrf.
- * Returns -1 on success, the failing column index on a non-positive pivot. */
+/* In-place lower Cholesky of one tile (Lapack.potrf).  Returns -1 on
+ * success, the failing column on a non-positive pivot (tile unchanged),
+ * -2 when the scratch cannot be allocated. */
 CAMLprim value xsc_pk_potrf_d(value va, value voa, value vnb)
 {
-  long nb = Long_val(vnb);
-  double *a = (double *)Caml_ba_data_val(va) + Long_val(voa);
-  for (long j = 0; j < nb; j++) {
-    double *aj = a + j * nb;
-    double d = aj[j];
-    for (long k = 0; k < j; k++) {
-      double l = aj[k];
-      d -= l * l;
-    }
-    if (d <= 0.0) return Val_long(j);
-    double ljj = sqrt(d);
-    aj[j] = ljj;
-    for (long i = j + 1; i < nb; i++) {
-      double *ai = a + i * nb;
-      double acc = ai[j];
-      for (long k = 0; k < j; k++) acc -= ai[k] * aj[k];
-      ai[j] = acc / ljj;
-    }
-  }
-  return Val_long(-1);
+  return Val_long(potrf_d((double *)Caml_ba_data_val(va) + Long_val(voa),
+                          Long_val(vnb)));
 }
 
 /* In-place LU without pivoting; literal Lapack.getrf_nopiv.
@@ -808,7 +1002,7 @@ CAMLprim value xsc_pk_gemm_nt_s(value va, value voa, value vb, value vob,
   }
   else
     gemm_core_s(a, b, c, nb, (float)Double_val(valpha), cf, 1);
-  return Val_unit;
+  return Val_long(0);
 }
 
 CAMLprim value xsc_pk_gemm_nt_s_byte(value *argv, int argn)
@@ -839,23 +1033,10 @@ CAMLprim value xsc_pk_gemm_nn_s_byte(value *argv, int argn)
 CAMLprim value xsc_pk_syrk_ln_s(value va, value voa, value vc, value voc,
                                 value vnb, value valpha, value vbeta)
 {
-  long nb = Long_val(vnb);
   const float *a = (const float *)Caml_ba_data_val(va) + Long_val(voa);
   float *c = (float *)Caml_ba_data_val(vc) + Long_val(voc);
-  const kcfg *cf = &cfg_s[K_SYRK];
-  const float *bsrc = a;
-  if (cf->pack) {
-    float *at = scratch_s(nb * nb);
-    if (at == NULL) return Val_long(-2);
-    for (long j = 0; j < nb; j++) {
-      const float *aj = a + j * nb;
-      for (long k = 0; k < nb; k++) at[k * nb + j] = aj[k];
-    }
-    bsrc = at;
-  }
-  syrk_core_s(a, bsrc, c, nb, (float)Double_val(valpha),
-              (float)Double_val(vbeta), cf);
-  return Val_unit;
+  return Val_long(syrk_ln_s(a, c, Long_val(vnb), (float)Double_val(valpha),
+                            (float)Double_val(vbeta), &cfg_s[K_SYRK]));
 }
 
 CAMLprim value xsc_pk_syrk_ln_s_byte(value *argv, int argn)
@@ -865,80 +1046,17 @@ CAMLprim value xsc_pk_syrk_ln_s_byte(value *argv, int argn)
                           argv[6]);
 }
 
-static void trsm_rlt_direct_s(const float *restrict a, float *restrict b,
-                              long nb)
-{
-  for (long i = 0; i < nb; i++) {
-    float *bi = b + i * nb;
-    for (long j = 0; j < nb; j++) {
-      const float *aj = a + j * nb;
-      float x = bi[j];
-      float d;
-      for (long l = 0; l < j; l++) {
-        float alj = aj[l];
-        if (alj != 0.0f) x -= bi[l] * alj;
-      }
-      d = aj[j];
-      if (d != 1.0f) x /= d;
-      bi[j] = x;
-    }
-  }
-}
-
 CAMLprim value xsc_pk_trsm_rlt_s(value va, value voa, value vb, value vob,
                                  value vnb)
 {
   long nb = Long_val(vnb);
   const float *a = (const float *)Caml_ba_data_val(va) + Long_val(voa);
   float *b = (float *)Caml_ba_data_val(vb) + Long_val(vob);
-  float *bt;
-  if (!cfg_s[K_TRSM].pack) {
-    trsm_rlt_direct_s(a, b, nb);
-    return Val_unit;
-  }
-  bt = scratch_s(nb * nb);
-  if (bt == NULL) return Val_long(-2);
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) bt[j * nb + i] = b[i * nb + j];
-  for (long j = 0; j < nb; j++) {
-    const float *aj = a + j * nb;
-    float *btj = bt + j * nb;
-    for (long l = 0; l < j; l++) {
-      float alj = aj[l];
-      if (alj != 0.0f) {
-        const float *btl = bt + l * nb;
-        for (long i = 0; i < nb; i++) btj[i] -= btl[i] * alj;
-      }
-    }
-    float d = aj[j];
-    if (d != 1.0f)
-      for (long i = 0; i < nb; i++) btj[i] /= d;
-  }
-  for (long i = 0; i < nb; i++)
-    for (long j = 0; j < nb; j++) b[i * nb + j] = bt[j * nb + i];
-  return Val_unit;
+  return Val_long(trsm_right_s(a, b, nb, nb, 1));
 }
 
 CAMLprim value xsc_pk_potrf_s(value va, value voa, value vnb)
 {
-  long nb = Long_val(vnb);
-  float *a = (float *)Caml_ba_data_val(va) + Long_val(voa);
-  for (long j = 0; j < nb; j++) {
-    float *aj = a + j * nb;
-    float d = aj[j];
-    for (long k = 0; k < j; k++) {
-      float l = aj[k];
-      d -= l * l;
-    }
-    if (d <= 0.0f) return Val_long(j);
-    float ljj = sqrtf(d);
-    aj[j] = ljj;
-    for (long i = j + 1; i < nb; i++) {
-      float *ai = a + i * nb;
-      float acc = ai[j];
-      for (long k = 0; k < j; k++) acc -= ai[k] * aj[k];
-      ai[j] = acc / ljj;
-    }
-  }
-  return Val_long(-1);
+  return Val_long(potrf_s((float *)Caml_ba_data_val(va) + Long_val(voa),
+                          Long_val(vnb)));
 }

@@ -230,6 +230,293 @@ let test_potrf_singular () =
   (* zero matrix: first pivot fails *)
   Alcotest.check_raises "singular" (Pblas.Singular 0) (fun () -> Packed.D.potrf p)
 
+(* ---- single tiles against the strided references ----
+
+   The whole-factorization tests above only ever feed the tile kernels
+   random SPD data, which holds no zero coefficient. These drive one tile
+   through each kernel directly and compare every bit (a sign of zero
+   included) with the Blas/Lapack call it transcribes. The triangular
+   factors carry exact zeros below the diagonal (the zero-skip: without
+   it, -0.0 - (-0.0) turns a -0.0 of b into +0.0) and sometimes a unit
+   diagonal (the [<> 1.0] divide guard); b carries -0.0 entries. nb runs
+   over 1..80, so every register tier and remainder path is hit. *)
+
+let mat_bits_equal (m : Mat.t) (buf : Pblas.f64) =
+  let ok = ref (Bigarray.Array1.dim buf = Array.length m.Mat.data) in
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float buf.{i} then ok := false)
+    m.Mat.data;
+  !ok
+
+let buf_of_mat (m : Mat.t) =
+  Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout m.Mat.data
+
+(* A triangular factor (lower, or upper when [upper]) with exact zeros off
+   the diagonal, a unit diagonal when [unit], garbage in the other
+   triangle (no kernel may read it). *)
+let tri_factor rng ~nb ~upper ~unit =
+  Mat.init nb nb (fun i j ->
+      let inside = if upper then j > i else i > j in
+      if i = j then if unit then 1.0 else 1.0 +. Rng.uniform rng
+      else if inside then
+        if Rng.int rng 3 = 0 then (if Rng.int rng 2 = 0 then 0.0 else -0.0)
+        else Rng.gaussian rng
+      else Float.nan)
+
+let rhs_with_neg_zeros rng ~nb =
+  Mat.init nb nb (fun _ _ -> if Rng.int rng 4 = 0 then -0.0 else Rng.gaussian rng)
+
+let prop_tile_kernels_bitwise =
+  QCheck.Test.make ~name:"single tiles: trsm_rlt/ru/llu, syrk, potrf bitwise vs Blas/Lapack"
+    ~count:80
+    QCheck.(pair (int_range 1 80) (int_range 0 100_000))
+    (fun (nb, seed) ->
+      let rng = Rng.create seed in
+      let unit = Rng.int rng 2 = 0 in
+      let trsm_case ~upper ~unit run reference =
+        let a = tri_factor rng ~nb ~upper ~unit in
+        let b = rhs_with_neg_zeros rng ~nb in
+        let pa = buf_of_mat a and pb = buf_of_mat b in
+        run pa pb;
+        reference a b;
+        mat_bits_equal b pb
+      in
+      let rlt =
+        trsm_case ~upper:false ~unit
+          (fun pa pb -> Pblas.D.trsm_rlt pa 0 pb 0 ~nb)
+          (fun a b ->
+            Blas.trsm ~side:Blas.Right ~uplo:Blas.Lower ~trans:Blas.Trans ~diag:Blas.NonUnit
+              ~alpha:1.0 a b)
+      in
+      let ru =
+        trsm_case ~upper:true ~unit
+          (fun pa pb -> Pblas.D.trsm_ru pa 0 pb 0 ~nb)
+          (fun a b ->
+            Blas.trsm ~side:Blas.Right ~uplo:Blas.Upper ~trans:Blas.NoTrans ~diag:Blas.NonUnit
+              ~alpha:1.0 a b)
+      in
+      (* trsm_llu never reads the diagonal: it is U's in a packed LU *)
+      let llu =
+        trsm_case ~upper:false ~unit:false
+          (fun pa pb -> Pblas.D.trsm_llu pa 0 pb 0 ~nb)
+          (fun a b ->
+            Blas.trsm ~side:Blas.Left ~uplo:Blas.Lower ~trans:Blas.NoTrans ~diag:Blas.Unit
+              ~alpha:1.0 a b)
+      in
+      let syrk =
+        let a = rhs_with_neg_zeros rng ~nb and c = rhs_with_neg_zeros rng ~nb in
+        let alpha, beta =
+          if unit then (-1.0, 1.0) else (Rng.gaussian rng, Rng.gaussian rng)
+        in
+        let pa = buf_of_mat a and pc = buf_of_mat c in
+        Pblas.D.syrk_ln ~alpha pa 0 ~beta pc 0 ~nb;
+        Blas.syrk ~uplo:Blas.Lower ~trans:Blas.NoTrans ~alpha a ~beta c;
+        mat_bits_equal c pc
+      in
+      let potrf =
+        let a = Mat.random_spd rng nb in
+        let pa = buf_of_mat a in
+        Pblas.D.potrf pa 0 ~nb;
+        Lapack.potrf a;
+        mat_bits_equal a pa
+      in
+      rlt && ru && llu && syrk && potrf)
+
+(* A kernel whose per-thread scratch tile cannot be allocated must raise,
+   not return with the tile unsolved. nb = 2^30 asks for 2^60 elements,
+   which no allocator grants; each stub (gemm_nt and syrk_ln under the
+   default configs, which pack) gives up before it reads an operand, so
+   one-element buffers stand in for the tiles. A normal call afterwards
+   finds the scratch usable again. *)
+let test_scratch_failure () =
+  let nb = 1 lsl 30 in
+  let d () = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> 0.5) in
+  let s () = Bigarray.Array1.init Bigarray.float32 Bigarray.c_layout 1 (fun _ -> 0.5) in
+  let a = d () and b = d () and c = d () in
+  let sa = s () and sb = s () and sc = s () in
+  List.iter
+    (fun (name, run) -> Alcotest.check_raises name Out_of_memory run)
+    [
+      ("D.gemm_nt", fun () -> Pblas.D.gemm_nt ~alpha:1.0 a 0 b 0 c 0 ~nb);
+      ("D.syrk_ln", fun () -> Pblas.D.syrk_ln ~alpha:1.0 a 0 ~beta:1.0 c 0 ~nb);
+      ("D.trsm_rlt", fun () -> Pblas.D.trsm_rlt a 0 b 0 ~nb);
+      ("D.trsm_ru", fun () -> Pblas.D.trsm_ru a 0 b 0 ~nb);
+      ("D.potrf", fun () -> Pblas.D.potrf c 0 ~nb);
+      ("S.gemm_nt", fun () -> Pblas.S.gemm_nt ~alpha:1.0 sa 0 sb 0 sc 0 ~nb);
+      ("S.syrk_ln", fun () -> Pblas.S.syrk_ln ~alpha:1.0 sa 0 ~beta:1.0 sc 0 ~nb);
+      ("S.trsm_rlt", fun () -> Pblas.S.trsm_rlt sa 0 sb 0 ~nb);
+      ("S.potrf", fun () -> Pblas.S.potrf sc 0 ~nb);
+    ];
+  List.iter
+    (fun buf -> Alcotest.(check (float 0.0)) "operand untouched" 0.5 buf.{0})
+    [ a; b; c ];
+  List.iter
+    (fun buf -> Alcotest.(check (float 0.0)) "f32 operand untouched" 0.5 buf.{0})
+    [ sa; sb; sc ];
+  let nb = 8 in
+  let rng = Rng.create 11 in
+  let l = tri_factor rng ~nb ~upper:false ~unit:false and x = rhs_with_neg_zeros rng ~nb in
+  let px = buf_of_mat x in
+  Pblas.D.trsm_rlt (buf_of_mat l) 0 px 0 ~nb;
+  Blas.trsm ~side:Blas.Right ~uplo:Blas.Lower ~trans:Blas.Trans ~alpha:1.0 l x;
+  Alcotest.(check bool) "scratch usable again" true (mat_bits_equal x px)
+
+(* A tile that is SPD up to column [col] and has a negative diagonal
+   there: the packed factor must stop at the same column as Lapack.potrf.
+   nb=64 col=40 fails inside a 16-lane block; nb=72 col=68 in the 8-lane
+   remainder tier; nb=70 col=66 among the scalar remainder lines. *)
+let test_potrf_singular_column () =
+  List.iter
+    (fun (nb, col) ->
+      let rng = Rng.create (nb + col) in
+      let a = Mat.random_spd rng nb in
+      Mat.set a col col (-1.0);
+      let lapack =
+        match Lapack.potrf (Mat.copy a) with
+        | () -> -1
+        | exception Lapack.Singular j -> j
+      in
+      let packed =
+        match Pblas.D.potrf (buf_of_mat a) 0 ~nb with
+        | () -> -1
+        | exception Pblas.Singular j -> j
+      in
+      Alcotest.(check int) (Printf.sprintf "Lapack fails at nb=%d" nb) col lapack;
+      Alcotest.(check int) (Printf.sprintf "packed fails where Lapack does, nb=%d" nb) lapack
+        packed)
+    [ (64, 40); (72, 68); (70, 66) ]
+
+(* ---- a float32 oracle ----
+
+   The f32 kernels have no strided twin, so these references spell out
+   their contracts in OCaml with every + - * / sqrt rounded by
+   [Scalar.Fp32]: a double operation on float32 operands, rounded once to
+   float32, is the correctly rounded float32 result (53 >= 2*24 + 2), so
+   the references are exact and the check is bitwise. *)
+
+module F = Scalar.Fp32
+
+let f32_buf rng ~nb f =
+  let b = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (nb * nb) in
+  for i = 0 to (nb * nb) - 1 do
+    b.{i} <- f rng i
+  done;
+  b
+
+let f32_tile_equal (expect : float array) (got : Pblas.f32) =
+  let ok = ref true in
+  Array.iteri
+    (fun i x -> if Int64.bits_of_float x <> Int64.bits_of_float got.{i} then ok := false)
+    expect;
+  !ok
+
+let array_of_f32 (b : Pblas.f32) = Array.init (Bigarray.Array1.dim b) (fun i -> b.{i})
+
+(* c += alpha * (a * op(b)): a fresh k-ascending accumulator, then one
+   update; [nt] reads b as b[j][k]. *)
+let ref_gemm_s ~nt ~nb ~alpha a b c =
+  let alpha = F.round alpha in
+  for i = 0 to nb - 1 do
+    for j = 0 to nb - 1 do
+      let s = ref 0.0 in
+      for k = 0 to nb - 1 do
+        let bkj = if nt then b.((j * nb) + k) else b.((k * nb) + j) in
+        s := F.add !s (F.mul a.((i * nb) + k) bkj)
+      done;
+      c.((i * nb) + j) <- F.add c.((i * nb) + j) (F.mul alpha !s)
+    done
+  done
+
+let ref_syrk_s ~nb ~alpha ~beta a c =
+  let alpha = F.round alpha and beta = F.round beta in
+  for i = 0 to nb - 1 do
+    for j = 0 to i do
+      let s = ref 0.0 in
+      for k = 0 to nb - 1 do
+        s := F.add !s (F.mul a.((i * nb) + k) a.((j * nb) + k))
+      done;
+      c.((i * nb) + j) <- F.add (F.mul alpha !s) (F.mul beta c.((i * nb) + j))
+    done
+  done
+
+let ref_trsm_rlt_s ~nb a b =
+  for i = 0 to nb - 1 do
+    for j = 0 to nb - 1 do
+      let x = ref b.((i * nb) + j) in
+      for l = 0 to j - 1 do
+        let alj = a.((j * nb) + l) in
+        if alj <> 0.0 then x := F.sub !x (F.mul b.((i * nb) + l) alj)
+      done;
+      let d = a.((j * nb) + j) in
+      if d <> 1.0 then x := F.div !x d;
+      b.((i * nb) + j) <- !x
+    done
+  done
+
+let ref_potrf_s ~nb a =
+  for j = 0 to nb - 1 do
+    let d = ref a.((j * nb) + j) in
+    for k = 0 to j - 1 do
+      let l = a.((j * nb) + k) in
+      d := F.sub !d (F.mul l l)
+    done;
+    if !d <= 0.0 then raise (Pblas.Singular j);
+    let ljj = F.sqrt !d in
+    a.((j * nb) + j) <- ljj;
+    for i = j + 1 to nb - 1 do
+      let acc = ref a.((i * nb) + j) in
+      for k = 0 to j - 1 do
+        acc := F.sub !acc (F.mul a.((i * nb) + k) a.((j * nb) + k))
+      done;
+      a.((i * nb) + j) <- F.div !acc ljj
+    done
+  done
+
+let test_f32_oracle () =
+  List.iter
+    (fun nb ->
+      let rng = Rng.create (7000 + nb) in
+      let gauss rng _ = Rng.gaussian rng in
+      let check name expect got =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s nb=%d" name nb)
+          true (f32_tile_equal expect got)
+      in
+      List.iter
+        (fun nt ->
+          let a = f32_buf rng ~nb gauss and b = f32_buf rng ~nb gauss in
+          let c = f32_buf rng ~nb gauss in
+          let expect = array_of_f32 c in
+          ref_gemm_s ~nt ~nb ~alpha:(-0.7) (array_of_f32 a) (array_of_f32 b) expect;
+          if nt then Pblas.S.gemm_nt ~alpha:(-0.7) a 0 b 0 c 0 ~nb
+          else Pblas.S.gemm_nn ~alpha:(-0.7) a 0 b 0 c 0 ~nb;
+          check (if nt then "gemm_nt" else "gemm_nn") expect c)
+        [ false; true ];
+      (let a = f32_buf rng ~nb gauss and c = f32_buf rng ~nb gauss in
+       let expect = array_of_f32 c in
+       ref_syrk_s ~nb ~alpha:(-1.0) ~beta:0.3 (array_of_f32 a) expect;
+       Pblas.S.syrk_ln ~alpha:(-1.0) a 0 ~beta:0.3 c 0 ~nb;
+       check "syrk_ln" expect c);
+      (let l = f32_buf rng ~nb (fun rng i ->
+           let r = i / nb and c = i mod nb in
+           if r = c then 1.0 +. Rng.uniform rng
+           else if c < r && Rng.int rng 3 > 0 then Rng.gaussian rng
+           else 0.0)
+       in
+       let b = f32_buf rng ~nb gauss in
+       let expect = array_of_f32 b in
+       ref_trsm_rlt_s ~nb (array_of_f32 l) expect;
+       Pblas.S.trsm_rlt l 0 b 0 ~nb;
+       check "trsm_rlt" expect b);
+      let spd = Mat.random_spd rng nb in
+      let a = f32_buf rng ~nb (fun _ i -> spd.Mat.data.(i)) in
+      let expect = array_of_f32 a in
+      ref_potrf_s ~nb expect;
+      Pblas.S.potrf a 0 ~nb;
+      check "potrf" expect a)
+    [ 8; 20; 32; 64 ]
+
 (* Float32 Cholesky: genuine single-precision arithmetic, so the factor
    carries O(eps_32) error relative to the double factor — present (it is
    a real f32 computation, not double-in-disguise) but bounded. *)
@@ -554,11 +841,17 @@ let () =
         [
           Alcotest.test_case "gemm vs reference" `Quick test_gemm_matches_reference;
           Alcotest.test_case "potrf singular" `Quick test_potrf_singular;
+          qcheck prop_tile_kernels_bitwise;
+          Alcotest.test_case "potrf singular at a later column" `Quick
+            test_potrf_singular_column;
+          Alcotest.test_case "scratch allocation failure raises" `Quick
+            test_scratch_failure;
         ] );
       ( "float32",
         [
           Alcotest.test_case "potrf accuracy" `Quick test_potrf_f32_accuracy;
           Alcotest.test_case "potrs solve" `Quick test_potrs_f32;
+          Alcotest.test_case "single tiles vs a rounded oracle" `Quick test_f32_oracle;
         ] );
       ( "solves",
         [
