@@ -1,7 +1,8 @@
 (* TAB-1: autotuning the tile size — measured sweep of the tiled Cholesky on
-   the host (grid search), plus hill climbing reaching the same optimum with
-   fewer evaluations, and a simulated-machine sweep where the trade-off is
-   parallelism vs per-task overhead. *)
+   the host (grid search), plus hill climbing from the smallest tile over the
+   measured costs (it evaluates each candidate at most once, so it never
+   needs more evaluations than the grid), and a simulated-machine sweep
+   where the trade-off is parallelism vs per-task overhead. *)
 
 open Xsc_linalg
 module Tile = Xsc_tile.Tile

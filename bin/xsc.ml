@@ -110,7 +110,7 @@ let solve_cmd =
     | "mixed" ->
       let a = Mat.random_spd rng n in
       let b = Vec.random rng n in
-      let r = Xsc_core.Solver.solve_spd_mixed ~opts a b in
+      let r = Xsc_core.Solver.solve_spd_mixed a b in
       Printf.printf
         "solve_spd_mixed (fp32 + IR): n=%d  %d sweeps  backward error %.2e  modelled speedup %s\n"
         n r.Xsc_core.Solver.iterations r.Xsc_core.Solver.backward_error

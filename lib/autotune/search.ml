@@ -12,10 +12,21 @@ let grid ~candidates ~f =
   (evals, best_of evals)
 
 let hill_climb ?(max_steps = 100) ~neighbours ~start f =
+  (* memoised: each step re-reaches the point it just left and neighbours
+     it has already rejected *)
+  let seen = Hashtbl.create 16 in
+  let eval c =
+    match Hashtbl.find_opt seen c with
+    | Some cost -> { candidate = c; cost }
+    | None ->
+      let cost = f c in
+      Hashtbl.add seen c cost;
+      { candidate = c; cost }
+  in
   let rec go current steps =
     if steps >= max_steps then current
     else begin
-      let options = List.map (fun c -> { candidate = c; cost = f c }) (neighbours current.candidate) in
+      let options = List.map eval (neighbours current.candidate) in
       match options with
       | [] -> current
       | _ ->
@@ -23,37 +34,7 @@ let hill_climb ?(max_steps = 100) ~neighbours ~start f =
         if best.cost < current.cost then go best (steps + 1) else current
     end
   in
-  go { candidate = start; cost = f start } 0
-
-let simulated_annealing ?(steps = 200) ?temperature ?(cooling = 0.95) ~seed ~neighbours
-    ~start f =
-  if steps <= 0 then invalid_arg "Search.simulated_annealing: steps must be positive";
-  if cooling <= 0.0 || cooling >= 1.0 then
-    invalid_arg "Search.simulated_annealing: cooling must be in (0, 1)";
-  let rng = Xsc_util.Rng.create seed in
-  let start_cost = f start in
-  let temp = ref (match temperature with Some t -> t | None -> max 1e-12 (abs_float start_cost)) in
-  let current = ref { candidate = start; cost = start_cost } in
-  let best = ref !current in
-  for _ = 1 to steps do
-    (match neighbours !current.candidate with
-    | [] -> ()
-    | options ->
-      (* array-indexed pick: List.nth here was O(n) per step, quadratic
-         over large neighbour lists *)
-      let options = Array.of_list options in
-      let pick = options.(Xsc_util.Rng.int rng (Array.length options)) in
-      let cost = f pick in
-      let delta = cost -. !current.cost in
-      let accept =
-        delta <= 0.0
-        || (!temp > 0.0 && Xsc_util.Rng.uniform rng < exp (-.delta /. !temp))
-      in
-      if accept then current := { candidate = pick; cost };
-      if cost < !best.cost then best := { candidate = pick; cost });
-    temp := !temp *. cooling
-  done;
-  !best
+  go (eval start) 0
 
 let successive_halving ?(eta = 2) ~candidates ~budget0 f =
   if eta < 2 then invalid_arg "Search.successive_halving: eta must be >= 2";

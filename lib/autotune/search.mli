@@ -16,7 +16,9 @@ val hill_climb :
   'a evaluation
 (** [hill_climb ~neighbours ~start f]: greedy descent — move to the best
     strictly improving neighbour until a local optimum (or [max_steps],
-    default 100). Each candidate is evaluated at most once per step. *)
+    default 100). Each distinct candidate is evaluated at most once: costs
+    are memoised on the candidate (a [Hashtbl] key, so no functional
+    values). *)
 
 val successive_halving :
   ?eta:int -> candidates:'a list -> budget0:int -> ('a -> budget:int -> float) ->
@@ -24,12 +26,3 @@ val successive_halving :
 (** Successive halving: evaluate all candidates at budget [budget0], keep
     the best [1/eta] (default [eta = 2]) at doubled budget, repeat until one
     survives. [f] must return comparable costs for equal budgets. *)
-
-val simulated_annealing :
-  ?steps:int -> ?temperature:float -> ?cooling:float -> seed:int ->
-  neighbours:('a -> 'a list) -> start:'a -> ('a -> float) -> 'a evaluation
-(** Metropolis search: accept a random neighbour when it improves, or with
-    probability [exp(-delta/T)] otherwise; [T] decays geometrically by
-    [cooling] (default 0.95) from [temperature] (default: the start cost)
-    over [steps] (default 200) moves. Returns the best candidate seen.
-    Escapes the local optima that {!hill_climb} cannot. *)

@@ -111,5 +111,3 @@ let log2_ceil p =
   go 0 1
 
 let householder_messages ~p ~n = 2 * n * log2_ceil p
-
-let tsqr_messages tree ~p = match tree with Binary -> log2_ceil p | Flat -> max 0 (p - 1)

@@ -30,11 +30,10 @@ val factor_mat : ?tree:tree -> p:int -> Mat.t -> result
 
 val q_of : Mat.t -> r:Mat.t -> Mat.t
 (** Recover the thin explicit Q as [A R⁻¹] (valid for well-conditioned
-    full-rank [A]; tests check orthonormality). *)
+    full-rank [A]). Kept as the test oracle for the TSQR [R] that FIG-5
+    reports: tests check [QᵀQ = I] and [QR = A]. *)
 
 val householder_messages : p:int -> n:int -> int
 (** Critical-path message count model of distributed column-by-column
     Householder QR ([2 n log2 p] — one reduction + one broadcast per
     column). *)
-
-val tsqr_messages : tree -> p:int -> int

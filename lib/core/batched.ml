@@ -4,7 +4,7 @@ module Dag = Xsc_runtime.Dag
 
 (* Batched kernels are embarrassingly parallel: task i writes datum i. A
    kernel exception must not vanish inside a worker domain — and must not
-   poison the siblings: the results variants capture each problem's outcome
+   poison the siblings: run_batch_results captures each problem's outcome
    in its own slot, so one singular matrix fails one slot while the rest of
    the batch completes. The raising wrappers (the historical interface)
    re-raise the first failure in index order after the whole batch ran. *)
@@ -25,24 +25,8 @@ let run_batch ?exec kernels =
   run_batch_results ?exec kernels
   |> Array.iter (function Ok () -> () | Error e -> raise e)
 
-let potrf_batch_results ?exec batch =
-  run_batch_results ?exec (Array.map (fun m () -> Lapack.potrf m) batch)
-
 let potrf_batch ?exec batch =
   run_batch ?exec (Array.map (fun m () -> Lapack.potrf m) batch)
-
-let getrf_batch_results ?exec batch =
-  run_batch_results ?exec (Array.map (fun m () -> Lapack.getrf m) batch)
-
-let getrf_batch ?exec batch =
-  let pivots = Array.map (fun (m : Mat.t) -> Array.make m.rows 0) batch in
-  run_batch ?exec
-    (Array.mapi (fun i m () -> pivots.(i) <- Lapack.getrf m) batch);
-  pivots
-
-let gemm_batch ?exec ~alpha ~beta triples =
-  run_batch ?exec
-    (Array.map (fun (a, b, c) () -> Blas.gemm ~alpha a b ~beta c) triples)
 
 let chol_solve_batch ?exec batch rhs =
   if Array.length batch <> Array.length rhs then

@@ -6,7 +6,7 @@
     cores — not flops — dominate. Batched interfaces expose the whole batch
     to the runtime as one task set.
 
-    Fault blast-radius: the [_results] variants capture each problem's
+    Fault blast-radius: {!run_batch_results} captures each problem's
     outcome in its own slot — one singular matrix fails one slot, never the
     batch — which is what a serving layer ({!Xsc_serve.Server}) needs for
     per-request isolation. The raising wrappers keep the historical
@@ -21,28 +21,10 @@ val run_batch_results :
     value or the exception it raised. All slots are filled — no failure
     aborts the batch. *)
 
-val potrf_batch_results :
-  ?exec:Runtime_api.exec -> Mat.t array -> (unit, exn) result array
-(** Cholesky-factor every (small SPD) matrix in place; slot [i] is
-    [Error (Lapack.Singular _)] if matrix [i] fails, and the remaining
-    matrices are still factored. *)
-
-val getrf_batch_results :
-  ?exec:Runtime_api.exec -> Mat.t array -> (int array, exn) result array
-(** Partial-pivoting LU of every matrix; per-problem pivots or failure. *)
-
 val potrf_batch : ?exec:Runtime_api.exec -> Mat.t array -> unit
 (** Cholesky-factor every (small SPD) matrix in place, as independent
     tasks. Raises [Lapack.Singular] if any matrix fails (after the whole
     batch has run). *)
-
-val getrf_batch : ?exec:Runtime_api.exec -> Mat.t array -> int array array
-(** Partial-pivoting LU of every matrix; returns per-problem pivots. *)
-
-val gemm_batch :
-  ?exec:Runtime_api.exec -> alpha:float -> beta:float ->
-  (Mat.t * Mat.t * Mat.t) array -> unit
-(** [C_i <- alpha A_i B_i + beta C_i] for every triple. *)
 
 val chol_solve_batch : ?exec:Runtime_api.exec -> Mat.t array -> Vec.t array -> Vec.t array
 (** Factor-and-solve a batch of SPD systems (inputs preserved). *)

@@ -1,4 +1,4 @@
-(* Fault-tolerant tiled factorizations: in-DAG ABFT detection, dependence-cone
+(* Fault-tolerant tiled Cholesky: in-DAG ABFT detection, dependence-cone
    replay repair, and online checkpoint/restart over packed storage.
 
    The design is step-synchronised: each outer step k runs its panel sub-DAG
@@ -10,10 +10,10 @@
    can propagate — the verification point doubles as the propagation fence.
 
    The plain tasks of each step are the factorization's own program
-   (Cholesky.panel/update, Lu.panel/update, run through its packed
-   interpreter); this module adds only the checksum tasks that ride them.
+   (Cholesky.panel/update, run through its packed interpreter); this module
+   adds only the checksum tasks that ride them.
 
-   Checksum scheme (Cholesky): one extra row of tiles C with
+   Checksum scheme: one extra row of tiles C with
    C0(j) = sum_bi A(bi,j) over the full symmetric matrix. The row rides the
    factorization as two extra task kinds — C(k) <- C(k) L(k,k)^-T at panel k
    and C(j) -= C(k) L(j,k)^T at update k — which is algebraically a right
@@ -32,13 +32,9 @@
    against the stored column then locates the damaged tiles exactly, and
    only those are overwritten.
 
-   LU carries two borders: a row R protecting L (R(k) = sum_bi L(bi,k),
-   unit-lower diagonal contribution) and a column C protecting U
-   (C(k) = sum_bj U(k,bj), upper-including-diagonal contribution).
-
    Task-body exceptions surface from the executors as
    [Real_exec.Task_failed] after a clean abort; the driver rolls the matrix
-   and checksums back to the last snapshot (the pristine input when no
+   and checksum row back to the last snapshot (the pristine input when no
    checkpoint policy is given) and replays the remaining steps. Snapshots
    are taken every [every] completed steps and optionally persisted through
    {!Xsc_resilience.Checkpoint} (atomic, CRC-validated), so a fresh process
@@ -91,17 +87,16 @@ let () =
       Some (Printf.sprintf "Ft.Unrecoverable(panel %d still fails verification after replay)" k)
     | _ -> None)
 
-(* Persisted snapshot: matrix buffer + checksum borders + step frontier,
+(* Persisted snapshot: matrix buffer + checksum row + step frontier,
    fingerprinted against the pristine input so a checkpoint can never be
    resumed against a different matrix. *)
 type snapshot = {
-  ck_kind : int;  (* 0 = cholesky, 1 = lu *)
   ck_n : int;
   ck_nb : int;
   ck_step : int;
   ck_fp : int64;
   ck_buf : Pblas.f64;
-  ck_sums : Pblas.f64 array;
+  ck_csum : Pblas.f64;
 }
 
 let f64_create len =
@@ -123,15 +118,7 @@ let fingerprint (buf : Pblas.f64) =
   done;
   !h
 
-let auto_every ~step_seconds ~checkpoint_seconds ~mtbf =
-  if step_seconds <= 0.0 then invalid_arg "Ft.auto_every: step_seconds must be positive";
-  let tau =
-    Checkpoint.young_interval
-      { Checkpoint.work = 1.0; checkpoint_cost = checkpoint_seconds; restart_cost = 0.0; mtbf }
-  in
-  max 1 (int_of_float (Float.round (tau /. step_seconds)))
-
-(* ---- shared step-synchronised driver ---- *)
+(* ---- step-synchronised driver ---- *)
 
 let copy_of (b : Pblas.f64) =
   let c = f64_create (Bigarray.Array1.dim b) in
@@ -186,8 +173,8 @@ let step_tasks ~nb plain checksum =
       plain (Runtime_api.emit_op emit);
       checksum emit)
 
-let drive ~kind ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~interp ~buf0
-    ~sums ~sums0 ~panel ~update ~verify ~replay =
+let drive ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~interp ~buf0 ~csum
+    ~csum0 ~panel ~update ~verify ~replay =
   (match checkpoint with
   | Some { every; _ } when every < 1 -> invalid_arg "Ft: checkpoint every must be >= 1"
   | _ -> ());
@@ -216,31 +203,31 @@ let drive ~kind ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~inte
   let save_mem step =
     snap_step := step;
     match !snap with
-    | Some ((snap_buf, snap_sums) as s) ->
+    | Some ((snap_buf, snap_csum) as s) ->
       Bigarray.Array1.blit buf snap_buf;
-      Array.iteri (fun i s -> Bigarray.Array1.blit s snap_sums.(i)) sums;
+      Bigarray.Array1.blit csum snap_csum;
       s
     | None ->
-      let s = (copy_of buf, Array.map copy_of sums) in
+      let s = (copy_of buf, copy_of csum) in
       snap := Some s;
       s
   in
   let rollback () =
-    let from_buf, from_sums = match !snap with Some s -> s | None -> (buf0, sums0) in
+    let from_buf, from_csum = match !snap with Some s -> s | None -> (buf0, csum0) in
     Bigarray.Array1.blit from_buf buf;
-    Array.iteri (fun i s -> Bigarray.Array1.blit from_sums.(i) s) sums
+    Bigarray.Array1.blit from_csum csum
   in
   let resumed = ref false in
   (match checkpoint with
   | Some { path = Some path; _ } -> begin
     match Checkpoint.load_value path with
     | Ok ck
-      when ck.ck_kind = kind && ck.ck_n = n && ck.ck_nb = nb
+      when ck.ck_n = n && ck.ck_nb = nb
            && Int64.equal ck.ck_fp (Lazy.force fp)
-           && Array.length ck.ck_sums = Array.length sums
+           && Bigarray.Array1.dim ck.ck_csum = Bigarray.Array1.dim csum
            && ck.ck_step >= 0 && ck.ck_step <= nt ->
       Bigarray.Array1.blit ck.ck_buf buf;
-      Array.iteri (fun i s -> Bigarray.Array1.blit ck.ck_sums.(i) s) sums;
+      Bigarray.Array1.blit ck.ck_csum csum;
       ignore (save_mem ck.ck_step);
       resumed := true;
       Metrics.incr m_resumes
@@ -251,12 +238,12 @@ let drive ~kind ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~inte
   let maybe_ckpt step =
     match checkpoint with
     | Some { every; path } when step mod every = 0 && step < nt ->
-      let snap_buf, snap_sums = save_mem step in
+      let snap_buf, snap_csum = save_mem step in
       (match path with
       | Some path ->
         let ck =
-          { ck_kind = kind; ck_n = n; ck_nb = nb; ck_step = step; ck_fp = Lazy.force fp;
-            ck_buf = snap_buf; ck_sums = snap_sums }
+          { ck_n = n; ck_nb = nb; ck_step = step; ck_fp = Lazy.force fp; ck_buf = snap_buf;
+            ck_csum = snap_csum }
         in
         ignore (Checkpoint.save_value path ck);
         incr written;
@@ -296,8 +283,6 @@ let drive ~kind ~exec ~harness ~abft ~checkpoint ~max_restarts ~(p : PD.t) ~inte
     checkpoints_written = !written;
     resumed = !resumed;
   }
-
-(* ---- Cholesky ---- *)
 
 let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e-6)
     ?checkpoint ?(max_restarts = 64) (p : PD.t) =
@@ -424,163 +409,5 @@ let potrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e
     kernel r (fun () -> Pblas.D.trsm_rlt buf (off k k) scratch 0 ~nb);
     copy_tile ~tsz scratch 0 cbuf (k * tsz)
   in
-  drive ~kind:0 ~exec ~harness ~abft ~checkpoint ~max_restarts ~p
-    ~interp:(Cholesky.packed_interp p) ~buf0 ~sums:[| cbuf |] ~sums0:[| c0 |] ~panel ~update
-    ~verify ~replay
-
-(* ---- LU (no pivoting) ---- *)
-
-let getrf_ft ?(exec = Runtime_api.Sequential) ?harness ?(abft = true) ?(tol = 1e-6)
-    ?checkpoint ?(max_restarts = 64) (p : PD.t) =
-  let nt = p.PD.nt and nb = p.PD.nb in
-  let buf = p.PD.buf in
-  let off = PD.off p in
-  let tsz = nb * nb in
-  let buf0 = copy_of buf in
-  (* row border R protects L (tile-column sums), column border C protects U
-     (tile-row sums) — LU needs both because the two factors live on
-     opposite sides of the diagonal *)
-  let rbuf = f64_create (nt * tsz) in
-  let ubuf = f64_create (nt * tsz) in
-  Bigarray.Array1.fill rbuf 0.0;
-  Bigarray.Array1.fill ubuf 0.0;
-  if abft then
-    for a = 0 to nt - 1 do
-      let rb = a * tsz in
-      for b = 0 to nt - 1 do
-        let oc = off b a and orr = off a b in
-        for e = 0 to tsz - 1 do
-          A1.unsafe_set rbuf (rb + e)
-            (A1.unsafe_get rbuf (rb + e) +. A1.unsafe_get buf (oc + e));
-          A1.unsafe_set ubuf (rb + e)
-            (A1.unsafe_get ubuf (rb + e) +. A1.unsafe_get buf (orr + e))
-        done
-      done
-    done;
-  let r0 = copy_of rbuf and u0 = copy_of ubuf in
-  let _, trsm_f, gemm_f = Lu.kernel_flops nb in
-  let datum i j = Task.datum i j ~stride:nt in
-  let rdatum k = (nt * nt) + k in
-  let udatum k = (nt * nt) + nt + k in
-  let panel k =
-    step_tasks ~nb (Lu.panel ~nt ~nb k) (fun emit ->
-        if abft then begin
-          emit
-            ~run:(fun () -> Pblas.D.trsm_ru buf (off k k) rbuf (k * tsz) ~nb)
-            (Printf.sprintf "csum_r_trsm(%d)" k)
-            trsm_f
-            [ Task.Read (datum k k); Task.Read_write (rdatum k) ];
-          emit
-            ~run:(fun () -> Pblas.D.trsm_llu buf (off k k) ubuf (k * tsz) ~nb)
-            (Printf.sprintf "csum_u_trsm(%d)" k)
-            trsm_f
-            [ Task.Read (datum k k); Task.Read_write (udatum k) ]
-        end)
-  in
-  let update k =
-    step_tasks ~nb (Lu.update ~nt ~nb k) (fun emit ->
-        if abft then begin
-          for j = k + 1 to nt - 1 do
-            emit
-              ~run:(fun () ->
-                Pblas.D.gemm_nn ~alpha:(-1.0) rbuf (k * tsz) buf (off k j) rbuf (j * tsz) ~nb)
-              (Printf.sprintf "csum_r_gemm(%d,%d)" k j)
-              gemm_f
-              [ Task.Read (datum k j); Task.Read (rdatum k); Task.Read_write (rdatum j) ]
-          done;
-          for i = k + 1 to nt - 1 do
-            emit
-              ~run:(fun () ->
-                Pblas.D.gemm_nn ~alpha:(-1.0) buf (off i k) ubuf (k * tsz) ubuf (i * tsz) ~nb)
-              (Printf.sprintf "csum_u_gemm(%d,%d)" k i)
-              gemm_f
-              [ Task.Read (datum i k); Task.Read (udatum k); Task.Read_write (udatum i) ]
-          done
-        end)
-  in
-  let vsum = Array.make tsz 0.0 in
-  let verify k =
-    (* R(k) = sum_bi L(bi,k): unit-lower diagonal contribution *)
-    let s = vsum in
-    Array.fill s 0 tsz 0.0;
-    let o = off k k in
-    for r = 0 to nb - 1 do
-      s.((r * nb) + r) <- 1.0;
-      for c = 0 to r - 1 do
-        let e = (r * nb) + c in
-        Array.unsafe_set s e (A1.unsafe_get buf (o + e))
-      done
-    done;
-    for bi = k + 1 to nt - 1 do
-      let ob = off bi k in
-      for e = 0 to tsz - 1 do
-        Array.unsafe_set s e (Array.unsafe_get s e +. A1.unsafe_get buf (ob + e))
-      done
-    done;
-    let r_ok = within_tol ~tol ~tsz rbuf (k * tsz) s in
-    (* C(k) = sum_bj U(k,bj): upper-including-diagonal contribution *)
-    Array.fill s 0 tsz 0.0;
-    for r = 0 to nb - 1 do
-      for c = r to nb - 1 do
-        let e = (r * nb) + c in
-        Array.unsafe_set s e (A1.unsafe_get buf (o + e))
-      done
-    done;
-    for bj = k + 1 to nt - 1 do
-      let ob = off k bj in
-      for e = 0 to tsz - 1 do
-        Array.unsafe_set s e (Array.unsafe_get s e +. A1.unsafe_get buf (ob + e))
-      done
-    done;
-    let u_ok = within_tol ~tol ~tsz ubuf (k * tsz) s in
-    r_ok && u_ok
-  in
-  let replay r k =
-    let scratch = r.scratch in
-    (* diagonal first: the whole cross depends on it *)
-    copy_tile ~tsz buf0 (off k k) scratch 0;
-    for k' = 0 to k - 1 do
-      kernel r (fun () ->
-          Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') buf (off k' k) scratch 0 ~nb)
-    done;
-    kernel r (fun () -> Pblas.D.getrf_nopiv scratch 0 ~nb);
-    restore r buf (off k k);
-    (* column panel: L(i,k) *)
-    for i = k + 1 to nt - 1 do
-      copy_tile ~tsz buf0 (off i k) scratch 0;
-      for k' = 0 to k - 1 do
-        kernel r (fun () ->
-            Pblas.D.gemm_nn ~alpha:(-1.0) buf (off i k') buf (off k' k) scratch 0 ~nb)
-      done;
-      kernel r (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
-      restore r buf (off i k)
-    done;
-    (* row panel: U(k,j) *)
-    for j = k + 1 to nt - 1 do
-      copy_tile ~tsz buf0 (off k j) scratch 0;
-      for k' = 0 to k - 1 do
-        kernel r (fun () ->
-            Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') buf (off k' j) scratch 0 ~nb)
-      done;
-      kernel r (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
-      restore r buf (off k j)
-    done;
-    (* rebuild both border tiles along the clean trajectory *)
-    copy_tile ~tsz r0 (k * tsz) scratch 0;
-    for k' = 0 to k - 1 do
-      kernel r (fun () ->
-          Pblas.D.gemm_nn ~alpha:(-1.0) rbuf (k' * tsz) buf (off k' k) scratch 0 ~nb)
-    done;
-    kernel r (fun () -> Pblas.D.trsm_ru buf (off k k) scratch 0 ~nb);
-    copy_tile ~tsz scratch 0 rbuf (k * tsz);
-    copy_tile ~tsz u0 (k * tsz) scratch 0;
-    for k' = 0 to k - 1 do
-      kernel r (fun () ->
-          Pblas.D.gemm_nn ~alpha:(-1.0) buf (off k k') ubuf (k' * tsz) scratch 0 ~nb)
-    done;
-    kernel r (fun () -> Pblas.D.trsm_llu buf (off k k) scratch 0 ~nb);
-    copy_tile ~tsz scratch 0 ubuf (k * tsz)
-  in
-  drive ~kind:1 ~exec ~harness ~abft ~checkpoint ~max_restarts ~p
-    ~interp:(Lu.packed_interp p) ~buf0 ~sums:[| rbuf; ubuf |] ~sums0:[| r0; u0 |] ~panel
-    ~update ~verify ~replay
+  drive ~exec ~harness ~abft ~checkpoint ~max_restarts ~p ~interp:(Cholesky.packed_interp p)
+    ~buf0 ~csum:cbuf ~csum0:c0 ~panel ~update ~verify ~replay

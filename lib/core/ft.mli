@@ -1,4 +1,4 @@
-(** Fault-tolerant tiled factorizations over packed storage: in-DAG ABFT
+(** Fault-tolerant tiled Cholesky over packed storage: in-DAG ABFT
     detection, dependence-cone replay repair, and online checkpoint/restart.
 
     The recovery lattice, cheapest first:
@@ -44,10 +44,6 @@ exception Unrecoverable of int
 (** Panel [k] still fails verification after replay — the pristine copy or
     an already-verified panel was damaged outside the fault model. *)
 
-val auto_every : step_seconds:float -> checkpoint_seconds:float -> mtbf:float -> int
-(** Young-interval checkpoint cadence in steps:
-    [sqrt(2 C M) / step_seconds], clamped to at least 1. *)
-
 val potrf_ft :
   ?exec:Runtime_api.exec ->
   ?harness:Xsc_resilience.Harness.t ->
@@ -73,17 +69,3 @@ val potrf_ft :
     resumes from its step frontier; the file is removed on successful
     completion. Raises {!Unrecoverable} if a panel cannot be repaired,
     [Invalid_argument] if [every < 1]. *)
-
-val getrf_ft :
-  ?exec:Runtime_api.exec ->
-  ?harness:Xsc_resilience.Harness.t ->
-  ?abft:bool ->
-  ?tol:float ->
-  ?checkpoint:ckpt_policy ->
-  ?max_restarts:int ->
-  Xsc_tile.Packed.D.t ->
-  report
-(** Fault-tolerant packed tiled LU (no pivoting), bitwise identical to
-    {!Xsc_tile.Packed.D.getrf_nopiv}. Carries two checksum borders: a row
-    protecting [L] and a column protecting [U]. Same recovery lattice and
-    parameters as {!potrf_ft}. *)

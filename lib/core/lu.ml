@@ -3,6 +3,18 @@ module Tile = Xsc_tile.Tile
 module Task = Xsc_runtime.Task
 module Dag = Xsc_runtime.Dag
 
+let strictly_diag_dominant a =
+  let n = a.Mat.rows in
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    let off = ref 0.0 in
+    for j = 0 to n - 1 do
+      if j <> i then off := !off +. abs_float (Mat.get a i j)
+    done;
+    if abs_float (Mat.get a i i) <= !off then ok := false
+  done;
+  !ok
+
 let kernel_flops nb =
   let fnb = float_of_int nb in
   let getrf = 2.0 *. fnb *. fnb *. fnb /. 3.0 in

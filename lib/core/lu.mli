@@ -56,5 +56,10 @@ val factor_packed : ?exec:Runtime_api.exec -> Xsc_tile.Packed.D.t -> unit
     bitwise identical to {!factor} on the same input for every executor.
     Raises [Pblas.Singular] on a zero pivot. *)
 
+val strictly_diag_dominant : Mat.t -> bool
+(** Every row's diagonal entry exceeds the sum of its off-diagonal
+    magnitudes, so unpivoted LU is stable. The routing predicate of
+    [Solver.solve_general] and of the serve path's LU payloads. *)
+
 val flops : nt:int -> nb:int -> float
 val task_count : nt:int -> int

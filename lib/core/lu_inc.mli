@@ -26,10 +26,6 @@ val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> factorization
 (** Factor a square tiled matrix in place. Raises [Lapack.Singular] on an
     exactly singular tile pair. *)
 
-val apply_transforms : factorization -> Vec.t -> Vec.t
-(** Apply the accumulated [L⁻¹ P] transformations to a right-hand side
-    (the forward-substitution phase). *)
-
 val solve : factorization -> Vec.t -> Vec.t
 (** Solve [A x = b] from the factorization. *)
 

@@ -25,9 +25,6 @@ val dag : factorization -> Runtime_api.dag
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> factorization
 (** Factor in place; returns the handle holding the reflector store. *)
 
-val apply_qt : factorization -> Vec.t -> Vec.t
-(** [Qᵀ b] by replaying the reflector kernels (length preserved). *)
-
 val solve : factorization -> Vec.t -> Vec.t
 (** Least-squares / square solve: [x = R⁻¹ (Qᵀ b)] (length [cols]). *)
 

@@ -30,9 +30,6 @@ val execute_exn :
     non-SPD matrix raises [Singular], not the executor wrapper. Use
     {!execute} directly to observe task failures (as {!Ft} does). *)
 
-val tile_bytes : nb:int -> float
-(** Footprint of one tile, for task byte weights. *)
-
 type emit =
   ?run:(unit -> unit) -> ?op:Xsc_runtime.Task.op -> string -> float ->
   Xsc_runtime.Task.access list -> unit

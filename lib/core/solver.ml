@@ -43,18 +43,6 @@ let solve_spd ?opts a b =
   let x = Cholesky.solve t (pad_rhs b padded.Mat.rows) in
   Array.sub x 0 n
 
-let strictly_diag_dominant a =
-  let n = a.Mat.rows in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let off = ref 0.0 in
-    for j = 0 to n - 1 do
-      if j <> i then off := !off +. abs_float (Mat.get a i j)
-    done;
-    if abs_float (Mat.get a i i) <= !off then ok := false
-  done;
-  !ok
-
 let solve_general ?opts a b =
   let opts = resolve opts in
   let n = a.Mat.rows in
@@ -62,7 +50,7 @@ let solve_general ?opts a b =
     invalid_arg "Solver.solve_general: dimensions";
   let padded, _ = Tile.pad_to ~nb:opts.nb a in
   let t = Tile.of_mat ~nb:opts.nb padded in
-  if strictly_diag_dominant a then begin
+  if Lu.strictly_diag_dominant a then begin
     Lu.factor ~exec:opts.exec t;
     let x = Lu.solve t (pad_rhs b padded.Mat.rows) in
     Array.sub x 0 n
@@ -92,8 +80,7 @@ type mixed_report = {
   modeled_speedup : float;
 }
 
-let solve_spd_mixed ?(opts = default) ?(precision = "fp32") ?(low_rate_mult = 2.0) a b =
-  ignore opts;
+let solve_spd_mixed ?(precision = "fp32") ?(low_rate_mult = 2.0) a b =
   let n = a.Mat.rows in
   let p = Scalar.of_name precision in
   let report = Xsc_precision.Ir.chol_ir ~precision:p a b in

@@ -19,10 +19,6 @@ val default : options
     ({!Xsc_tile.Packed.tuned_nb}[ ~fallback:64]), so an [xsc tune] winner
     reaches every padding/tiling site without threading a parameter. *)
 
-val tuned_default : unit -> options
-(** The options an [?opts]-less call resolves to right now: tuned tile
-    size (fallback 64), [Sequential]. *)
-
 val with_workers : ?nb:int -> int -> options
 (** Dataflow execution on [n] domains. [nb] defaults to the tuned tile
     size at call time, like the [?opts]-less solvers. *)
@@ -52,8 +48,7 @@ type mixed_report = {
 }
 
 val solve_spd_mixed :
-  ?opts:options -> ?precision:string -> ?low_rate_mult:float -> Mat.t -> Vec.t ->
-  mixed_report
+  ?precision:string -> ?low_rate_mult:float -> Mat.t -> Vec.t -> mixed_report
 (** Mixed-precision SPD solve: Cholesky at [precision] (default ["fp32"]),
     iterative refinement in double. [low_rate_mult] is the modelled hardware
     rate advantage of the low format (default 2). *)

@@ -55,10 +55,6 @@ val flops_of : cls -> float
 
 val costs : machine:Xsc_simmachine.Machine.t -> cls -> costs
 
-val alloc_mtbf : machine:Xsc_simmachine.Machine.t -> cls -> float
-(** [node_mtbf / ranks]: MTBF of one allocation — the paper's
-    system-MTBF-collapse arithmetic applied to a sub-grid. *)
-
 val young_steps : machine:Xsc_simmachine.Machine.t -> cls -> costs:costs -> int
 (** Young's optimal interval [sqrt (2 C M)] against the allocation's own
     failure process, converted to a checkpoint-every-k-steps cadence

@@ -15,15 +15,14 @@ val default_classes : Model.cls array
 val sparse_class : Model.cls
 (** [cg-27m]: a 300³-grid (27M-row) classic-CG class on 16 ranks, 500
     iteration steps, costed purely by memory bandwidth
-    ({!Model.kind.Cg}). *)
+    ({!Model.kind.Cg}). Backs [xsc fleet --mixed] through
+    {!mixed_classes}; exported so the fleet tests can build one-class
+    configs from it. *)
 
 val mixed_classes : Model.cls array
 (** {!default_classes} plus {!sparse_class} — the HPL-vs-HPCG mixed fleet
     workload. [default_classes] itself is unchanged, so prior seeded
     records replay bit-identically. *)
-
-val default_faults : Sim.faults
-(** 35% tile / 25% cone / 40% hard, 300 s node repair. *)
 
 val config :
   ?cadence:Sim.cadence ->

@@ -28,4 +28,6 @@ val model : Xsc_simmachine.Machine.t -> unknowns_per_node:int -> model
     roofline, dot products pay allreduce latency across all nodes. *)
 
 val flops_per_iteration : nnz:float -> rows:float -> float
-(** 1 SpMV (2 nnz) + 1 SymGS sweep (4 nnz) + 5 vector ops (2 rows each). *)
+(** 1 SpMV (2 nnz) + 1 SymGS sweep (4 nnz) + 5 vector ops (2 rows each).
+    Backs FIG-2: the flop count behind the HPCG rate; exported so a test
+    pins the formula. *)

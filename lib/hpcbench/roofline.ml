@@ -9,8 +9,6 @@ let gemm_intensity ~nb =
   if nb <= 0 then invalid_arg "Roofline.gemm_intensity: nb must be positive";
   float_of_int nb /. 12.0
 
-let spmv_intensity a = Xsc_sparse.Csr.spmv_flops a /. Xsc_sparse.Csr.spmv_bytes a
-
 (* 27 nonzeros per row: flops = 54, bytes ~ 12*27 + 16 = 340 *)
 let stencil27_intensity = 54.0 /. 340.0
 

@@ -15,12 +15,6 @@ val gemm_intensity : nb:int -> float
 (** Blocked GEMM working on [nb x nb] tiles: [2nb³ / (3 · 8 · nb²)] =
     [nb/12]. *)
 
-val spmv_intensity : Xsc_sparse.Csr.t -> float
-val stencil27_intensity : float
-(** Asymptotic intensity of the 27-point-stencil SpMV (what bounds HPCG). *)
-
-val stream_triad_intensity : float
-
 val point :
   ?precision:Xsc_simmachine.Node.precision ->
   Xsc_simmachine.Node.t -> kernel:string -> intensity:float -> point

@@ -8,7 +8,8 @@
     one cell thick (6 faces, 12 edges, 8 corners). *)
 
 val halo_bytes : local:int -> float
-(** Bytes sent by one rank per SpMV (8-byte values). *)
+(** Bytes sent by one rank per SpMV (8-byte values). Backs TAB-6: the
+    halo term of {!iteration_time}; exported so a test pins the formula. *)
 
 val iteration_time : Xsc_simmachine.Machine.t -> local:int -> nodes:int -> float
 (** One CG/HPCG-style iteration: bandwidth-limited local streaming + halo

@@ -50,7 +50,3 @@ let projected_year series ~target =
   if target <= 0.0 then invalid_arg "Top500.projected_year: target must be positive";
   let f = fit series in
   (log10 target -. f.Xsc_util.Stats.intercept) /. f.Xsc_util.Stats.slope
-
-let predicted series ~year =
-  let f = fit series in
-  10.0 ** ((f.Xsc_util.Stats.slope *. year) +. f.Xsc_util.Stats.intercept)

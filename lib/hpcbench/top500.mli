@@ -30,5 +30,3 @@ val decade_years : Xsc_util.Stats.linfit -> float
 
 val projected_year : series -> target:float -> float
 (** Year at which the fitted trend reaches [target] flop/s. *)
-
-val predicted : series -> year:float -> float

@@ -225,24 +225,6 @@ let gemv ?(trans = NoTrans) ~alpha (a : Mat.t) x ~beta y =
     ~flops:(2.0 *. float_of_int m *. float_of_int n)
     ~bytes:(8.0 *. float_of_int ((m * n) + n + (2 * m)))
 
-let ger ~alpha x y (a : Mat.t) =
-  if Array.length x <> a.rows || Array.length y <> a.cols then
-    invalid_arg "Blas.ger: dimension mismatch";
-  let ad = a.data in
-  for i = 0 to a.rows - 1 do
-    let xi = alpha *. x.(i) in
-    if xi <> 0.0 then begin
-      let base = i * a.cols in
-      for j = 0 to a.cols - 1 do
-        ad.(base + j) <- ad.(base + j) +. (xi *. y.(j))
-      done
-    end
-  done
-
-(* Raw index arithmetic throughout: syrk sits on the tiled Cholesky hot
-   path, and per-element Mat.get/Mat.set costs a multiply and bounds logic
-   per flop. NoTrans dots rows of A (contiguous); Trans dots columns
-   (stride lda), still without per-element recomputation of bases. *)
 let syrk ?(uplo = Lower) ?(trans = NoTrans) ~alpha (a : Mat.t) ~beta (c : Mat.t) =
   let n, k = op_dims trans a in
   if c.rows <> n || c.cols <> n then invalid_arg "Blas.syrk: output dimension mismatch";
@@ -410,36 +392,5 @@ let trsv ?(uplo = Lower) ?(trans = NoTrans) ?(diag = NonUnit) (a : Mat.t) x =
       done;
       x.(i) <- (match diag with Unit -> !acc | NonUnit -> !acc /. Mat.get a i i)
     done
-
-let trmm ?(side = Left) ?(uplo = Lower) ?(trans = NoTrans) ?(diag = NonUnit) ~alpha
-    (a : Mat.t) (b : Mat.t) =
-  if a.rows <> a.cols then invalid_arg "Blas.trmm: A not square";
-  let n = a.rows in
-  (match side with
-  | Left -> if b.rows <> n then invalid_arg "Blas.trmm: dimension mismatch"
-  | Right -> if b.cols <> n then invalid_arg "Blas.trmm: dimension mismatch");
-  (* Build the effective triangular operand explicitly — trmm is not on the
-     critical path of any kernel, so clarity wins over blocking. *)
-  let tri =
-    Mat.init n n (fun i j ->
-        let v = match trans with NoTrans -> Mat.get a i j | Trans -> Mat.get a j i in
-        let eff_uplo =
-          match (uplo, trans) with
-          | Lower, NoTrans | Upper, Trans -> Lower
-          | Upper, NoTrans | Lower, Trans -> Upper
-        in
-        let inside = match eff_uplo with Lower -> i >= j | Upper -> i <= j in
-        if i = j then (match diag with Unit -> 1.0 | NonUnit -> v)
-        else if inside then v
-        else 0.0)
-  in
-  let result =
-    match side with
-    | Left -> gemm_new tri b
-    | Right -> gemm_new b tri
-  in
-  for i = 0 to Array.length b.data - 1 do
-    b.data.(i) <- alpha *. result.data.(i)
-  done
 
 let gemm_flops m n k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k

@@ -34,9 +34,6 @@ val gemm_new : ?transa:trans -> ?transb:trans -> Mat.t -> Mat.t -> Mat.t
 val gemv : ?trans:trans -> alpha:float -> Mat.t -> Vec.t -> beta:float -> Vec.t -> unit
 (** [y <- alpha op(A) x + beta y]. *)
 
-val ger : alpha:float -> Vec.t -> Vec.t -> Mat.t -> unit
-(** Rank-1 update [A <- alpha x yᵀ + A]. *)
-
 val syrk : ?uplo:uplo -> ?trans:trans -> alpha:float -> Mat.t -> beta:float -> Mat.t -> unit
 (** Symmetric rank-k update touching only the [uplo] triangle of [C]:
     [C <- alpha A Aᵀ + beta C] ([NoTrans]) or [alpha Aᵀ A + beta C]
@@ -49,9 +46,6 @@ val trsm : ?side:side -> ?uplo:uplo -> ?trans:trans -> ?diag:diag -> alpha:float
 
 val trsv : ?uplo:uplo -> ?trans:trans -> ?diag:diag -> Mat.t -> Vec.t -> unit
 (** Triangular solve with a single right-hand side, in place. *)
-
-val trmm : ?side:side -> ?uplo:uplo -> ?trans:trans -> ?diag:diag -> alpha:float -> Mat.t -> Mat.t -> unit
-(** Triangular matrix multiply in place on the second argument. *)
 
 val gemm_flops : int -> int -> int -> float
 (** Flop count of an [m x k] by [k x n] multiply ([2 m n k]), used by the

@@ -7,18 +7,6 @@
     computations and the condition-number diagnostics used elsewhere in the
     library. *)
 
-val tridiagonalize : Mat.t -> float array * float array * Mat.t
-(** [tridiagonalize a = (d, e, q)] for symmetric [a]: [d] is the diagonal
-    (length n), [e] the subdiagonal (length n-1), and [q] orthogonal with
-    [a = q T qᵀ]. [a] is not modified. *)
-
-val tql2 : d:float array -> e:float array -> z:Mat.t -> unit
-(** Implicit-shift QL on a tridiagonal: on return [d] holds the
-    eigenvalues (ascending) and the columns of [z] — initialised by the
-    caller, typically to [q] or the identity — the corresponding
-    eigenvectors. [e] is destroyed. Raises [Failure] if an eigenvalue
-    fails to converge in 50 sweeps (does not occur for finite input). *)
-
 val symmetric : Mat.t -> float array * Mat.t
 (** Full eigendecomposition of a symmetric matrix: ascending eigenvalues
     and the orthonormal eigenvector matrix (column [i] pairs with
@@ -28,4 +16,6 @@ val eigenvalues : Mat.t -> float array
 
 val condition_spd : Mat.t -> float
 (** 2-norm condition number of an SPD matrix ([lambda_max / lambda_min]);
-    raises [Invalid_argument] if the smallest eigenvalue is not positive. *)
+    raises [Invalid_argument] if the smallest eigenvalue is not positive.
+    Kept as the test oracle for {!Gallery.spd_with_cond}, whose
+    conditioning FIG-4 sweeps. *)

@@ -13,9 +13,9 @@
     {!Blas.gemm} rather than this module unless you are benchmarking the
     kernel itself. *)
 
-val mc : int  (** A row-panel height: an [MC x KC] A pack stays L2-resident *)
-
-val kc : int  (** rank-update depth of one packed panel pair *)
+val mc : int
+(** A row-panel height: an [MC x KC] A pack stays L2-resident. Exported so
+    a test checks that it is a multiple of {!mr}. *)
 
 val nc : int  (** B column-panel width of one packed B pack *)
 

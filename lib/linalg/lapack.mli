@@ -54,7 +54,8 @@ val orgqr : a:Mat.t -> tau:float array -> Mat.t
 
 val gels : Mat.t -> Vec.t -> Vec.t
 (** Least-squares solve of an overdetermined system via QR; does not modify
-    its arguments. *)
+    its arguments. Kept as the least-squares test oracle for
+    [Solver.solve_ls] and the tiled QR. *)
 
 val chol_solve : Mat.t -> Vec.t -> Vec.t
 (** Convenience: copy, factor, solve an SPD system. *)

@@ -15,17 +15,6 @@ let init rows cols f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let of_arrays rows =
-  let r = Array.length rows in
-  if r = 0 then create 0 0
-  else begin
-    let c = Array.length rows.(0) in
-    Array.iter
-      (fun row -> if Array.length row <> c then invalid_arg "Mat.of_arrays: ragged rows")
-      rows;
-    init r c (fun i j -> rows.(i).(j))
-  end
-
 let copy m = { m with data = Array.copy m.data }
 
 let get m i j = m.data.((i * m.cols) + j)
@@ -102,17 +91,6 @@ let norm_inf m =
   done;
   !best
 
-let norm_one m =
-  let best = ref 0.0 in
-  for j = 0 to m.cols - 1 do
-    let acc = ref 0.0 in
-    for i = 0 to m.rows - 1 do
-      acc := !acc +. abs_float (get m i j)
-    done;
-    if !acc > !best then best := !acc
-  done;
-  !best
-
 let max_abs m = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 m.data
 
 let dist_max a b =
@@ -166,17 +144,3 @@ let lower ?(unit_diag = false) m =
       else 0.0)
 
 let upper m = init m.rows m.cols (fun i j -> if i <= j then get m i j else 0.0)
-
-let pp fmt m =
-  let max_show = 8 in
-  Format.fprintf fmt "@[<v>%dx%d matrix" m.rows m.cols;
-  for i = 0 to min m.rows max_show - 1 do
-    Format.fprintf fmt "@,[";
-    for j = 0 to min m.cols max_show - 1 do
-      Format.fprintf fmt " %10.4g" (get m i j)
-    done;
-    if m.cols > max_show then Format.fprintf fmt " ...";
-    Format.fprintf fmt " ]"
-  done;
-  if m.rows > max_show then Format.fprintf fmt "@,...";
-  Format.fprintf fmt "@]"

@@ -12,7 +12,6 @@ val create : int -> int -> t
 
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
-val of_arrays : float array array -> t
 val copy : t -> t
 
 val get : t -> int -> int -> float
@@ -43,9 +42,6 @@ val frobenius : t -> float
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)
 
-val norm_one : t -> float
-(** Maximum absolute column sum. *)
-
 val max_abs : t -> float
 val dist_max : t -> t -> float
 (** Entrywise max-norm of the difference. *)
@@ -71,7 +67,3 @@ val lower : ?unit_diag:bool -> t -> t
     to 1. *)
 
 val upper : t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Compact printer for debugging and error messages (elides large
-    matrices). *)

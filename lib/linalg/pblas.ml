@@ -85,14 +85,6 @@ let kernel_name = function
 
 let prec_name = function F64 -> "f64" | F32 -> "f32"
 
-let kernel_of_name = function
-  | "gemm_nn" -> Some Gemm_nn
-  | "gemm_nt" -> Some Gemm_nt
-  | "syrk_ln" -> Some Syrk_ln
-  | "trsm_rlt" -> Some Trsm_rlt
-  | _ -> None
-
-let prec_of_name = function "f64" -> Some F64 | "f32" -> Some F32 | _ -> None
 let mirror = Array.init 2 (fun _ -> Array.make 4 default_cfg)
 
 let set_cfg prec kernel c =

@@ -78,9 +78,6 @@ val all_kernels : kernel list
 val all_precs : prec list
 val kernel_name : kernel -> string
 val prec_name : prec -> string
-val kernel_of_name : string -> kernel option
-val prec_of_name : string -> prec option
-
 val set_cfg : prec -> kernel -> kcfg -> unit
 (** Install a config. Raises [Invalid_argument] on an out-of-range shape.
     Not synchronised: call at startup or from a single-threaded tuner, not

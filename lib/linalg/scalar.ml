@@ -7,7 +7,6 @@ module type S = sig
   val mul : float -> float -> float
   val div : float -> float -> float
   val sqrt : float -> float
-  val neg : float -> float
 end
 
 module Fp64 : S = struct
@@ -19,7 +18,6 @@ module Fp64 : S = struct
   let mul = ( *. )
   let div = ( /. )
   let sqrt = Stdlib.sqrt
-  let neg x = -.x
 end
 
 module Make_rounded (R : sig
@@ -35,7 +33,6 @@ end) : S = struct
   let mul a b = R.round (a *. b)
   let div a b = R.round (a /. b)
   let sqrt a = R.round (Stdlib.sqrt a)
-  let neg x = -.x
 end
 
 module Fp32 = Make_rounded (struct

@@ -22,7 +22,6 @@ module type S = sig
   val mul : float -> float -> float
   val div : float -> float -> float
   val sqrt : float -> float
-  val neg : float -> float
 end
 
 module Fp64 : S

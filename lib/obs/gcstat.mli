@@ -26,14 +26,10 @@ val minor_words : unit -> float
     program start ([Gc.minor_words]). Allocation-free: safe to call on
     the serve hot path without perturbing the quantity it measures. *)
 
-val set_gauges : prefix:string -> snap -> unit
-(** Publish a snapshot (usually a delta) as gauges
-    [<prefix>.minor_words], [<prefix>.promoted_words],
-    [<prefix>.major_words], [<prefix>.minor_collections],
-    [<prefix>.major_collections], [<prefix>.heap_words]. *)
-
 val sample : unit -> unit
-(** [set_gauges ~prefix:"gc" (snap ())] — cumulative process totals. *)
+(** Publish the cumulative process totals as gauges [gc.minor_words],
+    [gc.promoted_words], [gc.major_words], [gc.minor_collections],
+    [gc.major_collections] and [gc.heap_words]. *)
 
 val phase : string -> (unit -> 'a) -> 'a
 (** [phase name f] runs [f] and publishes the allocation delta it caused

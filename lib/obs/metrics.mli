@@ -39,7 +39,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : string -> histogram
 (** Log2-bucketed (64 buckets spanning ~1e-12 .. 8e6): one value feeds one
@@ -52,9 +51,6 @@ val observe_n : histogram -> float -> n:int -> unit
     [3n] — for callers that tally a batch with one representative value
     (per-request allocation shares, fleet sweep latencies). Raises
     [Invalid_argument] if [n < 0]; no-op when [n = 0]. *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [0,1]: upper bound of the bucket containing

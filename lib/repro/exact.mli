@@ -24,16 +24,13 @@ val value : t -> float
 (** The correctly rounded double nearest the exact accumulated sum. *)
 
 val components : t -> float array
-(** The current non-overlapping components, smallest magnitude first
-    (exposed for tests). *)
-
-val compress : t -> unit
-(** Renormalise to the minimal component list. Performed automatically when
-    the expansion grows long; exposed so tests can force it. *)
+(** The current non-overlapping components, smallest magnitude first.
+    Kept as the test oracle for the expansion's non-overlap invariant. *)
 
 val two_sum : float -> float -> float * float
 (** [two_sum a b = (s, err)] with [s = fl(a+b)] and [a + b = s + err]
-    exactly (Knuth's branch-free version). *)
+    exactly (Knuth's branch-free version). Backs TAB-2's exact sums;
+    exported so a test checks the error-free transformation itself. *)
 
 val sum : float array -> float
 (** Convenience: the correctly rounded sum of an array. *)

@@ -196,69 +196,6 @@ let recover_cholesky_rows ~a ~l ~from =
     recover_row ~a ~l ~row
   done
 
-(* ---- LU verification (no-pivoting packed factor) ---- *)
-
-let verify_lu ?tol ~lu a =
-  let n = a.Mat.rows in
-  if n <> a.Mat.cols || lu.Mat.rows <> n || lu.Mat.cols <> n then
-    invalid_arg "Abft.verify_lu: dimension mismatch";
-  let tol =
-    match tol with
-    | Some t -> t
-    | None -> 1e-8 *. max 1.0 (Mat.norm_inf a) *. float_of_int n
-  in
-  let check v =
-    (* u = U v (upper incl. diagonal), then w = L u (unit lower) *)
-    let u = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for j = i to n - 1 do
-        acc := !acc +. (Mat.get lu i j *. v.(j))
-      done;
-      u.(i) <- !acc
-    done;
-    let w = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let acc = ref u.(i) in
-      for j = 0 to i - 1 do
-        acc := !acc +. (Mat.get lu i j *. u.(j))
-      done;
-      w.(i) <- !acc
-    done;
-    let av = Mat.mul_vec a v in
-    let bad = ref None in
-    for i = n - 1 downto 0 do
-      if abs_float (av.(i) -. w.(i)) > tol then bad := Some i
-    done;
-    !bad
-  in
-  let ones = Array.make n 1.0 in
-  let weighted = Array.init n (fun i -> 1.0 +. (float_of_int i /. float_of_int n)) in
-  let bad = match check ones with Some i -> Some i | None -> check weighted in
-  if bad <> None then Xsc_obs.Metrics.incr faults_detected;
-  bad
-
-let recover_lu_rows ~a ~lu ~from =
-  let n = a.Mat.rows in
-  if from < 0 || from >= n then invalid_arg "Abft.recover_lu_rows: row out of range";
-  (* row-wise Doolittle: row i needs U rows < i (intact or already
-     recomputed) and builds L(i, <i) then U(i, >=i) left to right *)
-  for i = from to n - 1 do
-    for j = 0 to n - 1 do
-      let kmax = min i j in
-      let acc = ref (Mat.get a i j) in
-      for k = 0 to kmax - 1 do
-        acc := !acc -. (Mat.get lu i k *. Mat.get lu k j)
-      done;
-      if j < i then begin
-        let ujj = Mat.get lu j j in
-        if ujj = 0.0 then raise (Lapack.Singular j);
-        Mat.set lu i j (!acc /. ujj)
-      end
-      else Mat.set lu i j !acc
-    done
-  done
-
 let overhead_model ~n ~nb =
   if n <= 0 || nb <= 0 || n mod nb <> 0 then invalid_arg "Abft.overhead_model: bad sizes";
   let nt = float_of_int (n / nb) in

@@ -21,7 +21,9 @@ val gemm_protected : Mat.t -> Mat.t -> protected_product
 
 val verify_product : ?tol:float -> protected_product -> (int * int) list
 (** Coordinates where row and column checksum mismatches intersect — empty
-    when consistent. [tol] scales with the matrix norm. *)
+    when consistent. [tol] scales with the matrix norm. Backs FIG-6's
+    protected GEMM through {!correct_product}; exported so tests check the
+    located coordinates. *)
 
 val correct_product : ?tol:float -> protected_product -> int
 (** Correct every located single-entry error in place (returns the number of
@@ -46,19 +48,6 @@ val recover_cholesky_rows : a:Mat.t -> l:Mat.t -> from:int -> unit
     corruptions confined to those rows at a cost proportional to the
     damaged fraction of the factorization (instead of a full O(n³)
     refactorization). *)
-
-(** {1 Checksum-verified LU (no-pivoting variant)} *)
-
-val verify_lu : ?tol:float -> lu:Mat.t -> Mat.t -> int option
-(** O(n²) check of [A = L U] where [lu] packs the unit-lower [L] and upper
-    [U] as produced by [Lapack.getrf_nopiv] (and the tiled LU): [None] when
-    consistent, otherwise [Some r] with [r] the first row whose checksum
-    probe fails. *)
-
-val recover_lu_rows : a:Mat.t -> lu:Mat.t -> from:int -> unit
-(** Recompute rows [from .. n-1] of the packed factor by row-wise Doolittle
-    elimination from [A] and the intact rows above — lineage recovery
-    costing only the damaged fraction. *)
 
 val overhead_model : n:int -> nb:int -> float
 (** Relative flop overhead of carrying checksums through a tiled

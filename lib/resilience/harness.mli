@@ -53,8 +53,9 @@ val wrap_packed :
 val targets_key : t -> int -> bool
 (** Whether the policy selects integer key [key] for a raise — a pure
     hash of [(seed, key)], so a seeded load run injects the same faults
-    at the same request ids on every run. Lets a caller predict the
-    injected set without executing anything. *)
+    at the same request ids on every run. Kept as the test oracle that
+    predicts the injected set of a serve fault storm without executing
+    anything. *)
 
 val wrap_thunk : t -> key:int -> (unit -> 'a) -> 'a
 (** Request-level injection for the serving layer: runs the thunk, but

@@ -8,21 +8,6 @@ let corrupt_entry m i j ~delta =
   Xsc_obs.Metrics.incr faults_injected;
   Mat.set m i j (Mat.get m i j +. delta)
 
-let corrupt_random_entry rng (m : Mat.t) ~magnitude =
-  let i = Xsc_util.Rng.int rng m.rows and j = Xsc_util.Rng.int rng m.cols in
-  let sign = if Xsc_util.Rng.uniform rng < 0.5 then -1.0 else 1.0 in
-  corrupt_entry m i j ~delta:(sign *. magnitude);
-  (i, j)
-
-let flip_mantissa_bit rng (m : Mat.t) =
-  let i = Xsc_util.Rng.int rng m.rows and j = Xsc_util.Rng.int rng m.cols in
-  let bit = Xsc_util.Rng.int rng 51 in
-  let bits = Int64.bits_of_float (Mat.get m i j) in
-  let flipped = Int64.logxor bits (Int64.shift_left 1L bit) in
-  Xsc_obs.Metrics.incr faults_injected;
-  Mat.set m i j (Int64.float_of_bits flipped);
-  (i, j)
-
 let corrupt_lower_entry rng (m : Mat.t) ~magnitude =
   if m.rows < 2 then invalid_arg "Inject.corrupt_lower_entry: matrix too small";
   let i = 1 + Xsc_util.Rng.int rng (m.rows - 1) in
@@ -34,60 +19,7 @@ let corrupt_lower_entry rng (m : Mat.t) ~magnitude =
 (* ---- Packed tile-major storage (the real kernel path) ---- *)
 
 module PD = Xsc_tile.Packed.D
-module PS = Xsc_tile.Packed.S
 
 let corrupt_packed_entry (p : PD.t) i j ~delta =
   Xsc_obs.Metrics.incr faults_injected;
   PD.set p i j (PD.get p i j +. delta)
-
-let corrupt_random_packed_entry rng (p : PD.t) ~magnitude =
-  let i = Xsc_util.Rng.int rng p.PD.n and j = Xsc_util.Rng.int rng p.PD.n in
-  let sign = if Xsc_util.Rng.uniform rng < 0.5 then -1.0 else 1.0 in
-  corrupt_packed_entry p i j ~delta:(sign *. magnitude);
-  (i, j)
-
-let corrupt_random_packed_tile rng (p : PD.t) ~magnitude =
-  let ti = Xsc_util.Rng.int rng p.PD.nt and tj = Xsc_util.Rng.int rng p.PD.nt in
-  let r = Xsc_util.Rng.int rng p.PD.nb and c = Xsc_util.Rng.int rng p.PD.nb in
-  let sign = if Xsc_util.Rng.uniform rng < 0.5 then -1.0 else 1.0 in
-  corrupt_packed_entry p ((ti * p.PD.nb) + r) ((tj * p.PD.nb) + c)
-    ~delta:(sign *. magnitude);
-  (ti, tj)
-
-let flip_packed_mantissa_bit rng (p : PD.t) =
-  let i = Xsc_util.Rng.int rng p.PD.n and j = Xsc_util.Rng.int rng p.PD.n in
-  let bit = Xsc_util.Rng.int rng 51 in
-  let bits = Int64.bits_of_float (PD.get p i j) in
-  let flipped = Int64.logxor bits (Int64.shift_left 1L bit) in
-  Xsc_obs.Metrics.incr faults_injected;
-  PD.set p i j (Int64.float_of_bits flipped);
-  (i, j)
-
-let corrupt_packed32_entry (p : PS.t) i j ~delta =
-  Xsc_obs.Metrics.incr faults_injected;
-  PS.set p i j (PS.get p i j +. delta)
-
-let corrupt_random_packed32_entry rng (p : PS.t) ~magnitude =
-  let i = Xsc_util.Rng.int rng p.PS.n and j = Xsc_util.Rng.int rng p.PS.n in
-  let sign = if Xsc_util.Rng.uniform rng < 0.5 then -1.0 else 1.0 in
-  corrupt_packed32_entry p i j ~delta:(sign *. magnitude);
-  (i, j)
-
-let corrupt_random_packed32_tile rng (p : PS.t) ~magnitude =
-  let ti = Xsc_util.Rng.int rng p.PS.nt and tj = Xsc_util.Rng.int rng p.PS.nt in
-  let r = Xsc_util.Rng.int rng p.PS.nb and c = Xsc_util.Rng.int rng p.PS.nb in
-  let sign = if Xsc_util.Rng.uniform rng < 0.5 then -1.0 else 1.0 in
-  corrupt_packed32_entry p ((ti * p.PS.nb) + r) ((tj * p.PS.nb) + c)
-    ~delta:(sign *. magnitude);
-  (ti, tj)
-
-let flip_packed32_mantissa_bit rng (p : PS.t) =
-  let i = Xsc_util.Rng.int rng p.PS.n and j = Xsc_util.Rng.int rng p.PS.n in
-  (* float32: 23 mantissa bits; stay among the low 22 so the exponent is
-     untouched and the value cannot become NaN/Inf *)
-  let bit = Xsc_util.Rng.int rng 22 in
-  let stored = Int32.bits_of_float (PS.get p i j) in
-  let flipped = Int32.logxor stored (Int32.shift_left 1l bit) in
-  Xsc_obs.Metrics.incr faults_injected;
-  PS.set p i j (Int32.float_of_bits flipped);
-  (i, j)

@@ -6,49 +6,15 @@ open Xsc_linalg
 val corrupt_entry : Mat.t -> int -> int -> delta:float -> unit
 (** Add [delta] to one entry (the canonical silent-error model). *)
 
-val corrupt_random_entry : Xsc_util.Rng.t -> Mat.t -> magnitude:float -> int * int
-(** Corrupt a uniformly random entry by a delta of the given magnitude
-    (random sign); returns the coordinates. *)
-
-val flip_mantissa_bit : Xsc_util.Rng.t -> Mat.t -> int * int
-(** Flip one random bit among the low 51 mantissa bits of a random entry —
-    a bit-level soft error that changes the value without producing
-    NaN/Inf. Returns the coordinates. *)
-
 val corrupt_lower_entry : Xsc_util.Rng.t -> Mat.t -> magnitude:float -> int * int
 (** Corrupt a random entry strictly inside the lower triangle (for factor
     matrices). Requires a matrix of size at least 2. *)
 
 (** {1 Packed tile-major storage}
 
-    The same fault models aimed at {!Xsc_tile.Packed} buffers, so the
-    harness reaches the real C-kernel path (f64 and genuine f32). All
-    variants tally [resilience.faults_injected]. *)
+    The same fault model aimed at {!Xsc_tile.Packed} buffers, so the
+    harness reaches the real C-kernel path. Tallies
+    [resilience.faults_injected]. *)
 
 val corrupt_packed_entry : Xsc_tile.Packed.D.t -> int -> int -> delta:float -> unit
 (** Add [delta] to one entry addressed by global (row, col). *)
-
-val corrupt_random_packed_entry :
-  Xsc_util.Rng.t -> Xsc_tile.Packed.D.t -> magnitude:float -> int * int
-(** Corrupt a uniformly random entry (random sign); returns global coords. *)
-
-val corrupt_random_packed_tile :
-  Xsc_util.Rng.t -> Xsc_tile.Packed.D.t -> magnitude:float -> int * int
-(** Corrupt one random entry of a uniformly random tile; returns the tile
-    coordinates [(ti, tj)] — the granularity the in-DAG ABFT recovery
-    locates and replays. *)
-
-val flip_packed_mantissa_bit : Xsc_util.Rng.t -> Xsc_tile.Packed.D.t -> int * int
-(** Flip one of the low 51 mantissa bits of a random entry (never NaN/Inf);
-    returns global coords. *)
-
-val corrupt_packed32_entry : Xsc_tile.Packed.S.t -> int -> int -> delta:float -> unit
-
-val corrupt_random_packed32_entry :
-  Xsc_util.Rng.t -> Xsc_tile.Packed.S.t -> magnitude:float -> int * int
-
-val corrupt_random_packed32_tile :
-  Xsc_util.Rng.t -> Xsc_tile.Packed.S.t -> magnitude:float -> int * int
-
-val flip_packed32_mantissa_bit : Xsc_util.Rng.t -> Xsc_tile.Packed.S.t -> int * int
-(** Flip one of the low 22 mantissa bits of the stored float32 value. *)

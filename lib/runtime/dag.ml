@@ -92,35 +92,6 @@ let sources t =
   done;
   !acc
 
-let to_dot ?(max_nodes = 500) t =
-  let n = n_tasks t in
-  if n > max_nodes then
-    invalid_arg
-      (Printf.sprintf "Dag.to_dot: %d tasks exceeds max_nodes=%d" n max_nodes);
-  let buf = Buffer.create (64 * n) in
-  Buffer.add_string buf "digraph tasks {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n";
-  Array.iteri
-    (fun i task ->
-      Buffer.add_string buf
-        (Printf.sprintf "  t%d [label=\"%s\"];\n" i
-           (String.map (fun c -> if c = '"' then '\'' else c) task.Task.name)))
-    t.tasks;
-  Array.iteri
-    (fun i ss -> List.iter (fun s -> Buffer.add_string buf (Printf.sprintf "  t%d -> t%d;\n" i s)) ss)
-    t.succs;
-  (* same-level tasks on the same rank to expose the parallelism visually *)
-  Array.iter
-    (fun level ->
-      match level with
-      | [] | [ _ ] -> ()
-      | ids ->
-        Buffer.add_string buf "  { rank=same;";
-        List.iter (fun id -> Buffer.add_string buf (Printf.sprintf " t%d;" id)) ids;
-        Buffer.add_string buf " }\n")
-    t.levels;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let validate_schedule t ~order =
   let n = n_tasks t in
   let position = Array.make n (-1) in

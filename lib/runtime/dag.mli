@@ -36,11 +36,6 @@ val bottom_level : t -> float array
 
 val sources : t -> int list
 
-val to_dot : ?max_nodes:int -> t -> string
-(** Graphviz rendering of the DAG (task names as labels, levels as ranks).
-    Refuses graphs above [max_nodes] (default 500) — beyond that dot is
-    unreadable anyway. *)
-
 val validate_schedule : t -> order:int list -> bool
 (** True iff [order] is a topological order containing every task exactly
-    once (used by tests and by the executors' assertions). *)
+    once. Kept as the test oracle for every executor's completion order. *)

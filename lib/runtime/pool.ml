@@ -428,8 +428,6 @@ let shutdown t =
   end
 
 let workers t = t.workers
-let injected_pending t = Pqueue.length t.inj
-
 (* One DAG on a pool of its own: the steal/park figures are the registry
    deltas over the pool's whole lifetime (spawn to join), which assumes no
    other work-stealing run overlaps it in this process. *)

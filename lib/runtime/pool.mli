@@ -102,7 +102,4 @@ val shutdown : t -> unit
 val live_jobs : t -> int
 (** Jobs submitted but not yet completed. *)
 
-val injected_pending : t -> int
-(** Entries currently waiting in the injection queue. *)
-
 val workers : t -> int

@@ -26,7 +26,9 @@ val length : t -> int
 
 val min_deadline : t -> int
 (** Cached head deadline ([max_int] when empty). Conservative under
-    concurrent mutation: may be momentarily stale, never locks. *)
+    concurrent mutation: may be momentarily stale, never locks. Kept as
+    the test oracle for the cache that the lock-free deadline check
+    reads. *)
 
 val is_empty : t -> bool
 (** One atomic load; momentarily stale under concurrent mutation (both

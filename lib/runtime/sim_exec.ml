@@ -18,15 +18,6 @@ let config ?(task_overhead = 5e-7) ?(barrier_cost = 5e-6) ?(comm_cost = fun ~byt
   if rate <= 0.0 then invalid_arg "Sim_exec.config: rate must be positive";
   { workers; rate; task_overhead; barrier_cost; comm_cost }
 
-let config_of_machine ?(task_overhead = 5e-7) ?(barrier_cost = 5e-6) m =
-  let open Xsc_simmachine in
-  let workers = Machine.total_cores m in
-  let rate = Node.core_rate m.Machine.node Node.FP64 in
-  let comm_cost ~bytes =
-    if bytes <= 0.0 then 0.0 else Network.ptp_avg m.Machine.network ~bytes
-  in
-  { workers; rate; task_overhead; barrier_cost; comm_cost }
-
 type result = {
   makespan : float;
   utilization : float;

@@ -33,10 +33,6 @@ val config :
   workers:int -> rate:float -> unit -> config
 (** Defaults: [5e-7] s overhead, [5e-6] s barrier, zero-cost communication. *)
 
-val config_of_machine : ?task_overhead:float -> ?barrier_cost:float -> Xsc_simmachine.Machine.t -> config
-(** One worker per core; communication at the machine's average
-    point-to-point cost. *)
-
 type result = {
   makespan : float;
   utilization : float;
@@ -54,4 +50,5 @@ val perfect_time : config -> Dag.t -> float
 (** [total_flops / (workers * rate)] — the throughput bound. *)
 
 val critical_time : config -> Dag.t -> float
-(** Critical path at the worker rate — the span bound. *)
+(** Critical path at the worker rate — the span bound. Kept as the test
+    oracle that bounds every simulated makespan from below. *)

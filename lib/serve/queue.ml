@@ -73,9 +73,3 @@ let close t =
   Mutex.lock t.mu;
   t.closed <- true;
   Mutex.unlock t.mu
-
-let is_closed t =
-  Mutex.lock t.mu;
-  let c = t.closed in
-  Mutex.unlock t.mu;
-  c

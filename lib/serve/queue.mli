@@ -30,5 +30,3 @@ val capacity : 'a t -> int
 
 val close : 'a t -> unit
 (** Subsequent pushes answer {!Closed}; pending elements still pop. *)
-
-val is_closed : 'a t -> bool

@@ -59,7 +59,6 @@ val class_key : payload -> string
     one class coalesce into a batch — same kernel, same size, so no member
     stalls behind a much larger sibling. *)
 
-val reject_reason_name : reject_reason -> string
 val error_message : error -> string
 
 type completion = {

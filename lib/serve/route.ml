@@ -319,23 +319,11 @@ let mg_plan ~harness ~key ~grid ~levels ~b ~tol ~max_cycles =
                 cycles max_cycles));
       Request.Vector x)
 
-let strictly_diag_dominant (a : Mat.t) =
-  let n = a.Mat.rows in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let off = ref 0.0 in
-    for j = 0 to n - 1 do
-      if j <> i then off := !off +. abs_float (Mat.get a i j)
-    done;
-    if abs_float (Mat.get a i i) <= !off then ok := false
-  done;
-  !ok
-
 let plan ?harness ?nb ~key (payload : Request.payload) =
   let nb = match nb with Some nb -> nb | None -> default_nb () in
   match payload with
   | Request.Spd_solve (a, b) -> tiled_plan ~harness ~key ~nb Chol a b
-  | Request.Lu_solve (a, b) when strictly_diag_dominant a ->
+  | Request.Lu_solve (a, b) when Xsc_core.Lu.strictly_diag_dominant a ->
     tiled_plan ~harness ~key ~nb Lu a b
   | Request.Lu_solve (a, b) ->
     thunk_plan ~harness ~key (fun () -> Request.Vector (Lapack.lu_solve a b))

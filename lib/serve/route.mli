@@ -67,5 +67,3 @@ val direct : ?nb:int -> Request.payload -> Request.solution
     it sequentially on the calling domain. Raises whatever the kernels
     raise (e.g. singular-matrix errors). *)
 
-val strictly_diag_dominant : Xsc_linalg.Mat.t -> bool
-(** The routing predicate for LU payloads (exposed for tests). *)

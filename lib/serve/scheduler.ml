@@ -77,5 +77,3 @@ let pop_when eligible t =
   let found, stash = go [] in
   List.iter (push t) stash;
   found
-
-let peek_deadline_ns t = if t.size = 0 then None else Some t.heap.(0).Batcher.deadline_ns

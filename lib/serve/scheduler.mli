@@ -28,6 +28,3 @@ val pop_when : ('a Batcher.batch -> bool) -> 'a t -> 'a Batcher.batch option
     their place in line. *)
 
 val length : 'a t -> int
-
-val peek_deadline_ns : 'a t -> int option
-(** Deadline of the batch {!pop} would return. *)

@@ -150,7 +150,7 @@ val in_flight : t -> int
 
 val class_live : t -> string -> int
 (** Momentary live-in-pool attempt count of a capped kind (0 for kinds
-    without a cap entry). Exposed for tests and the mixed-workload bench. *)
+    without a cap entry). Kept as the test oracle for class caps. *)
 
 val occupancy : t -> int
 (** Momentary admission-window occupancy, the quantity {!submit} compares

@@ -19,6 +19,7 @@ val next_after : t -> float -> float
     after [now] (exponential inter-arrival). *)
 
 val failures_before : t -> horizon:float -> float list
-(** All failure times in [\[0, horizon)], ascending (fresh draw). *)
+(** All failure times in [\[0, horizon)], ascending (fresh draw). Kept as
+    the test oracle for the failure process's rate and seeded replay. *)
 
 val expected_failures : t -> horizon:float -> float

@@ -22,13 +22,6 @@ let power t = t.node.Node.watts *. float_of_int t.node_count
 
 let energy t ~seconds = power t *. seconds
 
-let flops_to_time t p ~flops ~parallel_fraction =
-  if parallel_fraction < 0.0 || parallel_fraction > 1.0 then
-    invalid_arg "Machine.flops_to_time: parallel_fraction out of range";
-  let serial = (1.0 -. parallel_fraction) *. flops /. Node.core_rate t.node p in
-  let par = parallel_fraction *. flops /. peak t p in
-  serial +. par
-
 let describe t =
   Printf.sprintf "%s: %d nodes x %d cores, peak %s (fp64), %s mem-bw/node, %s, MTBF(sys) %s"
     t.name t.node_count t.node.Node.cores

@@ -28,8 +28,4 @@ val power : t -> float
 
 val energy : t -> seconds:float -> float
 
-val flops_to_time : t -> Node.precision -> flops:float -> parallel_fraction:float -> float
-(** Amdahl-style time for a job of [flops] using every core, with the given
-    parallel fraction. *)
-
 val describe : t -> string

@@ -10,13 +10,6 @@ let create ?(alpha = 1e-6) ?(beta = 1e-10) ?(per_hop = 5e-8) topology =
     invalid_arg "Network.create: negative cost parameter";
   { alpha; beta; per_hop; topology }
 
-let ptp_time t ~src ~dst ~bytes =
-  if src = dst then 0.0
-  else
-    t.alpha
-    +. (t.per_hop *. float_of_int (Topology.hops t.topology src dst))
-    +. (t.beta *. bytes)
-
 (* Average hop distance is memoised per topology (topologies are small pure
    values, so structural hashing is safe). *)
 let avg_cache : (Topology.t, float) Hashtbl.t = Hashtbl.create 16
@@ -43,14 +36,7 @@ let hop_cost t = t.per_hop *. avg_hops t
 let bcast_time t ~ranks ~bytes =
   float_of_int (rounds ranks) *. (t.alpha +. hop_cost t +. (t.beta *. bytes))
 
-let reduce_time = bcast_time
-
 let allreduce_time t ~ranks ~bytes =
   float_of_int (rounds ranks) *. (t.alpha +. hop_cost t +. (t.beta *. bytes))
-
-let allgather_time t ~ranks ~bytes_per_rank =
-  if ranks <= 1 then 0.0
-  else
-    float_of_int (ranks - 1) *. (t.alpha +. hop_cost t +. (t.beta *. bytes_per_rank))
 
 let barrier_time t ~ranks = float_of_int (rounds ranks) *. (t.alpha +. hop_cost t)

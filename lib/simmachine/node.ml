@@ -25,14 +25,6 @@ let node_rate t p = core_rate t p *. float_of_int t.cores
 
 let machine_balance t = node_rate t FP64 /. t.mem_bandwidth
 
-let compute_time t p ~flops =
-  if flops < 0.0 then invalid_arg "Node.compute_time: negative flops";
-  flops /. core_rate t p
-
-let stream_time t ~bytes =
-  if bytes < 0.0 then invalid_arg "Node.stream_time: negative bytes";
-  bytes /. t.mem_bandwidth
-
 let roofline_rate t p ~intensity =
   if intensity <= 0.0 then invalid_arg "Node.roofline_rate: intensity must be positive";
   min (node_rate t p) (intensity *. t.mem_bandwidth)

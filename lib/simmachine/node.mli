@@ -25,12 +25,6 @@ val machine_balance : t -> float
 (** Node fp64 flop/s per byte/s of memory bandwidth — the quantity whose
     historical growth explains the HPL/HPCG gap. *)
 
-val compute_time : t -> precision -> flops:float -> float
-(** Time for [flops] on ONE core at [precision]. *)
-
-val stream_time : t -> bytes:float -> float
-(** Time to move [bytes] through the node's memory system. *)
-
 val roofline_rate : t -> precision -> intensity:float -> float
 (** Attainable flop/s for a kernel of given arithmetic intensity
     (flops/byte): [min(peak, intensity * bandwidth)]. *)

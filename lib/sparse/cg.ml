@@ -121,8 +121,6 @@ let step s k =
     decr left
   done
 
-let iterations_done s = s.st_iterations
-
 let result s =
   finish s.st_a s.st_b s.st_x s.st_c ~iterations:s.st_iterations ~tol:s.st_tol
 

@@ -58,8 +58,6 @@ val step : stepper -> int -> unit
     breakdown, or the iteration cap. No-op once {!finished}. *)
 
 val finished : stepper -> bool
-val iterations_done : stepper -> int
-
 val result : stepper -> result
 (** Finalise: recomputes the TRUE residual [b - A x] (never trusts the
     recurrence), so a corrupted or stagnated solve reports

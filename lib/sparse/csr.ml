@@ -95,35 +95,6 @@ let mul_vec t x =
   mul_vec_into t x y;
   y
 
-let mul_vec_par ?workers t x =
-  if Array.length x <> t.cols then invalid_arg "Csr.mul_vec_par: dimension mismatch";
-  let workers =
-    match workers with
-    | Some w when w >= 1 -> w
-    | Some _ -> invalid_arg "Csr.mul_vec_par: workers must be >= 1"
-    | None -> min 8 (Domain.recommended_domain_count ())
-  in
-  Blas.tally_kernel "spmv" ~flops:(spmv_flops t) ~bytes:(spmv_bytes t);
-  let y = Array.make t.rows 0.0 in
-  let workers = min workers (max 1 t.rows) in
-  let chunk w =
-    let lo = w * t.rows / workers and hi = (w + 1) * t.rows / workers in
-    for i = lo to hi - 1 do
-      let acc = ref 0.0 in
-      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-        acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
-      done;
-      y.(i) <- !acc
-    done
-  in
-  if workers = 1 then chunk 0
-  else begin
-    let domains = List.init (workers - 1) (fun w -> Domain.spawn (fun () -> chunk (w + 1))) in
-    chunk 0;
-    List.iter Domain.join domains
-  end;
-  y
-
 let diagonal t =
   let d = Array.make (min t.rows t.cols) 0.0 in
   for i = 0 to Array.length d - 1 do

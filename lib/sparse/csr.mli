@@ -24,7 +24,8 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
     Explicit zeros are kept (HPCG keeps the full stencil pattern). *)
 
 val of_dense : Mat.t -> t
-(** Drops exact zeros. *)
+(** Drops exact zeros. Kept, with {!to_dense}, as the dense test oracle for
+    SpMV and the stencil generators. *)
 
 val to_dense : t -> Mat.t
 val nnz : t -> int
@@ -32,11 +33,6 @@ val get : t -> int -> int -> float
 val mul_vec : t -> Vec.t -> Vec.t
 val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_into a x y] sets [y <- A x] (no aliasing). *)
-
-val mul_vec_par : ?workers:int -> t -> Vec.t -> Vec.t
-(** SpMV with the rows block-partitioned across OCaml domains (row blocks
-    write disjoint output ranges, so no synchronisation is needed beyond
-    the join). Defaults to the host's recommended domain count. *)
 
 val diagonal : t -> float array
 (** Diagonal entries (zero when absent). *)
@@ -61,3 +57,4 @@ val spmv_bytes : t -> float
     used by the roofline model. *)
 
 val is_symmetric : ?tol:float -> t -> bool
+(** Kept as the test oracle for the symmetric stencils. *)

@@ -149,7 +149,6 @@ let step s k =
 
 let finished s = s.mg_done
 let converged s = s.mg_converged
-let cycles_done s = s.mg_cycles
 let solution s = (s.mg_x, s.mg_cycles)
 
 let solve ?(tol = 1e-8) ?(max_cycles = 200) t b =

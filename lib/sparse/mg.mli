@@ -19,10 +19,7 @@ val create : ?levels:int -> ?smoother:smoother -> ?stencil:(int -> Csr.t) -> int
 
 val levels : t -> int
 val fine_matrix : t -> Csr.t
-
-val v_cycle : t -> b:Xsc_linalg.Vec.t -> x:Xsc_linalg.Vec.t -> unit
-(** One V-cycle on [A x = b], in place on [x] (pre/post smoothing = one
-    SymGS sweep each, exact-ish bottom solve by repeated smoothing). *)
+(** The finest-level operator. Kept so tests can measure true residuals. *)
 
 val preconditioner : t -> Xsc_linalg.Vec.t -> Xsc_linalg.Vec.t
 (** [M⁻¹ r] = one V-cycle from a zero initial guess — plug into
@@ -58,5 +55,4 @@ val converged : stepper -> bool
 (** True residual at or below target — [false] after a cap-out means the
     answer is NOT trusted. *)
 
-val cycles_done : stepper -> int
 val solution : stepper -> Xsc_linalg.Vec.t * int

@@ -1,29 +1,3 @@
-let poisson_1d n =
-  if n <= 0 then invalid_arg "Stencil.poisson_1d: n must be positive";
-  let triplets = ref [] in
-  for i = 0 to n - 1 do
-    triplets := (i, i, 2.0) :: !triplets;
-    if i > 0 then triplets := (i, i - 1, -1.0) :: !triplets;
-    if i < n - 1 then triplets := (i, i + 1, -1.0) :: !triplets
-  done;
-  Csr.of_triplets ~rows:n ~cols:n !triplets
-
-let poisson_2d n =
-  if n <= 0 then invalid_arg "Stencil.poisson_2d: n must be positive";
-  let idx x y = (x * n) + y in
-  let triplets = ref [] in
-  for x = 0 to n - 1 do
-    for y = 0 to n - 1 do
-      let i = idx x y in
-      triplets := (i, i, 4.0) :: !triplets;
-      if x > 0 then triplets := (i, idx (x - 1) y, -1.0) :: !triplets;
-      if x < n - 1 then triplets := (i, idx (x + 1) y, -1.0) :: !triplets;
-      if y > 0 then triplets := (i, idx x (y - 1), -1.0) :: !triplets;
-      if y < n - 1 then triplets := (i, idx x (y + 1), -1.0) :: !triplets
-    done
-  done;
-  Csr.of_triplets ~rows:(n * n) ~cols:(n * n) !triplets
-
 let convection_diffusion_2d ?(cx = 1.0) ?(cy = 1.0) n =
   if n <= 0 then invalid_arg "Stencil.convection_diffusion_2d: n must be positive";
   if cx < 0.0 || cy < 0.0 then

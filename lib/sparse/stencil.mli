@@ -4,12 +4,6 @@
     7-point variant is the classic Poisson discretisation used by the CG
     convergence tests. Both produce symmetric positive definite matrices. *)
 
-val poisson_1d : int -> Csr.t
-(** Tridiagonal [-1, 2, -1] (n unknowns, Dirichlet). *)
-
-val poisson_2d : int -> Csr.t
-(** 5-point stencil on an [n x n] grid ([n²] unknowns). *)
-
 val poisson_3d : int -> Csr.t
 (** 7-point stencil on an [n³] grid. *)
 

@@ -50,6 +50,8 @@ module D : sig
   (** Pack from strided tile storage (square only). Exact. *)
 
   val to_tiled : t -> Tile.t
+  (** Unpack to strided tiles. Kept, with {!of_tiled}, as the test oracle
+      between the two tile layouts. *)
 
   val potrf : t -> unit
   (** Sequential packed tiled Cholesky (lower), written out independently

@@ -27,13 +27,6 @@ let tile t i j =
   if i < 0 || i >= t.mt || j < 0 || j >= t.nt then invalid_arg "Tile.tile: out of bounds";
   t.tiles.(i).(j)
 
-let set_tile t i j m =
-  if i < 0 || i >= t.mt || j < 0 || j >= t.nt then
-    invalid_arg "Tile.set_tile: out of bounds";
-  if m.Mat.rows <> t.nb || m.Mat.cols <> t.nb then
-    invalid_arg "Tile.set_tile: tile dimension mismatch";
-  t.tiles.(i).(j) <- m
-
 let of_mat ~nb (a : Mat.t) =
   let t = create ~rows:a.rows ~cols:a.cols ~nb in
   for bi = 0 to t.mt - 1 do

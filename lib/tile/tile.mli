@@ -28,9 +28,6 @@ val tile : t -> int -> int -> Mat.t
 (** The tile at block coordinates (bounds-checked). The returned matrix is
     the live storage — kernels mutate it in place. *)
 
-val set_tile : t -> int -> int -> Mat.t -> unit
-(** Replace a tile (dimensions checked). *)
-
 val get : t -> int -> int -> float
 (** Element access by global index (for tests; slow path). *)
 

@@ -2,18 +2,6 @@ let mean a =
   if Array.length a = 0 then invalid_arg "Stats.mean: empty";
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let variance a =
-  let n = Array.length a in
-  if n < 2 then 0.0
-  else begin
-    let m = mean a in
-    let acc = ref 0.0 in
-    Array.iter (fun x -> acc := !acc +. (((x -. m) ** 2.0) /. float_of_int (n - 1))) a;
-    !acc
-  end
-
-let stddev a = sqrt (variance a)
-
 let sorted_copy a =
   let b = Array.copy a in
   Array.sort compare b;
@@ -34,23 +22,6 @@ let percentile a p =
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
   let frac = rank -. floor rank in
   (b.(lo) *. (1.0 -. frac)) +. (b.(hi) *. frac)
-
-let min_max a =
-  if Array.length a = 0 then invalid_arg "Stats.min_max: empty";
-  Array.fold_left
-    (fun (mn, mx) x -> ((if x < mn then x else mn), if x > mx then x else mx))
-    (a.(0), a.(0))
-    a
-
-let geometric_mean a =
-  if Array.length a = 0 then invalid_arg "Stats.geometric_mean: empty";
-  let acc = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geometric_mean: nonpositive entry";
-      acc := !acc +. log x)
-    a;
-  exp (!acc /. float_of_int (Array.length a))
 
 type linfit = { slope : float; intercept : float; r2 : float }
 
@@ -80,20 +51,3 @@ let linear_fit pts =
     pts;
   let r2 = if !ss_tot = 0.0 then 1.0 else 1.0 -. (!ss_res /. !ss_tot) in
   { slope; intercept; r2 }
-
-type welford = { mutable count : int; mutable m : float; mutable m2 : float }
-
-let welford_create () = { count = 0; m = 0.0; m2 = 0.0 }
-
-let welford_add w x =
-  w.count <- w.count + 1;
-  let delta = x -. w.m in
-  w.m <- w.m +. (delta /. float_of_int w.count);
-  w.m2 <- w.m2 +. (delta *. (x -. w.m))
-
-let welford_mean w = if w.count = 0 then nan else w.m
-
-let welford_stddev w =
-  if w.count < 2 then 0.0 else sqrt (w.m2 /. float_of_int (w.count - 1))
-
-let welford_count w = w.count

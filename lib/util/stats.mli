@@ -2,11 +2,6 @@
     trend analysis. *)
 
 val mean : float array -> float
-val variance : float array -> float
-
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); 0 for arrays shorter
-    than 2. *)
 
 val median : float array -> float
 (** Median; does not modify the input. Raises [Invalid_argument] on empty. *)
@@ -15,22 +10,8 @@ val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [\[0,100\]], linear interpolation between
     order statistics. Raises [Invalid_argument] on empty input. *)
 
-val min_max : float array -> float * float
-
-val geometric_mean : float array -> float
-(** Geometric mean; all entries must be positive. *)
-
 type linfit = { slope : float; intercept : float; r2 : float }
 
 val linear_fit : (float * float) array -> linfit
 (** Ordinary least squares [y = slope * x + intercept] with coefficient of
     determination. Raises [Invalid_argument] on fewer than 2 points. *)
-
-type welford
-(** Streaming mean/variance accumulator (Welford's algorithm). *)
-
-val welford_create : unit -> welford
-val welford_add : welford -> float -> unit
-val welford_mean : welford -> float
-val welford_stddev : welford -> float
-val welford_count : welford -> int

@@ -9,8 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch with headers";
   t.rows <- row :: t.rows
 
-let add_float_row t ~fmt label xs = add_row t (label :: List.map fmt xs)
-
 let looks_numeric s =
   s <> ""
   && String.for_all

@@ -13,10 +13,6 @@ val create : headers:string list -> t
 
 val add_row : t -> string list -> unit
 
-val add_float_row : t -> fmt:(float -> string) -> string -> float list -> unit
-(** [add_float_row t ~fmt label xs] adds a row whose first cell is [label]
-    and remaining cells are [fmt] applied to each value. *)
-
 val render : ?align:align -> t -> string
 (** Render with a separator line under the header. Numeric-looking cells are
     right-aligned by default ([align] overrides for all non-header cells). *)

@@ -50,6 +50,19 @@ let test_hill_climb_no_neighbours () =
   let best = Search.hill_climb ~neighbours:(fun _ -> []) ~start:42 (fun _ -> 3.0) in
   Alcotest.(check int) "returns start" 42 best.Search.candidate
 
+(* A 9-point ladder with its optimum at the far end: every step revisits
+   the point it just left, so an unmemoised climb makes 17 calls. *)
+let test_hill_climb_evaluates_each_candidate_once () =
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    float_of_int (-x)
+  in
+  let neighbours x = List.filter (fun y -> y >= 0 && y <= 8) [ x - 1; x + 1 ] in
+  let best = Search.hill_climb ~neighbours ~start:0 f in
+  Alcotest.(check int) "reaches the far end" 8 best.Search.candidate;
+  Alcotest.(check bool) (Printf.sprintf "%d calls for 9 candidates" !calls) true (!calls <= 9)
+
 let test_successive_halving_picks_best () =
   (* cost improves with budget but ordering is stable: the true best wins *)
   let f c ~budget = (float_of_int c *. 10.0) +. (100.0 /. float_of_int budget) in
@@ -73,45 +86,6 @@ let test_successive_halving_validation () =
   Alcotest.check_raises "eta" (Invalid_argument "Search.successive_halving: eta must be >= 2")
     (fun () ->
       ignore (Search.successive_halving ~eta:1 ~candidates:[ 1 ] ~budget0:1 (fun _ ~budget:_ -> 0.0)))
-
-let test_simulated_annealing_escapes_local_minimum () =
-  (* the landscape that traps hill climbing in test_hill_climb_local_optimum *)
-  let f x = if x < 5.0 then abs_float (x -. 2.0) else abs_float (x -. 8.0) -. 10.0 in
-  let neighbours x = [ x -. 1.0; x +. 1.0 ] in
-  let stuck = Search.hill_climb ~neighbours ~start:0.0 f in
-  Alcotest.(check (float 0.0)) "hill climbing is stuck" 2.0 stuck.Search.candidate;
-  let sa =
-    Search.simulated_annealing ~steps:2000 ~temperature:5.0 ~cooling:0.999 ~seed:7
-      ~neighbours ~start:0.0 f
-  in
-  Alcotest.(check (float 0.0)) "annealing escapes" 8.0 sa.Search.candidate;
-  Alcotest.(check (float 0.0)) "global cost" (-10.0) sa.Search.cost
-
-let test_simulated_annealing_deterministic_per_seed () =
-  let f x = (x -. 3.0) ** 2.0 in
-  let neighbours x = [ x -. 1.0; x +. 1.0 ] in
-  let a = Search.simulated_annealing ~seed:5 ~neighbours ~start:10.0 f in
-  let b = Search.simulated_annealing ~seed:5 ~neighbours ~start:10.0 f in
-  Alcotest.(check (float 0.0)) "same seed, same result" a.Search.cost b.Search.cost
-
-(* The neighbour pick is array-indexed (one uniform draw), so a large
-   option list must stay deterministic per seed — the regression this
-   guards is the O(n) List.nth walk it replaced silently changing the
-   draw-to-candidate mapping. *)
-let test_simulated_annealing_many_neighbours_deterministic () =
-  let f x = abs_float (float_of_int (x - 137)) in
-  let neighbours x = List.init 100 (fun i -> x + i - 50) in
-  let a = Search.simulated_annealing ~steps:500 ~seed:11 ~neighbours ~start:0 f in
-  let b = Search.simulated_annealing ~steps:500 ~seed:11 ~neighbours ~start:0 f in
-  Alcotest.(check int) "same seed, same winner" a.Search.candidate b.Search.candidate;
-  Alcotest.(check (float 0.0)) "same seed, same cost" a.Search.cost b.Search.cost
-
-let test_simulated_annealing_validation () =
-  Alcotest.check_raises "cooling" (Invalid_argument "Search.simulated_annealing: cooling must be in (0, 1)")
-    (fun () ->
-      ignore
-        (Search.simulated_annealing ~cooling:1.5 ~seed:1 ~neighbours:(fun _ -> []) ~start:0
-           (fun _ -> 0.0)))
 
 let prop_grid_best_is_minimum =
   QCheck.Test.make ~name:"grid best has minimal cost" ~count:100
@@ -360,17 +334,12 @@ let () =
           Alcotest.test_case "hill climb budget" `Quick test_hill_climb_respects_max_steps;
           Alcotest.test_case "hill climb local optimum" `Quick test_hill_climb_local_optimum;
           Alcotest.test_case "hill climb isolated" `Quick test_hill_climb_no_neighbours;
+          Alcotest.test_case "hill climb evaluates each candidate once" `Quick
+            test_hill_climb_evaluates_each_candidate_once;
           Alcotest.test_case "halving picks best" `Quick test_successive_halving_picks_best;
           Alcotest.test_case "halving single" `Quick test_successive_halving_single;
           Alcotest.test_case "halving budget grows" `Quick test_successive_halving_budget_grows;
           Alcotest.test_case "halving validation" `Quick test_successive_halving_validation;
-          Alcotest.test_case "annealing escapes local min" `Quick
-            test_simulated_annealing_escapes_local_minimum;
-          Alcotest.test_case "annealing deterministic" `Quick
-            test_simulated_annealing_deterministic_per_seed;
-          Alcotest.test_case "annealing deterministic, many neighbours" `Quick
-            test_simulated_annealing_many_neighbours_deterministic;
-          Alcotest.test_case "annealing validation" `Quick test_simulated_annealing_validation;
           qcheck prop_grid_best_is_minimum;
         ] );
       ( "tuner",

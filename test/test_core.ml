@@ -233,15 +233,6 @@ let test_qr_least_squares_matches_gels () =
   let x_ref = Lapack.gels a b in
   Alcotest.(check bool) "matches gels" true (Vec.dist_inf x x_ref < 1e-9)
 
-let test_qr_qt_preserves_norm () =
-  let rng = Rng.create 7 in
-  let a = Mat.random rng 48 48 in
-  let b = Vec.random rng 48 in
-  let f = Qr.factor_mat ~nb:16 a in
-  let qtb = Qr.apply_qt f b in
-  Alcotest.(check (float 1e-9)) "orthogonal transform preserves 2-norm" (Vec.nrm2 b)
-    (Vec.nrm2 qtb)
-
 let test_qr_r_matches_householder () =
   let rng = Rng.create 8 in
   let a = Mat.random rng 32 32 in
@@ -306,36 +297,6 @@ let test_batched_potrf_failure_propagates () =
   let batch = [| Mat.identity 3; Mat.scale (-1.0) (Mat.identity 3) |] in
   Alcotest.check_raises "singular escapes the batch" (Lapack.Singular 0) (fun () ->
       Batched.potrf_batch batch)
-
-let test_batched_getrf () =
-  let rng = Rng.create 3 in
-  let batch = Array.init 10 (fun _ -> Mat.random rng 9 9) in
-  let copies = Array.map Mat.copy batch in
-  let pivots = Batched.getrf_batch batch in
-  Array.iteri
-    (fun i m ->
-      let expect_ipiv = Lapack.getrf copies.(i) in
-      Alcotest.(check bool) "factor" true (Mat.approx_equal ~tol:0.0 m copies.(i));
-      Alcotest.(check (array int)) "pivots" expect_ipiv pivots.(i))
-    batch
-
-let test_batched_gemm () =
-  let rng = Rng.create 4 in
-  let triples =
-    Array.init 12 (fun _ -> (Mat.random rng 6 5, Mat.random rng 5 7, Mat.random rng 6 7))
-  in
-  let expect =
-    Array.map
-      (fun (a, b, c) ->
-        let r = Mat.copy c in
-        Blas.gemm ~alpha:2.0 a b ~beta:0.5 r;
-        r)
-      triples
-  in
-  Batched.gemm_batch ~alpha:2.0 ~beta:0.5 triples;
-  Array.iteri
-    (fun i (_, _, c) -> Alcotest.(check bool) "gemm" true (Mat.approx_equal ~tol:0.0 c expect.(i)))
-    triples
 
 let test_batched_chol_solve () =
   let rng = Rng.create 5 in
@@ -501,7 +462,6 @@ let () =
         [
           Alcotest.test_case "square solve" `Quick test_qr_square_solve;
           Alcotest.test_case "least squares = gels" `Quick test_qr_least_squares_matches_gels;
-          Alcotest.test_case "Q^T preserves norm" `Quick test_qr_qt_preserves_norm;
           Alcotest.test_case "R matches householder" `Quick test_qr_r_matches_householder;
           Alcotest.test_case "parallel agrees" `Quick test_qr_parallel_agrees;
           Alcotest.test_case "task count" `Quick test_qr_task_count;
@@ -512,8 +472,6 @@ let () =
           Alcotest.test_case "potrf = loop" `Quick test_batched_potrf_matches_loop;
           Alcotest.test_case "parallel = sequential" `Quick test_batched_potrf_parallel;
           Alcotest.test_case "failure propagates" `Quick test_batched_potrf_failure_propagates;
-          Alcotest.test_case "getrf batch" `Quick test_batched_getrf;
-          Alcotest.test_case "gemm batch" `Quick test_batched_gemm;
           Alcotest.test_case "chol solve batch" `Quick test_batched_chol_solve;
           Alcotest.test_case "flops/tasks" `Quick test_batched_flops;
         ] );

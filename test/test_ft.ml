@@ -1,5 +1,5 @@
 (* Fault-storm tests for Xsc_core.Ft: seeded runtime fault injection over
-   real executor runs of packed tiled Cholesky/LU, with ABFT detection,
+   real executor runs of packed tiled Cholesky, with ABFT detection,
    bitwise cone-replay repair, and checkpoint/restart.
 
    The whole suite runs under a watchdog domain: a deadlocked executor (the
@@ -32,10 +32,6 @@ let spd_packed seed n nb =
   let rng = Rng.create seed in
   PD.of_mat ~nb (Mat.random_spd rng n)
 
-let dd_packed seed n nb =
-  let rng = Rng.create seed in
-  PD.of_mat ~nb (Mat.random_diag_dominant rng n)
-
 let buf_equal (a : PD.t) (b : PD.t) =
   let da = a.PD.buf and db = b.PD.buf in
   let dim = Bigarray.Array1.dim da in
@@ -54,18 +50,15 @@ let max_abs_diff (a : PD.t) (b : PD.t) =
   !d
 
 (* factored references, computed once per geometry *)
-let fixture ~gen ~seed n nb =
-  let pristine = gen seed n nb in
+let fixture ~seed n nb =
+  let pristine = spd_packed seed n nb in
   let reference = PD.copy pristine in
-  (match gen == dd_packed with
-  | true -> PD.getrf_nopiv reference
-  | false -> PD.potrf reference);
+  PD.potrf reference;
   (pristine, reference)
 
-let chol_432_48 = lazy (fixture ~gen:spd_packed ~seed:101 432 48)
-let chol_432_72 = lazy (fixture ~gen:spd_packed ~seed:101 432 72)
-let chol_216_72 = lazy (fixture ~gen:spd_packed ~seed:131 216 72)
-let lu_240_48 = lazy (fixture ~gen:dd_packed ~seed:109 240 48)
+let chol_432_48 = lazy (fixture ~seed:101 432 48)
+let chol_432_72 = lazy (fixture ~seed:101 432 72)
+let chol_216_72 = lazy (fixture ~seed:131 216 72)
 
 (* ---- clean runs: the FT driver is the plain factorization, bitwise ---- *)
 
@@ -82,13 +75,6 @@ let test_clean_cholesky_bitwise () =
       Alcotest.(check int) "nothing repaired" 0 r.Ft.repaired_tiles;
       Alcotest.(check int) "no restarts" 0 r.Ft.restarts)
     [ chol_432_48; chol_432_72; chol_216_72 ]
-
-let test_clean_lu_bitwise () =
-  let pristine, reference = Lazy.force lu_240_48 in
-  let p = PD.copy pristine in
-  let r = Ft.getrf_ft p in
-  Alcotest.(check bool) "bitwise" true (buf_equal p reference);
-  Alcotest.(check int) "nothing detected" 0 r.Ft.detected
 
 (* ---- the acceptance storm: >= 50 seeded corruption runs at n = 432 ----
 
@@ -231,21 +217,6 @@ let test_mixed_storm () =
       true (buf_equal p reference)
   done
 
-let test_lu_corruption_storm () =
-  let pristine, reference = Lazy.force lu_240_48 in
-  for seed = 1 to 15 do
-    let p = PD.copy pristine in
-    let h =
-      Harness.create { Harness.default with seed; p_corrupt = 0.12; magnitude = 1.0 }
-    in
-    let r = Ft.getrf_ft ~harness:h p in
-    if Harness.corrupted h > 0 && r.Ft.detected = 0 then
-      Alcotest.failf "seed %d: LU corruptions escaped detection" seed;
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: LU bitwise" seed)
-      true (buf_equal p reference)
-  done
-
 (* a permanent (non-transient) raise exhausts max_restarts and fail-stops *)
 let test_fail_stop_after_max_restarts () =
   let p = spd_packed 113 144 48 in
@@ -307,13 +278,6 @@ let test_checkpoint_foreign_matrix_rejected () =
   Alcotest.(check bool) "correct result anyway" true (buf_equal pb pb_reference);
   if Sys.file_exists path then Sys.remove path
 
-let test_auto_every () =
-  (* Young: sqrt(2 * 0.5 * 800) = ~28.3 steps of 1s *)
-  Alcotest.(check int) "young cadence" 28
-    (Ft.auto_every ~step_seconds:1.0 ~checkpoint_seconds:0.5 ~mtbf:800.0);
-  Alcotest.(check int) "clamped to 1" 1
-    (Ft.auto_every ~step_seconds:100.0 ~checkpoint_seconds:0.001 ~mtbf:1.0)
-
 let () =
   let watchdog = spawn_watchdog ~seconds:480.0 in
   let finally () =
@@ -326,13 +290,11 @@ let () =
           ( "clean",
             [
               Alcotest.test_case "cholesky bitwise" `Quick test_clean_cholesky_bitwise;
-              Alcotest.test_case "lu bitwise" `Quick test_clean_lu_bitwise;
             ] );
           ( "corruption storm",
             [
               Alcotest.test_case "52 seeded runs, n=432, nb in {48,72}" `Quick
                 test_corruption_storm;
-              Alcotest.test_case "lu storm" `Quick test_lu_corruption_storm;
             ] );
           ( "exception storm",
             [
@@ -355,6 +317,5 @@ let () =
                 test_checkpoint_resume;
               Alcotest.test_case "foreign matrix rejected" `Quick
                 test_checkpoint_foreign_matrix_rejected;
-              Alcotest.test_case "auto_every" `Quick test_auto_every;
             ] );
         ])

@@ -61,13 +61,17 @@ let test_counter_shard_addressing () =
 let test_gauge () =
   let g = Metrics.gauge "test.gauge" in
   Metrics.set_gauge g 2.5;
-  Alcotest.(check (float 0.0)) "set/get" 2.5 (Metrics.gauge_value g)
+  Alcotest.(check bool) "set/get" true
+    (List.assoc "test.gauge" (Metrics.snapshot ()) = Metrics.Gauge 2.5)
 
 let test_histogram () =
   let h = Metrics.histogram "test.hist" in
   List.iter (Metrics.observe h) [ 0.001; 0.002; 0.004; 0.1 ];
-  Alcotest.(check int) "count" 4 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 0.107 (Metrics.histogram_sum h);
+  (match List.assoc "test.hist" (Metrics.snapshot ()) with
+  | Metrics.Histogram s ->
+    Alcotest.(check int) "count" 4 s.Metrics.count;
+    Alcotest.(check (float 1e-9)) "sum" 0.107 s.Metrics.sum
+  | _ -> Alcotest.fail "test.hist is not a histogram");
   let p50 = Metrics.quantile h 0.5 in
   Alcotest.(check bool) "p50 bracketed" true (p50 >= 0.002 && p50 <= 0.008);
   Alcotest.(check bool) "p100 >= max bucket lower bound" true (Metrics.quantile h 1.0 >= 0.1)
@@ -318,7 +322,9 @@ let test_gcstat_phase_gauges () =
   in
   Alcotest.(check int) "phase returns the result" 20_000 out;
   Alcotest.(check bool) "phase gauge published" true
-    (Metrics.gauge_value (Metrics.gauge "gc.testphase.minor_words") > 10_000.0);
+    (match List.assoc "gc.testphase.minor_words" (Metrics.snapshot ()) with
+    | Metrics.Gauge w -> w > 10_000.0
+    | _ -> false);
   (* gauges are set even when the phase raises *)
   (try Gcstat.phase "testraise" (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check bool) "raise still publishes" true

@@ -100,27 +100,6 @@ let test_dag_flops () =
   Alcotest.(check (float 0.0)) "bottom level source" 30.0 bl.(0);
   Alcotest.(check (float 0.0)) "bottom level sink" 20.0 bl.(1)
 
-let test_dag_to_dot () =
-  let d =
-    Dag.build [ task 0 [ Task.Write 0 ]; task 1 [ Task.Read 0 ]; task 2 [ Task.Read 0 ] ]
-  in
-  let dot = Dag.to_dot d in
-  Alcotest.(check bool) "digraph wrapper" true
-    (String.length dot > 10 && String.sub dot 0 7 = "digraph");
-  let contains sub =
-    let rec go i =
-      i + String.length sub <= String.length dot
-      && (String.sub dot i (String.length sub) = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "edges present" true (contains "t0 -> t1" && contains "t0 -> t2");
-  Alcotest.(check bool) "rank groups" true (contains "rank=same");
-  let big = Dag.build (List.init 600 (fun id -> task id [ Task.Write id ])) in
-  Alcotest.check_raises "size guard"
-    (Invalid_argument "Dag.to_dot: 600 tasks exceeds max_nodes=500") (fun () ->
-      ignore (Dag.to_dot big))
-
 let test_validate_schedule () =
   let d =
     Dag.build [ task 0 [ Task.Write 0 ]; task 1 [ Task.Read 0 ]; task 2 [ Task.Write 5 ] ]
@@ -1235,7 +1214,6 @@ let () =
           Alcotest.test_case "diamond" `Quick test_dag_diamond;
           Alcotest.test_case "numbering check" `Quick test_dag_numbering_check;
           Alcotest.test_case "flops/critical path" `Quick test_dag_flops;
-          Alcotest.test_case "to_dot" `Quick test_dag_to_dot;
           Alcotest.test_case "validate_schedule" `Quick test_validate_schedule;
         ] );
       ( "sim_exec",

@@ -1024,9 +1024,9 @@ let test_route_direct_vs_lapack () =
   Alcotest.(check bool) "solutions agree to rounding" true
     (Vec.dist_inf x_direct x_ref <= 1e-8 *. Vec.norm_inf x_ref);
   Alcotest.(check bool) "dd predicate accepts dominant" true
-    (Route.strictly_diag_dominant (Mat.random_diag_dominant rng n));
+    (Xsc_core.Lu.strictly_diag_dominant (Mat.random_diag_dominant rng n));
   Alcotest.(check bool) "dd predicate rejects all-ones" false
-    (Route.strictly_diag_dominant (Mat.init n n (fun _ _ -> 1.0)))
+    (Xsc_core.Lu.strictly_diag_dominant (Mat.init n n (fun _ _ -> 1.0)))
 
 let test_scratch_reuse () =
   let h0 = Scratch.hits () in
@@ -1179,7 +1179,9 @@ let test_batched_results_isolation () =
         if i = 2 then Mat.init n n (fun r c -> if r = c then -1.0 else 0.0)
         else Mat.random_spd rng n)
   in
-  let results = Xsc_core.Batched.potrf_batch_results batch in
+  let results =
+    Xsc_core.Batched.run_batch_results (Array.map (fun m () -> Lapack.potrf m) batch)
+  in
   Array.iteri
     (fun i r ->
       match (i, r) with

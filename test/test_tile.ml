@@ -47,14 +47,6 @@ let test_get_set_global () =
   Alcotest.(check (float 0.0)) "get back" 42.0 (Tile.get t 5 6);
   Alcotest.(check (float 0.0)) "in the right tile" 42.0 (Mat.get (Tile.tile t 1 1) 1 2)
 
-let test_set_tile () =
-  let t = Tile.create ~rows:8 ~cols:8 ~nb:4 in
-  let m = Mat.init 4 4 (fun i j -> float_of_int (i + j)) in
-  Tile.set_tile t 0 1 m;
-  Alcotest.(check (float 0.0)) "replaced" 6.0 (Tile.get t 3 7);
-  Alcotest.check_raises "bad dims" (Invalid_argument "Tile.set_tile: tile dimension mismatch")
-    (fun () -> Tile.set_tile t 0 0 (Mat.create 3 3))
-
 let test_copy_independent () =
   let rng = Rng.create 5 in
   let t = Tile.of_mat ~nb:2 (Mat.random rng 4 4) in
@@ -115,7 +107,6 @@ let () =
           Alcotest.test_case "tile contents" `Quick test_tile_contents;
           Alcotest.test_case "tile bounds" `Quick test_tile_bounds;
           Alcotest.test_case "global get/set" `Quick test_get_set_global;
-          Alcotest.test_case "set_tile" `Quick test_set_tile;
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "pad_to" `Quick test_pad_to;
           Alcotest.test_case "tile_vec roundtrip" `Quick test_tile_vec_roundtrip;
