@@ -1,10 +1,10 @@
 (* FIG-3: fork-join (BSP) vs dynamic DAG scheduling for tiled Cholesky —
    simulated across worker counts, including the scheduler-priority
    ablation (critical path vs FIFO vs random work stealing), plus a real
-   run on host domains: the sequential and fork-join baselines against
-   the work-stealing pool. *)
+   run of the packed tiled Cholesky on host domains: the sequential and
+   fork-join baselines against the work-stealing pool. *)
 
-module Tile = Xsc_tile.Tile
+module Packed = Xsc_tile.Packed
 module Cholesky = Xsc_core.Cholesky
 module Sim_exec = Xsc_runtime.Sim_exec
 module Real_exec = Xsc_runtime.Real_exec
@@ -54,7 +54,7 @@ let real_host () =
   let a = Mat.random_spd rng n in
   let workers = max 2 (Real_exec.default_workers ()) in
   let run exec =
-    let interp = Cholesky.tile_interp (Tile.of_mat ~nb a) in
+    let interp = Cholesky.packed_interp (Packed.D.of_mat ~nb a) in
     let dag = Cholesky.dag_ops ~nt ~nb in
     match exec with
     | `Seq -> Real_exec.run_sequential ~interp dag

@@ -1,11 +1,11 @@
-(* `bench/main.exe -- --trace FILE`: one real traced Cholesky DAG run on 4
+(* `bench/main.exe -- --trace FILE`: one real traced packed Cholesky DAG run on 4
    domains. Writes a Chrome trace-event JSON (load in chrome://tracing or
    ui.perfetto.dev), then prints the ASCII Gantt and the per-kernel achieved
    rates against their roofline roofs on the workstation preset — the
    "achieved vs roof" view of a real run. *)
 
 open Xsc_linalg
-module Tile = Xsc_tile.Tile
+module Packed = Xsc_tile.Packed
 module Cholesky = Xsc_core.Cholesky
 module Real_exec = Xsc_runtime.Real_exec
 module Pool = Xsc_runtime.Pool
@@ -30,7 +30,7 @@ let run ~file =
   let n = nt * nb in
   let rng = Xsc_util.Rng.create 7 in
   let a = Mat.random_spd rng n in
-  let interp = Cholesky.tile_interp (Tile.of_mat ~nb a) in
+  let interp = Cholesky.packed_interp (Packed.D.of_mat ~nb a) in
   let dag = Cholesky.dag_ops ~nt ~nb in
   let stats = Pool.run_once ~interp ~trace:true ~workers dag in
   let tr =

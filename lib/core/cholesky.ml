@@ -93,31 +93,6 @@ let factor_packed ?(exec = Runtime_api.Sequential) (p : Xsc_tile.Packed.D.t) =
   let dag = dag_ops ~nt:p.Xsc_tile.Packed.D.nt ~nb:p.Xsc_tile.Packed.D.nb in
   ignore (Runtime_api.execute_exn ~interp:(packed_interp p) exec dag)
 
-let solve (t : Tile.t) b =
-  let nt = t.Tile.nt and nb = t.Tile.nb in
-  if Array.length b <> t.Tile.rows then invalid_arg "Cholesky.solve: dimension mismatch";
-  let y = Tile.tile_vec ~nb b in
-  (* forward: L y = b over tile rows *)
-  for k = 0 to nt - 1 do
-    for j = 0 to k - 1 do
-      Blas.gemv ~alpha:(-1.0) (Tile.tile t k j) y.(j) ~beta:1.0 y.(k)
-    done;
-    Blas.trsv ~uplo:Blas.Lower (Tile.tile t k k) y.(k)
-  done;
-  (* backward: Lᵀ x = y; Lᵀ's (k,j) block is L(j,k)ᵀ *)
-  for k = nt - 1 downto 0 do
-    for j = k + 1 to nt - 1 do
-      Blas.gemv ~trans:Blas.Trans ~alpha:(-1.0) (Tile.tile t j k) y.(j) ~beta:1.0 y.(k)
-    done;
-    Blas.trsv ~uplo:Blas.Lower ~trans:Blas.Trans (Tile.tile t k k) y.(k)
-  done;
-  Tile.untile_vec y
-
-let factor_mat ?exec ~nb a =
-  let t = Tile.of_mat ~nb a in
-  factor ?exec t;
-  t
-
 let flops ~nt ~nb =
   let potrf_f, trsm_f, syrk_f, gemm_f = kernel_flops nb in
   let fnt = float_of_int nt in

@@ -4,11 +4,9 @@
     on [nb x nb] tiles, with dependences inferred from tile accesses. The
     program is written once, as {!panel} and {!update}; its tasks carry
     closure-free {!Xsc_runtime.Task.op} bodies. Each storage layout is an
-    interpreter of it — {!tile_interp} for strided tiles, {!packed_interp}
-    for packed storage — and the schedule simulator needs only its
-    weights. *)
-
-open Xsc_linalg
+    interpreter of it — {!packed_interp} for packed storage, which every
+    solve runs, and {!tile_interp} for strided tiles, kept as the test
+    oracle — and the schedule simulator needs only its weights. *)
 
 val kernel_flops : int -> float * float * float * float
 (** [(potrf, trsm, syrk, gemm)] flops of one [nb x nb] tile kernel. *)
@@ -36,22 +34,19 @@ val dag_ops : nt:int -> nb:int -> Runtime_api.dag
 
 val tile_interp : Xsc_tile.Tile.t -> Xsc_runtime.Task.op -> unit
 (** Interpreter binding op coordinates to strided tiles via the
-    {!Xsc_linalg.Blas}/{!Xsc_linalg.Lapack} reference kernels. Raises
-    [Invalid_argument "Cholesky.tile_interp: matrix not square"] on a
-    non-square tiling. *)
+    {!Xsc_linalg.Blas}/{!Xsc_linalg.Lapack} reference kernels. An oracle,
+    not a solve path: test_runtime's executor and pool properties run it,
+    and it is the input of [bench --overhead] (the CI tracing-overhead
+    gate). Raises [Invalid_argument "Cholesky.tile_interp: matrix not
+    square"] on a non-square tiling. *)
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> unit
 (** Factor in place by running {!dag_ops} through {!tile_interp} ([L] in
     the lower tiles; strictly-upper tiles are left stale, as in LAPACK).
     Default execution is sequential. Raises [Lapack.Singular] if the
-    matrix is not positive definite. *)
-
-val solve : Xsc_tile.Tile.t -> Vec.t -> Vec.t
-(** Given the factored tiles, solve [A x = b] by tiled forward/backward
-    substitution. *)
-
-val factor_mat : ?exec:Runtime_api.exec -> nb:int -> Mat.t -> Xsc_tile.Tile.t
-(** Convenience: tile a dense SPD matrix and factor it. *)
+    matrix is not positive definite. The strided oracle of
+    {!factor_packed}: test_packed and test_core check the packed factor
+    against it bit for bit; no solve path runs it. *)
 
 val packed_interp : Xsc_tile.Packed.D.t -> Xsc_runtime.Task.op -> unit
 (** Interpreter binding op coordinates to packed tile storage via the

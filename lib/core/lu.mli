@@ -9,8 +9,8 @@
     see {!Xsc_linalg.Lapack.getrf}).
 
     As for {!Cholesky}, the program is written once ({!panel},
-    {!update}) with op bodies, and strided and packed tiles are
-    interpreters of it. *)
+    {!update}) with op bodies, and packed tiles (the solve path) and
+    strided tiles (the test oracle) are interpreters of it. *)
 
 open Xsc_linalg
 
@@ -35,18 +35,16 @@ val tasks_ops : nt:int -> nb:int -> Runtime_api.task list
 val dag_ops : nt:int -> nb:int -> Runtime_api.dag
 
 val tile_interp : Xsc_tile.Tile.t -> Xsc_runtime.Task.op -> unit
-(** Interpreter binding op coordinates to strided tiles. Raises
+(** Interpreter binding op coordinates to strided tiles. An oracle, not a
+    solve path: test_runtime's executor properties run it. Raises
     [Invalid_argument "Lu.tile_interp: matrix not square"] on a non-square
     tiling. *)
 
 val factor : ?exec:Runtime_api.exec -> Xsc_tile.Tile.t -> unit
 (** In place, through {!tile_interp}: unit-lower [L] below the diagonal,
-    [U] on and above. Raises [Lapack.Singular] on a zero pivot. *)
-
-val solve : Xsc_tile.Tile.t -> Vec.t -> Vec.t
-(** Solve from factored tiles (forward unit-lower, backward upper). *)
-
-val factor_mat : ?exec:Runtime_api.exec -> nb:int -> Mat.t -> Xsc_tile.Tile.t
+    [U] on and above. Raises [Lapack.Singular] on a zero pivot. The
+    strided oracle of {!factor_packed}: test_packed and test_core check
+    the packed factor against it bit for bit; no solve path runs it. *)
 
 val packed_interp : Xsc_tile.Packed.D.t -> Xsc_runtime.Task.op -> unit
 (** Interpreter binding op coordinates to packed tile storage. *)

@@ -1,26 +1,24 @@
 open Xsc_linalg
 module Tile = Xsc_tile.Tile
+module PD = Xsc_tile.Packed.D
 
 type options = {
   nb : int;
   exec : Runtime_api.exec;
 }
 
-let default = { nb = 64; exec = Runtime_api.Sequential }
-
 (* Tuned tile size read at call time, not module init: Kconfig.autoload
    runs from executable entry points, which may happen after this module
    is initialised. *)
-let tuned_default () =
-  { nb = Xsc_tile.Packed.tuned_nb ~fallback:default.nb; exec = default.exec }
+let tuned_nb () = Xsc_tile.Packed.tuned_nb ~fallback:64
+
+let resolve = function
+  | Some o -> o
+  | None -> { nb = tuned_nb (); exec = Runtime_api.Sequential }
 
 let with_workers ?nb n =
-  let nb =
-    match nb with Some nb -> nb | None -> Xsc_tile.Packed.tuned_nb ~fallback:default.nb
-  in
+  let nb = match nb with Some nb -> nb | None -> tuned_nb () in
   { nb; exec = Runtime_api.Dataflow n }
-
-let resolve = function Some o -> o | None -> tuned_default ()
 
 let residual a x b =
   let r = Array.copy b in
@@ -33,30 +31,36 @@ let pad_rhs b padded =
   Array.blit b 0 out 0 (Array.length b);
   out
 
+(* The server's tiled plan run in place (Route.tiled_plan): pack with the
+   identity pad, factor under [exec], solve the zero-padded right-hand side
+   with the packed sweeps and keep the head. Same kernels in the same
+   per-element order, so the answer is bitwise [Route.direct]'s. *)
+let packed_solve ~lower ~(factor : ?exec:Runtime_api.exec -> PD.t -> unit) ~sweeps opts a b =
+  let n = a.Mat.rows in
+  let padded = (n + opts.nb - 1) / opts.nb * opts.nb in
+  let p = PD.create ~n:padded ~nb:opts.nb in
+  PD.pack_padded ~lower p a;
+  factor ~exec:opts.exec p;
+  let y = pad_rhs b padded in
+  sweeps p y;
+  Array.sub y 0 n
+
 let solve_spd ?opts a b =
   let opts = resolve opts in
   let n = a.Mat.rows in
   if n <> a.Mat.cols || Array.length b <> n then invalid_arg "Solver.solve_spd: dimensions";
-  let padded, _ = Tile.pad_to ~nb:opts.nb a in
-  let t = Tile.of_mat ~nb:opts.nb padded in
-  Cholesky.factor ~exec:opts.exec t;
-  let x = Cholesky.solve t (pad_rhs b padded.Mat.rows) in
-  Array.sub x 0 n
+  packed_solve ~lower:true ~factor:Cholesky.factor_packed ~sweeps:PD.potrs opts a b
 
 let solve_general ?opts a b =
   let opts = resolve opts in
   let n = a.Mat.rows in
   if n <> a.Mat.cols || Array.length b <> n then
     invalid_arg "Solver.solve_general: dimensions";
-  let padded, _ = Tile.pad_to ~nb:opts.nb a in
-  let t = Tile.of_mat ~nb:opts.nb padded in
-  if Lu.strictly_diag_dominant a then begin
-    Lu.factor ~exec:opts.exec t;
-    let x = Lu.solve t (pad_rhs b padded.Mat.rows) in
-    Array.sub x 0 n
-  end
+  if Lu.strictly_diag_dominant a then
+    packed_solve ~lower:false ~factor:Lu.factor_packed ~sweeps:PD.getrs_nopiv opts a b
   else begin
-    let f = Lu_inc.factor ~exec:opts.exec t in
+    let padded, _ = Tile.pad_to ~nb:opts.nb a in
+    let f = Lu_inc.factor ~exec:opts.exec (Tile.of_mat ~nb:opts.nb padded) in
     let x = Lu_inc.solve f (pad_rhs b padded.Mat.rows) in
     Array.sub x 0 n
   end
@@ -80,13 +84,12 @@ type mixed_report = {
   modeled_speedup : float;
 }
 
-let solve_spd_mixed ?(precision = "fp32") ?(low_rate_mult = 2.0) a b =
+let solve_spd_mixed a b =
   let n = a.Mat.rows in
-  let p = Scalar.of_name precision in
-  let report = Xsc_precision.Ir.chol_ir ~precision:p a b in
+  let report = Xsc_precision.Ir.chol_ir32 a b in
   let high_rate = 1e9 in
   let t_mixed =
-    Xsc_precision.Ir.ir_model_time ~n ~low_rate:(high_rate *. low_rate_mult) ~high_rate
+    Xsc_precision.Ir.ir_model_time ~n ~low_rate:(high_rate *. 2.0) ~high_rate
       ~iterations:report.Xsc_precision.Ir.iterations
   in
   let t_full = Xsc_precision.Ir.plain_solve_flops n /. high_rate in
@@ -110,9 +113,9 @@ let solve_spd_protected ?opts ?inject a b =
   if n <> a.Mat.cols || Array.length b <> n then
     invalid_arg "Solver.solve_spd_protected: dimensions";
   let padded, _ = Tile.pad_to ~nb:opts.nb a in
-  let t = Tile.of_mat ~nb:opts.nb padded in
-  Cholesky.factor ~exec:opts.exec t;
-  let l = Mat.lower (Tile.to_mat t) in
+  let p = PD.of_mat ~nb:opts.nb padded in
+  Cholesky.factor_packed ~exec:opts.exec p;
+  let l = Mat.lower (PD.to_mat p) in
   (match inject with Some f -> f l | None -> ());
   let detected = Xsc_resilience.Abft.verify_cholesky ~l padded in
   let recovered_from_row =

@@ -3,7 +3,13 @@
     Wraps the tiled factorizations with padding (so any size works, not just
     multiples of the tile size), execution policy selection, optional
     mixed-precision iterative refinement, and optional ABFT verification —
-    i.e. the "new rules" packaged behind one call. *)
+    i.e. the "new rules" packaged behind one call.
+
+    The SPD and diagonally dominant solves run the program the solver
+    service runs: the packed tile storage, the {!Xsc_linalg.Pblas} C
+    kernels and the packed triangular sweeps. Their answers are bitwise
+    equal to the server's ([Xsc_serve.Route.direct ~nb]) on the same
+    matrix, right-hand side and tile size, under every executor. *)
 
 open Xsc_linalg
 
@@ -11,11 +17,8 @@ type options = {
   nb : int;  (** tile size *)
   exec : Runtime_api.exec;
 }
-
-val default : options
-(** [nb = 64], [Sequential] — the untuned baseline. When [?opts] is
-    omitted the solvers do {i not} use this record verbatim: they read the
-    host's kernel-tuning cache at call time
+(** When [?opts] is omitted the solvers run [Sequential] with the tile
+    size of the host's kernel-tuning cache, read at call time
     ({!Xsc_tile.Packed.tuned_nb}[ ~fallback:64]), so an [xsc tune] winner
     reaches every padding/tiling site without threading a parameter. *)
 
@@ -24,14 +27,18 @@ val with_workers : ?nb:int -> int -> options
     size at call time, like the [?opts]-less solvers. *)
 
 val solve_spd : ?opts:options -> Mat.t -> Vec.t -> Vec.t
-(** SPD solve via tiled Cholesky. The matrix is padded to a tile multiple
-    with an identity block (harmless for SPD). *)
+(** SPD solve via the packed tiled Cholesky ({!Cholesky.factor_packed},
+    then {!Xsc_tile.Packed.D.potrs}). The matrix is padded to a tile
+    multiple with an identity block (harmless for SPD). Raises
+    [Xsc_linalg.Pblas.Singular] if the matrix is not positive definite. *)
 
 val solve_general : ?opts:options -> Mat.t -> Vec.t -> Vec.t
 (** General solve. Strictly diagonally dominant matrices go through the
-    tiled no-pivoting LU (fastest DAG); everything else through the tiled
-    incremental-pivoting LU ({!Lu_inc}) — still a scalable task DAG, with
-    tile-local pivoting providing the stability. *)
+    packed tiled no-pivoting LU ({!Lu.factor_packed}, then
+    {!Xsc_tile.Packed.D.getrs_nopiv}; fastest DAG, the server's answer);
+    everything else through the tiled incremental-pivoting LU ({!Lu_inc})
+    — still a scalable task DAG, with tile-local pivoting providing the
+    stability. *)
 
 val solve_ls : ?opts:options -> Mat.t -> Vec.t -> Vec.t
 (** Overdetermined least squares via tiled QR (dimensions must be tile
@@ -44,14 +51,14 @@ type mixed_report = {
   backward_error : float;
   modeled_speedup : float;
       (** modelled time(fp64 direct) / time(low-precision + refinement) on a
-          machine with the given rate advantage *)
+          machine where the low format runs at twice the double rate *)
 }
 
-val solve_spd_mixed :
-  ?precision:string -> ?low_rate_mult:float -> Mat.t -> Vec.t -> mixed_report
-(** Mixed-precision SPD solve: Cholesky at [precision] (default ["fp32"]),
-    iterative refinement in double. [low_rate_mult] is the modelled hardware
-    rate advantage of the low format (default 2). *)
+val solve_spd_mixed : Mat.t -> Vec.t -> mixed_report
+(** Mixed-precision SPD solve: the real float32 packed tiled Cholesky
+    ({!Xsc_precision.Ir.chol_ir32}, tuned tile size), iterative refinement
+    in double. [modeled_speedup] assumes float32 runs at twice the double
+    rate. *)
 
 type protected_report = {
   x : Vec.t;
@@ -61,7 +68,9 @@ type protected_report = {
 
 val solve_spd_protected :
   ?opts:options -> ?inject:(Mat.t -> unit) -> Mat.t -> Vec.t -> protected_report
-(** ABFT-verified SPD solve: factor, run the O(n²) checksum verification,
+(** ABFT-verified SPD solve: factor with the packed tiled Cholesky (raises
+    [Xsc_linalg.Pblas.Singular] if not positive definite), unpack the
+    factor, run the O(n²) checksum verification,
     recover by lineage recomputation if corruption is found (the [inject]
     hook corrupts the factor between factorization and verification — used
     by tests and the resilience experiment), then solve. *)

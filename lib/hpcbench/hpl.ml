@@ -48,14 +48,12 @@ let run_host_tiled ?(seed = 7) ?(nb = 64) ?(workers = 1) ~n () =
   let rng = Xsc_util.Rng.create seed in
   let a = Mat.random_diag_dominant rng n in
   let b = Vec.random rng n in
-  let t = Xsc_tile.Tile.of_mat ~nb a in
   let exec =
     if workers <= 1 then Xsc_core.Runtime_api.Sequential
     else Xsc_core.Runtime_api.Dataflow workers
   in
   let t0 = Unix.gettimeofday () in
-  Xsc_core.Lu.factor ~exec t;
-  let x = Xsc_core.Lu.solve t b in
+  let x = Xsc_core.Solver.solve_general ~opts:{ Xsc_core.Solver.nb; exec } a b in
   let seconds = Unix.gettimeofday () -. t0 in
   finish ~n ~seconds a x b
 

@@ -18,8 +18,9 @@ val run_host : ?seed:int -> n:int -> unit -> run
     host. *)
 
 val run_host_tiled : ?seed:int -> ?nb:int -> ?workers:int -> n:int -> unit -> run
-(** Same benchmark through the tiled no-pivoting LU on the dataflow
-    executor (a diagonally dominant system is generated). *)
+(** Same benchmark through [Solver.solve_general] — the packed tiled
+    no-pivoting LU, on the dataflow executor when [workers > 1] (a
+    diagonally dominant system is generated). *)
 
 type model = {
   time : float;

@@ -2,6 +2,7 @@
 
 open Xsc_linalg
 module Tile = Xsc_tile.Tile
+module PD = Xsc_tile.Packed.D
 module Cholesky = Xsc_core.Cholesky
 module Lu = Xsc_core.Lu
 module Qr = Xsc_core.Qr
@@ -40,25 +41,41 @@ let prop_cholesky_matches_lapack =
       Lapack.potrf ref_f;
       Mat.approx_equal ~tol:1e-8 (Mat.lower ref_f) (Mat.lower (Tile.to_mat t)))
 
+(* Factor a tile-multiple matrix with the packed program under [exec] and
+   solve with the packed sweeps: the pieces Solver composes. *)
+let packed_solve ~factor ~sweeps ~exec ~nb a b =
+  let p = PD.of_mat ~nb a in
+  factor ~exec p;
+  let x = Array.copy b in
+  sweeps p x;
+  (PD.to_mat p, x)
+
+let packed_chol =
+  packed_solve ~factor:(fun ~exec p -> Cholesky.factor_packed ~exec p) ~sweeps:PD.potrs
+
+let packed_lu =
+  packed_solve ~factor:(fun ~exec p -> Lu.factor_packed ~exec p) ~sweeps:PD.getrs_nopiv
+
+(* same kernels in a valid dependence order: bitwise identical factors and
+   solves under every executor *)
+let check_exec_modes_agree ~solve =
+  let f_seq, x_seq = solve Runtime_api.Sequential in
+  List.iter
+    (fun (name, exec) ->
+      let f, x = solve exec in
+      Alcotest.(check bool) (name ^ " factor = sequential") true
+        (Mat.approx_equal ~tol:0.0 f_seq f);
+      Alcotest.(check bool) (name ^ " solve = sequential") true (Vec.dist_inf x_seq x = 0.0))
+    [ ("dataflow", Runtime_api.Dataflow 4); ("forkjoin", Runtime_api.Forkjoin 4) ]
+
 let test_cholesky_solve () =
   let a, x_true, b = spd_system 1 96 in
-  let t = Cholesky.factor_mat ~nb:32 a in
-  let x = Cholesky.solve t b in
+  let _, x = packed_chol ~exec:Runtime_api.Sequential ~nb:32 a b in
   Alcotest.(check bool) "solves" true (Vec.dist_inf x x_true /. Vec.norm_inf x_true < 1e-10)
 
 let test_cholesky_exec_modes_agree () =
   let a, _, b = spd_system 2 64 in
-  let solve exec =
-    let t = Tile.of_mat ~nb:16 a in
-    Cholesky.factor ~exec t;
-    Cholesky.solve t b
-  in
-  let seq = solve Runtime_api.Sequential in
-  let par = solve (Runtime_api.Dataflow 4) in
-  let fj = solve (Runtime_api.Forkjoin 4) in
-  (* same kernels in a valid dependence order: bitwise identical results *)
-  Alcotest.(check bool) "dataflow = sequential" true (Vec.dist_inf seq par = 0.0);
-  Alcotest.(check bool) "forkjoin = sequential" true (Vec.dist_inf seq fj = 0.0)
+  check_exec_modes_agree ~solve:(fun exec -> packed_chol ~exec ~nb:16 a b)
 
 let test_cholesky_task_count () =
   List.iter
@@ -110,18 +127,12 @@ let prop_lu_matches_lapack =
 
 let test_lu_solve () =
   let a, x_true, b = dd_system 3 96 in
-  let t = Lu.factor_mat ~nb:32 a in
-  let x = Lu.solve t b in
+  let _, x = packed_lu ~exec:Runtime_api.Sequential ~nb:32 a b in
   Alcotest.(check bool) "solves" true (Vec.dist_inf x x_true /. Vec.norm_inf x_true < 1e-10)
 
 let test_lu_parallel_agrees () =
   let a, _, b = dd_system 4 64 in
-  let t1 = Tile.of_mat ~nb:16 a in
-  Lu.factor t1;
-  let t2 = Tile.of_mat ~nb:16 a in
-  Lu.factor ~exec:(Runtime_api.Dataflow 4) t2;
-  Alcotest.(check bool) "factors identical" true (Tile.approx_equal ~tol:0.0 t1 t2);
-  Alcotest.(check bool) "solve identical" true (Vec.dist_inf (Lu.solve t1 b) (Lu.solve t2 b) = 0.0)
+  check_exec_modes_agree ~solve:(fun exec -> packed_lu ~exec ~nb:16 a b)
 
 let test_lu_task_count () =
   List.iter
@@ -419,6 +430,36 @@ let prop_qr_tall_shapes =
       let x = Qr.solve f b in
       Vec.dist_inf x (Lapack.gels a b) < 1e-8)
 
+(* One answer per payload: Solver's SPD and diagonally dominant solves
+   equal the server's plan run sequentially, bit for bit, for any size,
+   tile size and executor. *)
+let prop_solver_equals_route =
+  QCheck.Test.make ~name:"solver = Route.direct bitwise (spd, dd lu)" ~count:40
+    QCheck.(triple (int_range 1 200) (int_range 0 3) (int_range 0 2))
+    (fun (n, nb_sel, exec_sel) ->
+      let nb = [| 8; 16; 32; 64 |].(nb_sel) in
+      let exec =
+        [| Runtime_api.Sequential; Runtime_api.Dataflow 2; Runtime_api.Forkjoin 2 |].(exec_sel)
+      in
+      let opts = { Solver.nb; exec } in
+      let server payload =
+        match Xsc_serve.Route.direct ~nb payload with
+        | Xsc_serve.Request.Vector x -> x
+        | Xsc_serve.Request.Matrix _ -> assert false
+      in
+      let a, _, b = spd_system ((n * 7) + nb) n in
+      let d, _, c = dd_system ((n * 11) + nb) n in
+      Vec.dist_inf (Solver.solve_spd ~opts a b) (server (Xsc_serve.Request.Spd_solve (a, b))) = 0.0
+      && Vec.dist_inf (Solver.solve_general ~opts d c) (server (Xsc_serve.Request.Lu_solve (d, c)))
+         = 0.0)
+
+let test_solver_spd_not_spd () =
+  let b = Array.make 6 1.0 in
+  Alcotest.check_raises "packed potrf's exception" (Pblas.Singular 0) (fun () ->
+      ignore
+        (Solver.solve_spd ~opts:{ Solver.nb = 4; exec = Runtime_api.Sequential }
+           (Mat.scale (-1.0) (Mat.identity 6)) b))
+
 let test_solver_with_workers () =
   let opts = Solver.with_workers ~nb:16 4 in
   Alcotest.(check bool) "dataflow exec" true (opts.Solver.exec = Runtime_api.Dataflow 4);
@@ -486,6 +527,8 @@ let () =
           Alcotest.test_case "protected recovers" `Quick test_solver_protected_recovers;
           Alcotest.test_case "residual" `Quick test_solver_residual;
           Alcotest.test_case "with_workers" `Quick test_solver_with_workers;
+          qcheck prop_solver_equals_route;
+          Alcotest.test_case "spd not SPD raises Pblas.Singular" `Quick test_solver_spd_not_spd;
           qcheck prop_solver_spd_any_size;
           qcheck prop_solver_general_any_size;
           qcheck prop_qr_tall_shapes;
